@@ -1,9 +1,9 @@
 """Quantitative acceptance suite.
 
 Ten numbered criteria, each a standalone runner with a wall-clock budget.
-The pytest suite and the ``accept`` CLI subcommand both dispatch through
-:func:`run`; a criterion that raises, misses its tolerance, or blows its
-budget fails.  Runners use fixed seeds so reruns are bit-identical.
+Every caller, the pytest suite included, dispatches through :func:`run`; a
+criterion that raises, misses its tolerance, or blows its budget fails.
+Runners use fixed seeds so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -189,8 +189,11 @@ def _partition():
     # admits them; an empty window would be a genuine classification failure
     windows_ok = all(bool(wins) for _, _, wins in rep.violations)
     ok = rep.ok and windows_ok
+    hit = [shells for shells in rep.hits.values() if shells]
+    samples = sum(v[0] for shells in hit for v in shells.values())
     return ok, (
-        f"{rep.sell_or_nr_hits} elliptic hits, {rep.hits} resonant sets, "
+        f"{len(hit)} phases with hits, {samples} near-resonant samples in "
+        f"{sum(map(len, hit))} home triples, {len(rep.sell_or_nr_hits)} elliptic hits, "
         f"{len(rep.violations)} admitted only above D_num, "
         f"{len(rep.unresolved)} unresolved"
     )
@@ -210,7 +213,7 @@ def _resonant_curves():
                 xiv = s * direction
                 eta = p_res(variant, xiv, P)
                 worst = max(worst, float(np.linalg.norm(xi_gradient(variant, xiv, eta, P))))
-    even = PhaseSpec("b", ("e", 1), ("e", 1))
+    even = PhaseSpec("b", "e+", "e+")
     probe = np.array([0.44, -1.3, 0.27])
     exact_split = np.array_equal(p_res(even, probe, P), 0.5 * probe)
     ok = worst <= 1e-10 and exact_split

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import BRANCHES, lam, lam_prime
+from .dispersion import BRANCHES, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import DEFAULT_WEIGHTS, Grid, phi_interval, to_physical
 from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
@@ -156,15 +156,13 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> np.ndarray:
     Airy window of width (|t| lambda''' / 2)^{1/3} around the fold; that
     window gets its own cluster of radii, which a grid in s cannot resolve.
     """
-    from .dispersion import lam_second
-
     anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), nx)
-    sweep = abs(q.t) * lam_prime(q.branch, anchors, p)
+    _, slope, curv = jet(q.branch, anchors, p)
+    sweep = abs(q.t) * slope
     lo, hi = float(sweep.min()), float(sweep.max())
     pads = np.array([0.0, 0.35 * lo, 0.6 * lo, 1.7 * hi, 3.0 * hi])
     xs = [pads, sweep]
 
-    curv = lam_second(q.branch, anchors, p)
     flips = np.nonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)[0]
     for i in flips:
         from scipy.optimize import brentq

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -343,34 +343,63 @@ def _inv0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _R_of(r, p: PlasmaParams):
-    return aux_symbols(r, p)["R"]
+class _Radius:
+    """Radial symbols at one of |xi|, |zeta|, |eta| over a block of catalog
+    points.  Each symbol is evaluated on first use and kept for every row of
+    the block, so the table holds only what the rows read."""
+
+    def __init__(self, v: np.ndarray, p: PlasmaParams):
+        self.r = np.sqrt(np.sum(v * v, 0))
+        self._p = p
+
+    @cached_property
+    def inv(self):
+        return _inv0(self.r)
+
+    @cached_property
+    def R(self):
+        return aux_symbols(self.r, self._p)["R"]
+
+    @cached_property
+    def qi(self):
+        return q_i(self.r, self._p)
+
+    @cached_property
+    def lam_e(self):
+        return lam("e", self.r, self._p)
+
+    @cached_property
+    def lam_b(self):
+        return lam("b", self.r, self._p)
+
+    def out_over_mod(self, sigma: str):
+        """Lam_sigma(r)/r for sigma in {e, i}, factored for the ion branch and
+        0 at the origin otherwise; not kept, as each row reads it once."""
+        if sigma == "i":
+            return q_i(self.r, self._p)
+        return lam(sigma, self.r, self._p) * _inv0(self.r)
+
+    def mod_over_branch(self, branch: str):
+        """r/Lam_branch(r); regular everywhere on both acoustic branches."""
+        return 1.0 / self.qi if branch == "i" else self.r / self.lam_e
 
 
-def _out_over_mod(sigma: str, r, p: PlasmaParams):
-    """Lam_sigma(|xi|)/|xi|; factored for the ion branch, 0 at the origin
-    otherwise."""
-    if sigma == "i":
-        return q_i(r, p)
-    return lam(sigma, r, p) * _inv0(r)
+class _Block:
+    """Catalog points (xi, zeta, eta), shapes (3, ...), with the radial table
+    at each of the three; one per block, shared by the e, i and b rows."""
+
+    def __init__(self, xi, zeta, eta, p: PlasmaParams):
+        self.xi, self.zeta, self.eta, self.p = xi, zeta, eta, p
+        self.x, self.z, self.e = _Radius(xi, p), _Radius(zeta, p), _Radius(eta, p)
 
 
-def _mod_over_branch(branch: str, r, p: PlasmaParams):
-    """|xi|/Lam_branch(|xi|); regular everywhere on both acoustic branches."""
-    if branch == "i":
-        return 1.0 / q_i(r, p)
-    return r / lam("e", r, p)
-
-
-def _eval_acoustic(sigma, mu, nu, xi, zeta, eta, p):
+def _eval_acoustic(sigma, mu, nu, t: _Block):
     """m_{sigma;mu,nu} for sigma in {e,i} and both inputs acoustic."""
     s1, i1, _ = species_split(mu)
     s2, i2, _ = species_split(nu)
-    rx = np.sqrt(np.sum(xi * xi, 0))
-    rz = np.sqrt(np.sum(zeta * zeta, 0))
-    re_ = np.sqrt(np.sum(eta * eta, 0))
-    Rx, Rz, Re = _R_of(rx, p), _R_of(rz, p), _R_of(re_, p)
-    seps = p.epsilon ** -0.5
+    x, z, e = t.x, t.z, t.e
+    Rx, Rz, Re = x.R, z.R, e.R
+    seps = t.p.epsilon ** -0.5
 
     if sigma == "e":
         if s1 == s2 == "e":
@@ -388,80 +417,76 @@ def _eval_acoustic(sigma, mu, nu, xi, zeta, eta, p):
             num = seps * Rx * Re - Rz
     T = 1j * num / np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2) * (1 + Re ** 2))
 
-    lo = _out_over_mod(sigma, rx, p)
-    A = 0.5 * lo * np.sum(xi * eta, 0) * _inv0(re_) * _mod_over_branch(s1, rz, p)
-    B = 0.5 * lo * np.sum(xi * zeta, 0) * _inv0(rz) * _mod_over_branch(s2, re_, p)
-    C = 0.5 * rx * np.sum(zeta * eta, 0) * _inv0(rz) * _inv0(re_)
+    lo = x.out_over_mod(sigma)
+    A = 0.5 * lo * np.sum(t.xi * t.eta, 0) * e.inv * z.mod_over_branch(s1)
+    B = 0.5 * lo * np.sum(t.xi * t.zeta, 0) * z.inv * e.mod_over_branch(s2)
+    C = 0.5 * x.r * np.sum(t.zeta * t.eta, 0) * z.inv * e.inv
 
     rel = "same" if s1 == s2 else "cross"
     cA, cB, cC = _ACOUSTIC_SIGNS[sigma, rel, i1, i2]
     return T * (cA * A + cB * B + cC * C)
 
 
-def _eval_single_b(sigma, mu, nu, xi, zeta, eta, p):
+def _eval_single_b(sigma, mu, nu, t: _Block):
     """m_{sigma;mu,nu} for sigma in {e,i}, mu acoustic, nu magnetosonic."""
     s1, i1, _ = species_split(mu)
     _, _, a2 = species_split(nu)
-    rx = np.sqrt(np.sum(xi * xi, 0))
-    rz = np.sqrt(np.sum(zeta * zeta, 0))
-    re_ = np.sqrt(np.sum(eta * eta, 0))
-    Rx, Rz = _R_of(rx, p), _R_of(rz, p)
-    eps = p.epsilon
+    x, z = t.x, t.z
+    Rx, Rz = x.R, z.R
+    eps = t.p.epsilon
 
     if sigma == "e":
         num = (-1.0 / eps + Rx * Rz) if s1 == "e" else (Rz / eps + Rx)
     else:
         num = (Rx / eps + Rz) if s1 == "e" else -(Rx * Rz / eps - 1.0)
-    T = 1j * num / (np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2)) * lam("b", re_, p))
+    T = 1j * num / (np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2)) * t.e.lam_b)
 
-    G = (0.5 * _out_over_mod(sigma, rx, p) * xi[a2] * _mod_over_branch(s1, rz, p)
-         + (1.0 if i1 == "+" else -1.0) * 0.5 * rx * zeta[a2] * _inv0(rz))
+    G = (0.5 * x.out_over_mod(sigma) * t.xi[a2] * z.mod_over_branch(s1)
+         + (1.0 if i1 == "+" else -1.0) * 0.5 * x.r * t.zeta[a2] * z.inv)
     return T * G
 
 
-def _eval_double_b(sigma, mu, nu, xi, zeta, eta, p):
+def _eval_double_b(sigma, mu, nu, t: _Block):
     """m_{sigma;mu,nu} for sigma in {e,i} and both inputs magnetosonic."""
     _, i1, a1 = species_split(mu)
     _, i2, a2 = species_split(nu)
-    rx = np.sqrt(np.sum(xi * xi, 0))
+    rx = t.x.r
     if a1 != a2:  # diagonal in the component indices
         return np.zeros(rx.shape, complex)
-    rz = np.sqrt(np.sum(zeta * zeta, 0))
-    re_ = np.sqrt(np.sum(eta * eta, 0))
-    Rx = _R_of(rx, p)
-    e32 = p.epsilon ** -1.5
+    Rx = t.x.R
+    e32 = t.p.epsilon ** -1.5
     S = (1j * (e32 - Rx) if sigma == "e" else -1j * (e32 * Rx + 1.0))
-    m = S / np.sqrt(1 + Rx ** 2) * rx / (4.0 * lam("b", rz, p) * lam("b", re_, p))
+    m = S / np.sqrt(1 + Rx ** 2) * rx / (4.0 * t.z.lam_b * t.e.lam_b)
     return 2.0 * m if i1 != i2 else m
 
 
-def _eval_b_core(mu, nu, xi, zeta, eta, p):
+def _eval_b_core(mu, nu, t: _Block):
     """Magnetosonic-output row before the transverse projection.
 
     Returns the vector c with m_{b,alpha;mu,nu} = Q^2_{alpha beta}(xi) c_beta.
     """
     s1, i1, a1 = species_split(mu)
     s2, i2, a2 = species_split(nu)
-    rz = np.sqrt(np.sum(zeta * zeta, 0))
-    re_ = np.sqrt(np.sum(eta * eta, 0))
-    Rz, Re = _R_of(rz, p), _R_of(re_, p)
-    eps = p.epsilon
-    shape = (3,) + np.broadcast_shapes(rz.shape, re_.shape)
+    z, e = t.z, t.e
+    eps = t.p.epsilon
+    shape = (3,) + np.broadcast_shapes(z.r.shape, e.r.shape)
 
     if s1 == "b" and s2 == "b":
         return np.zeros(shape, complex)  # no such source in the U_b equation
 
+    Rz = z.R
     if s2 == "b":
         e32 = eps ** -1.5
         if s1 == "e":
-            s = 1j * (e32 - Rz) * _mod_over_branch("e", rz, p)
+            s = 1j * (e32 - Rz) * z.mod_over_branch("e")
         else:
-            s = -1j * (e32 * Rz + 1.0) * _mod_over_branch("i", rz, p)
-        s = s / (2.0 * np.sqrt(1 + Rz ** 2) * lam("b", re_, p))
+            s = -1j * (e32 * Rz + 1.0) * z.mod_over_branch("i")
+        s = s / (2.0 * np.sqrt(1 + Rz ** 2) * e.lam_b)
         out = np.zeros(shape, complex)
         out[a2] = s
         return out
 
+    Re = e.R
     if s1 == s2 == "e":
         num = -1.0 / eps + Rz * Re
     elif s1 == s2 == "i":
@@ -470,11 +495,23 @@ def _eval_b_core(mu, nu, xi, zeta, eta, p):
         num = Re / eps + Rz
     tau = 1j * num / np.sqrt((1 + Rz ** 2) * (1 + Re ** 2))
 
-    P = _mod_over_branch(s1, rz, p) * eta * _inv0(re_)
-    Pp = _mod_over_branch(s2, re_, p) * zeta * _inv0(rz)
+    P = z.mod_over_branch(s1) * t.eta * e.inv
+    Pp = e.mod_over_branch(s2) * t.zeta * z.inv
     rel = "same" if s1 == s2 else "cross"
     cP, cPp = _B_ROW_SIGNS[rel, i1, i2]
     return tau * (cP * P + cPp * Pp)
+
+
+def _row(sigma: str, mu: str, nu: str, t: _Block):
+    """Catalog row sigma of the pair (mu, nu) on a block; for sigma = "b" the
+    vector before the transverse projection (see :func:`_eval_b_core`)."""
+    if sigma == "b":
+        return _eval_b_core(mu, nu, t)
+    if mu[0] == "b" and nu[0] == "b":
+        return _eval_double_b(sigma, mu, nu, t)
+    if nu[0] == "b":
+        return _eval_single_b(sigma, mu, nu, t)
+    return _eval_acoustic(sigma, mu, nu, t)
 
 
 def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
@@ -495,22 +532,12 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     scalar_in = xi.ndim == 1
     if scalar_in:
         xi, eta = xi[:, None], eta[:, None]
-    zeta = xi - eta
-
-    s1 = species_split(mu)[0]
-    s2 = species_split(nu)[0]
+    out = _row(sigma, mu, nu, _Block(xi, xi - eta, eta, p))
     if sigma == "b":
-        core = _eval_b_core(mu, nu, xi, zeta, eta, p)
         rx2 = np.sum(xi * xi, 0)
-        out = core - xi * (np.sum(xi * core, 0) * _inv0(rx2))
+        out = out - xi * (np.sum(xi * out, 0) * _inv0(rx2))
         out[:, rx2 == 0] = 0.0
         return out[:, 0] if scalar_in else out
-    if s1 == "b" and s2 == "b":
-        out = _eval_double_b(sigma, mu, nu, xi, zeta, eta, p)
-    elif s2 == "b":
-        out = _eval_single_b(sigma, mu, nu, xi, zeta, eta, p)
-    else:
-        out = _eval_acoustic(sigma, mu, nu, xi, zeta, eta, p)
     return complex(out[0]) if scalar_in else out
 
 
@@ -568,26 +595,15 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams,
             zeta = kz * scale
             eta = kh * scale
             prod = flat[mu][zb][:, None] * flat[nu][hi][None, :]
-
-            s1 = species_split(mu)[0]
-            s2 = species_split(nu)[0]
-            if s1 == "b" and s2 == "b":
-                m_e = _eval_double_b("e", mu, nu, xi, zeta, eta, p)
-                m_i = _eval_double_b("i", mu, nu, xi, zeta, eta, p)
-            elif s2 == "b":
-                m_e = _eval_single_b("e", mu, nu, xi, zeta, eta, p)
-                m_i = _eval_single_b("i", mu, nu, xi, zeta, eta, p)
-            else:
-                m_e = _eval_acoustic("e", mu, nu, xi, zeta, eta, p)
-                m_i = _eval_acoustic("i", mu, nu, xi, zeta, eta, p)
-            np.add.at(N_e, out_idx.ravel(), (m_e * prod).ravel())
-            np.add.at(N_i, out_idx.ravel(), (m_i * prod).ravel())
-
-            core = _eval_b_core(mu, nu, xi, zeta, eta, p)
+            idx = out_idx.ravel()
+            t = _Block(xi, zeta, eta, p)
+            for sigma, N in (("e", N_e), ("i", N_i)):
+                np.add.at(N, idx, (_row(sigma, mu, nu, t) * prod).ravel())
+            core = _row("b", mu, nu, t)
             if core.any():
                 contrib = core * prod
                 for a in range(3):
-                    np.add.at(W_b[a], out_idx.ravel(), contrib[a].ravel())
+                    np.add.at(W_b[a], idx, contrib[a].ravel())
 
     c = n ** -1.5
     shape = (n, n, n)

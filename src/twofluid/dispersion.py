@@ -19,9 +19,12 @@ small differences explicit:
     lambda_i(r) = r q_i(r),   q_i = sqrt((1+T+T r^2)/(eps lambda_e^2)),
 
 together with closed forms for the first two radial derivatives.  The
-radical shape is kept as a private reference (`_lambda_i_radical`) and the
-exact identities are verified in arbitrary precision by
-:func:`verify_identities`.
+branch formulas and their derivatives live in one place, :func:`jet`, which
+forms the common subexpressions once per call and returns lambda, lambda'
+and lambda'' up to the requested order; `lam`, `lam_prime` and
+`lam_second` are selections from it.  The radical shape is kept as a
+private reference (`_lambda_i_radical`) and the exact identities are
+verified in arbitrary precision by :func:`verify_identities`.
 """
 
 from __future__ import annotations
@@ -69,64 +72,71 @@ def _m_of_r(r2, s, eps, T):
     return ((1 + eps) + (T + eps) * r2 + s) / 2
 
 
-def lam(branch: str, r, p: PlasmaParams):
-    """Dispersion relation lambda_branch(r), vectorized over r >= 0."""
+def _m_prime(r, u, s, eps, T):
+    """dM/dr = (T+eps) r + (T-eps) r u/s."""
+    return (T + eps) * r + (T - eps) * r * u / s
+
+
+def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
+    """(lambda, lambda', lambda'')[:order + 1] of one branch, vectorized over r >= 0.
+
+    The one place the branch formulas live: the common subexpressions are
+    formed once and only the requested orders are evaluated.
+    """
     _check_branch(branch)
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     r, r2, u, s, eps, T, dtype = _prep(r, p)
     if branch == "b":
         C_b = dtype.type(p.C_b)
-        return np.sqrt((1 + eps + C_b * r2) / eps)
+        lb = np.sqrt((1 + eps + C_b * r2) / eps)
+        out = [lb]
+        if order >= 1:
+            out.append(C_b * r / (eps * lb))
+        if order == 2:
+            out.append(C_b * (1 + eps) / (eps**2 * lb**3))
+        return tuple(out)
     M = _m_of_r(r2, s, eps, T)
     if branch == "e":
-        return np.sqrt(M / eps)
+        le = np.sqrt(M / eps)
+        out = [le]
+        if order >= 1:
+            lep = _m_prime(r, u, s, eps, T) / (2 * eps * le)
+            out.append(lep)
+        if order == 2:
+            # d(u/s)/dr = 4 eps u' / s^3 with u' = 2 (T-eps) r, since s^2 - u^2 = 4 eps
+            Mpp = (T + eps) + (T - eps) * u / s + 8 * eps * (T - eps) ** 2 * r2 / s**3
+            out.append((Mpp / eps - 2 * lep * lep) / (2 * le))
+        return tuple(out)
     # ion branch in the factored form r * q_i(r); exact zero at r = 0
     A = 1 + T + T * r2
-    return r * np.sqrt(A / M)
+    qi = np.sqrt(A / M)
+    out = [r * qi]
+    if order >= 1:
+        # 2 lambda_i lambda_i' = r W with W = ((T+eps) - (T-eps) u/s)/eps
+        W = ((T + eps) - (T - eps) * u / s) / eps
+        out.append(W / (2 * qi))
+    if order == 2:
+        # lambda_i' = W/(2 q_i); differentiate the quotient
+        Wp = -8 * (T - eps) ** 2 * r / s**3
+        qip = qi * (T * r / A - _m_prime(r, u, s, eps, T) / (2 * M))
+        out.append(Wp / (2 * qi) - W * qip / (2 * qi * qi))
+    return tuple(out)
+
+
+def lam(branch: str, r, p: PlasmaParams):
+    """Dispersion relation lambda_branch(r), vectorized over r >= 0."""
+    return jet(branch, r, p, 0)[0]
 
 
 def lam_prime(branch: str, r, p: PlasmaParams):
     """First radial derivative of lambda_branch."""
-    _check_branch(branch)
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    if branch == "b":
-        C_b = dtype.type(p.C_b)
-        lb = np.sqrt((1 + eps + C_b * r2) / eps)
-        return C_b * r / (eps * lb)
-    M = _m_of_r(r2, s, eps, T)
-    if branch == "e":
-        le = np.sqrt(M / eps)
-        Mp = (T + eps) * r + (T - eps) * r * u / s
-        return Mp / (2 * eps * le)
-    # 2 lambda_i lambda_i' = r W with W = ((T+eps) - (T-eps) u/s)/eps
-    A = 1 + T + T * r2
-    qi = np.sqrt(A / M)
-    W = ((T + eps) - (T - eps) * u / s) / eps
-    return W / (2 * qi)
+    return jet(branch, r, p, 1)[1]
 
 
 def lam_second(branch: str, r, p: PlasmaParams):
     """Second radial derivative of lambda_branch."""
-    _check_branch(branch)
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    if branch == "b":
-        C_b = dtype.type(p.C_b)
-        lb = np.sqrt((1 + eps + C_b * r2) / eps)
-        return C_b * (1 + eps) / (eps**2 * lb**3)
-    M = _m_of_r(r2, s, eps, T)
-    Mp = (T + eps) * r + (T - eps) * r * u / s
-    # d(u/s)/dr = 4 eps u' / s^3 with u' = 2 (T-eps) r, since s^2 - u^2 = 4 eps
-    Mpp = (T + eps) + (T - eps) * u / s + 8 * eps * (T - eps) ** 2 * r2 / s**3
-    if branch == "e":
-        le = np.sqrt(M / eps)
-        lep = Mp / (2 * eps * le)
-        return (Mpp / eps - 2 * lep * lep) / (2 * le)
-    # lambda_i' = W/(2 q_i); differentiate the quotient
-    A = 1 + T + T * r2
-    qi = np.sqrt(A / M)
-    W = ((T + eps) - (T - eps) * u / s) / eps
-    Wp = -8 * (T - eps) ** 2 * r / s**3
-    qip = qi * (T * r / A - Mp / (2 * M))
-    return Wp / (2 * qi) - W * qip / (2 * qi * qi)
+    return jet(branch, r, p, 2)[2]
 
 
 def speed(branch: str, p: PlasmaParams) -> float:
@@ -188,8 +198,7 @@ def q_i_prime(r, p: PlasmaParams):
     r, r2, u, s, eps, T, dtype = _prep(r, p)
     A = 1 + T + T * r2
     M = _m_of_r(r2, s, eps, T)
-    Mp = (T + eps) * r + (T - eps) * r * u / s
-    return np.sqrt(A / M) * (T * r / A - Mp / (2 * M))
+    return np.sqrt(A / M) * (T * r / A - _m_prime(r, u, s, eps, T) / (2 * M))
 
 
 # -- stable differences of squared branches ------------------------------------
@@ -200,18 +209,6 @@ def gap_e_heps(r, p: PlasmaParams):
     """lambda_e^2 - H_eps^2 = 2/(u+s) > 0."""
     r, r2, u, s, eps, T, dtype = _prep(r, p)
     return 2 / (u + s)
-
-
-def gap_heps_i(r, p: PlasmaParams):
-    """H_eps^2 - lambda_i^2 = (u+s)/(2 eps) > 0."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return (u + s) / (2 * eps)
-
-
-def gap_heps_h1(r, p: PlasmaParams):
-    """H_eps^2 - H_1^2 = u/eps > 0."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return u / eps
 
 
 def gap_e_i(r, p: PlasmaParams):
@@ -428,9 +425,7 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
     rpos = r[1:]
     T, eps = p.T, p.epsilon
 
-    li, le, lb = (lam(b, r, p) for b in BRANCHES)
-    lip, lep, lbp = (lam_prime(b, r, p) for b in BRANCHES)
-    lis, les, lbs = (lam_second(b, r, p) for b in BRANCHES)
+    (li, lip, lis), (le, lep, les), (lb, _, lbs) = (jet(b, r, p) for b in BRANCHES)
     qi = q_i(r, p)
     qip = q_i_prime(r, p)
     he, hep, hes = h_eps(r, p), h_eps_prime(r, p), h_eps_second(r, p)
@@ -439,9 +434,8 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
         return int(np.count_nonzero(bad))
 
     # origin values, through the same expressions used on the grid
-    li0 = float(lam("i", 0.0, p))
+    li0, lip0, lis0 = map(float, jet("i", 0.0, p))
     q0 = float(q_i(0.0, p))
-    lis0 = float(lam_second("i", 0.0, p))
     rep.add("lambda_i(0) = 0 and lambda_i''(0) = 0 exactly", li0 == 0.0 and lis0 == 0.0,
             max(abs(li0), abs(lis0)))
 
@@ -449,7 +443,6 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
     rep.add("lambda_i'''(0) negative, order one", -100 * max(1.0, T) < third < -1e-2,
             third, "finite difference lambda_i''(h)/h")
 
-    lip0 = float(lam_prime("i", 0.0, p))
     v = count(lip > lip0)
     rep.add("lambda_i' <= lambda_i'(0)", v == 0, v, "violations")
     v = count(lip <= 0)
@@ -563,7 +556,7 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
     return rep
 
 
-# -- tabulation (CLI backend) --------------------------------------------------
+# -- tabulation ----------------------------------------------------------------
 
 TABLE_COLUMNS = (
     "r",
@@ -580,9 +573,7 @@ def dispersion_table(p: PlasmaParams, rmin: float, rmax: float, n: int) -> np.nd
         raise ValueError("need 0 <= rmin < rmax and n >= 2")
     r = np.linspace(rmin, rmax, n)
     aux = aux_symbols(r, p)
-    cols = [r]
-    cols += [lam(b, r, p) for b in BRANCHES]
-    cols += [lam_prime(b, r, p) for b in BRANCHES]
-    cols += [lam_second(b, r, p) for b in BRANCHES]
+    jets = [jet(b, r, p) for b in BRANCHES]
+    cols = [r] + [j[order] for order in range(3) for j in jets]
     cols += [aux["H1"], aux["Heps"], aux["R"]]
     return np.column_stack(cols)

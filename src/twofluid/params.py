@@ -127,7 +127,7 @@ def validate_regime(p: PlasmaParams) -> Report:
     """Check (epsilon, T, C_b) against the regime of validity.
 
     Returns a report, never raises; callers decide whether warnings are
-    fatal (the CLI promotes them to errors under ``--strict-regime``).
+    fatal.
     """
     rep = Report("regime")
     rep.add(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import find_R_sigma, lam, lam_prime, lam_second
+from .dispersion import find_R_sigma, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
 
 D_NUM = 10
@@ -55,7 +55,7 @@ class PhaseSpec:
 
     @classmethod
     def parse(cls, text: str) -> "PhaseSpec":
-        """Accepts 'e;i+,e+' (and 'e:i+,e+', the CLI spelling)."""
+        """Accepts 'e;i+,e+' and, as an alternative spelling, 'e:i+,e+'."""
         head, _, tail = text.replace(":", ";").partition(";")
         mu, _, nu = tail.partition(",")
         return cls(head.strip(), mu.strip(), nu.strip())
@@ -471,6 +471,14 @@ def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams,
 
 # ---------------------------------------------------------------------------
 # brute-force shell scans
+#
+# scan_near_resonant, verify_case_partition and atlas run one sweep, _sweep:
+# a generator over blocks of |xi| that yields, per block, the three radii
+# |xi|, |eta|, |xi - eta| on the rotation-reduced (s, rho, theta) grid, with
+# shape (block, n_rho, n_theta) where they vary, the cosine between xi - eta
+# and eta, and lambda and lambda' of every branch at each radius.
+# _phase_on_plane turns a table into (Phi, |Xi|^2) for any phase and _home
+# bins radii into dyadic shells; each caller keeps its own reduction.
 
 
 @dataclass(frozen=True)
@@ -504,36 +512,41 @@ def stronglyell_deltas(k1: int, k2: int, D_num: int = D_NUM) -> tuple:
     return 2.0 ** (-D_num - 4 * m), 2.0 ** (-D_num - m)
 
 
-def _plane_tables(p: PlasmaParams, s_vals, rho, costh) -> dict:
-    """Radial quantities on the (s, rho, theta) product, rotation-reduced.
+def _home(x):
+    """Home dyadic shell floor(log2 x) of each radius (as floats)."""
+    return np.floor(np.log2(x))
 
-    xi = s zhat and eta lies in a half-plane through zhat; everything any
-    phase needs is a function of the three radii and one angle cosine.
-    """
-    st = s_vals[:, None, None]
+
+def _sweep(p: PlasmaParams, s_shells: tuple, rho_shells: tuple,
+           resolution: tuple, block: int):
+    """Tables of the sweep over xi = s zhat, eta = rho (sin theta, 0, cos theta),
+    one per block of s; s and rho span the dyadic shells s_shells = (lo, hi)
+    and rho_shells padded by 4 octaves, theta spans [0, pi]."""
+    n_s, n_r, n_t = resolution
+    s_all = np.geomspace(2.0 ** (s_shells[0] - 4), 2.0 ** (s_shells[1] + 4), n_s)
+    rho = np.geomspace(2.0 ** (rho_shells[0] - 4), 2.0 ** (rho_shells[1] + 4), n_r)
+    theta = np.linspace(0.0, np.pi, n_t)
     rh = rho[None, :, None]
-    ct = costh[None, None, :]
-    zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosb = (st * ct - rh) / zm  # angle between xi - eta and eta
-    return {
-        "s": s_vals, "rho": rho, "zm": zm, "cosb": cosb,
-        "lam_s": {br: lam(br, s_vals, p) for br in BRANCHES},
-        "lam_r": {br: lam(br, rho, p) for br in BRANCHES},
-        "lam_z": {br: lam(br, zm, p) for br in BRANCHES},
-        "lamp_r": {br: lam_prime(br, rho, p) for br in BRANCHES},
-        "lamp_z": {br: lam_prime(br, zm, p) for br in BRANCHES},
-    }
+    ct = np.cos(theta)[None, None, :]
+    jet_r = {br: jet(br, rho, p, 1) for br in BRANCHES}
+    for i0 in range(0, n_s, block):
+        sb = s_all[i0:i0 + block]
+        st = sb[:, None, None]
+        zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosb = (st * ct - rh) / zm
+        yield {"s": sb, "rho": rho, "theta": theta, "zm": zm, "cosb": cosb,
+               "lam_s": {br: lam(br, sb, p) for br in BRANCHES},
+               "jet_r": jet_r, "jet_z": {br: jet(br, zm, p, 1) for br in BRANCHES}}
 
 
 def _phase_on_plane(spec: PhaseSpec, t: dict):
-    """(Phi, |Xi|^2) over a table block."""
+    """(Phi, |Xi|^2) over a sweep table."""
     i1, i2 = spec.iota1, spec.iota2
-    Phi = (t["lam_s"][spec.sigma][:, None, None]
-           - i1 * t["lam_z"][spec.branch1]
-           - i2 * t["lam_r"][spec.branch2][None, :, None])
-    a = t["lamp_z"][spec.branch1]
-    b = t["lamp_r"][spec.branch2][None, :, None]
+    lam_z, a = t["jet_z"][spec.branch1]
+    lam_r, b = t["jet_r"][spec.branch2]
+    Phi = t["lam_s"][spec.sigma][:, None, None] - i1 * lam_z - i2 * lam_r[None, :, None]
+    b = b[None, :, None]
     with np.errstate(invalid="ignore"):
         Xi2 = a * a + b * b - (2.0 * i1 * i2) * a * b * t["cosb"]
     return Phi, Xi2
@@ -549,22 +562,16 @@ def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
     radial eta (both geometric) times the polar angle, with the xi - eta
     shell enforced as a filter.
     """
-    n_s, n_r, n_t = resolution
-    s_all = np.geomspace(2.0 ** (k - 4), 2.0 ** (k + 4), n_s)
-    rho = np.geomspace(2.0 ** (k2 - 4), 2.0 ** (k2 + 4), n_r)
-    theta = np.linspace(0.0, np.pi, n_t)
-    costh, sinth = np.cos(theta), np.sin(theta)
     cases = admissible_cases(classify(spec), k, k1, k2, D_num)
     out = []
-    for i0 in range(0, n_s, block):
-        sb = s_all[i0:i0 + block]
-        t = _plane_tables(p, sb, rho, costh)
+    for t in _sweep(p, (k, k), (k2, k2), resolution, block):
         Phi, Xi2 = _phase_on_plane(spec, t)
         with np.errstate(invalid="ignore"):
             mask = ((t["zm"] >= 2.0 ** (k1 - 4)) & (t["zm"] <= 2.0 ** (k1 + 4))
                     & (np.abs(Phi) <= delta2) & (Xi2 <= delta1 * delta1))
+        costh, sinth = np.cos(t["theta"]), np.sin(t["theta"])
         for ii, jj, kk in np.argwhere(mask):
-            s, r = sb[ii], rho[jj]
+            s, r = t["s"][ii], t["rho"][jj]
             out.append(ResonanceSample(
                 xi=np.array([0.0, 0.0, s]),
                 eta=np.array([r * sinth[kk], 0.0, r * costh[kk]]),
@@ -728,10 +735,6 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
     shells = tuple(shells)
     kmin, kmax = min(shells), max(shells)
     base = 2.0 ** (-D_num) if delta_base is None else float(delta_base)
-    n_s, n_r, n_t = resolution
-    s_all = np.geomspace(2.0 ** (kmin - 4), 2.0 ** (kmax + 4), n_s)
-    rho = np.geomspace(2.0 ** (kmin - 4), 2.0 ** (kmax + 4), n_r)
-    costh = np.cos(np.linspace(0.0, np.pi, n_t))
 
     report = PartitionReport(D_num, shells, resolution, base, refined=refine,
                              hits={sp.key: {} for sp in specs},
@@ -744,20 +747,16 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
         s, z, r, aph, axi = s[good], z[good], r[good], aph[good], axi[good]
         if not s.size:
             return
-        k = np.floor(np.log2(s))
-        k1 = np.floor(np.log2(z))
-        k2 = np.floor(np.log2(r))
+        k, k1, k2 = _home(s), _home(z), _home(r)
         m = np.maximum(np.maximum(k1, k2), 0.0)
         strict = (aph <= base * 2.0 ** (-m)) & (axi <= base * 2.0 ** (-4.0 * m))
         if strict.any():
             samples[key].append(np.column_stack([
                 k[strict], k1[strict], k2[strict], aph[strict], axi[strict]]))
 
-    for i0 in range(0, n_s, block):
-        sb = s_all[i0:i0 + block]
-        t = _plane_tables(p, sb, rho, costh)
+    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block):
         # pointwise analogue of the 2^{max(k1,k2,0)} shell weight
-        w = np.maximum(t["zm"], np.maximum(rho[None, :, None], 1.0))
+        w = np.maximum(t["zm"], np.maximum(t["rho"][None, :, None], 1.0))
         for sp in specs:
             Phi, Xi2 = _phase_on_plane(sp, t)
             aphi = np.abs(Phi)
@@ -768,7 +767,7 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
             if not mask.any():
                 continue
             ii, jj, kk = np.nonzero(mask)
-            keep(sp.key, sb[ii], t["zm"][ii, jj, kk], rho[jj],
+            keep(sp.key, t["s"][ii], t["zm"][ii, jj, kk], t["rho"][jj],
                  aphi[ii, jj, kk], np.sqrt(np.maximum(Xi2[ii, jj, kk], 0.0)))
 
     if refine:
@@ -819,7 +818,7 @@ def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
           delta1: float = 2.0 ** -10, delta2: float = 2.0 ** -10,
           resolution: tuple = (2048, 1024, 512), D_num: int = D_NUM,
           block: int = 8) -> list:
-    """Per-shell-triple survey of one phase for the CSV atlas.
+    """Per-shell-triple survey of one phase: one row per home triple seen.
 
     Every sample is charged to its home triple (the dyadic shell of each
     radius); rows carry the passing-sample count and the minima of |Phi|
@@ -828,21 +827,16 @@ def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
     shells = tuple(shells)
     kmin, kmax = min(shells), max(shells)
     R = kmax - kmin + 1
-    n_s, n_r, n_t = resolution
-    s_all = np.geomspace(2.0 ** (kmin - 4), 2.0 ** (kmax + 4), n_s)
-    rho = np.geomspace(2.0 ** (kmin - 4), 2.0 ** (kmax + 4), n_r)
-    costh = np.cos(np.linspace(0.0, np.pi, n_t))
 
     def home(x):
-        return np.clip(np.floor(np.log2(x)).astype(int), kmin, kmax) - kmin
+        # radii outside the box, and zm = 0 (home -inf), go to its edge shells
+        with np.errstate(divide="ignore"):
+            return np.clip(_home(x), kmin, kmax).astype(int) - kmin
 
     counts = np.zeros(R * R * R, dtype=np.int64)
     min_phi = np.full(R * R * R, np.inf)
     min_xi = np.full(R * R * R, np.inf)
-    ik2 = home(rho)
-    for i0 in range(0, n_s, block):
-        sb = s_all[i0:i0 + block]
-        t = _plane_tables(p, sb, rho, costh)
+    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block):
         Phi, Xi2 = _phase_on_plane(spec, t)
         aphi = np.abs(Phi)
         with np.errstate(invalid="ignore"):
@@ -851,9 +845,7 @@ def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
         # the gradient is undefined where xi - eta vanishes; those samples
         # must not poison the per-triple minima
         axi = np.where(np.isfinite(axi), axi, np.inf)
-        ik = home(sb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ik1 = home(np.where(t["zm"] > 0, t["zm"], s_all[0]))
+        ik, ik1, ik2 = home(t["s"]), home(t["zm"]), home(t["rho"])
         flat = (ik[:, None, None] * R + ik1) * R + ik2[None, :, None]
         counts += np.bincount(flat[passing].ravel(), minlength=R * R * R)
         # grouped minima: one masked sweep per k1 value keeps this vectorized

@@ -53,7 +53,6 @@ __all__ = [
     "product",
     "l2_norm",
     "hat_cont",
-    "hat_sup",
     "bump",
     "phi_low",
     "phi_shell",
@@ -272,10 +271,6 @@ def l2_norm(grid: Grid, coef: np.ndarray) -> float:
 def hat_cont(grid: Grid, coef: np.ndarray) -> np.ndarray:
     """Continuum Fourier transform values on the lattice."""
     return (2.0 * grid.box_half) ** 3 * grid.n ** (-1.5) * coef
-
-
-def hat_sup(grid: Grid, coef: np.ndarray) -> float:
-    return float(np.max(np.abs(hat_cont(grid, coef))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from twofluid.dispersion import (
     gap_e_heps,
     gap_e_i,
     h_eps,
+    jet,
     lam,
     lam_prime,
     lam_second,
@@ -79,7 +80,27 @@ def test_invalid_branch_rejected():
     with pytest.raises(ValueError):
         lam("x", 1.0, DEFAULT_PARAMS)
     with pytest.raises(ValueError):
+        jet("x", 1.0, DEFAULT_PARAMS)
+    with pytest.raises(ValueError):
         find_R_sigma("i", DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_jet_rejects_order_outside_0_to_2(order):
+    with pytest.raises(ValueError, match="order"):
+        jet("e", 1.0, DEFAULT_PARAMS, order)
+
+
+def test_jet_orders_are_prefixes():
+    r = np.linspace(0.0, 5.0, 7)
+    for branch in ("i", "e", "b"):
+        full = jet(branch, r, DEFAULT_PARAMS)
+        assert len(full) == 3
+        for order in range(3):
+            part = jet(branch, r, DEFAULT_PARAMS, order)
+            assert len(part) == order + 1
+            for a, b in zip(part, full):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_asymptotic_speeds():

@@ -481,9 +481,22 @@ KNIFE_EDGE = {
 }
 
 
+# per resonant phase at resolution (192, 128, 64): (near-resonant samples,
+# home triples); a change to the sweep that moves any sample shows here
+LOW_RES_TOTALS = {
+    "b;e+,b+": (15, 1), "b;e+,e+": (15, 1), "b;i+,b+": (197, 5), "b;i-,b+": (85, 4),
+    "e;i+,b+": (16, 1), "e;i+,e+": (264, 5), "e;i-,b+": (53, 3), "e;i-,e+": (114, 5),
+    "i;e+,b-": (70, 7), "i;e-,b+": (53, 6), "i;i+,i+": (1643, 112),
+    "i;i+,i-": (22620, 130), "i;i-,b+": (5, 1), "i;i-,e+": (5, 1), "i;i-,i-": (8, 4),
+}
+
+
 def test_verify_case_partition_low_res():
     rep = verify_case_partition(P, resolution=(192, 128, 64))
     assert rep.ok
+    totals = {key: (sum(v[0] for v in shells.values()), len(shells))
+              for key, shells in rep.hits.items() if shells}
+    assert totals == LOW_RES_TOTALS
     assert rep.sell_or_nr_hits == {}
     assert rep.unresolved == []
     assert {(key, triple): wins for key, triple, wins in rep.violations} == KNIFE_EDGE
