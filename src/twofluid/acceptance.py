@@ -22,9 +22,9 @@ from .physics import (
     cfl_dt,
     constraints,
     gronwall_constant,
+    integrate,
     make_irrotational,
     random_irrotational,
-    step,
 )
 from .diagonal import (
     from_dispersive,
@@ -143,9 +143,7 @@ def _constraint_propagation():
     steps, dt, floor = 1000, 1e-3, 1e-12
     drift = {}
     for half in (1, 2):
-        s = s0.copy()
-        for _ in range(steps * half):
-            s = step(s, dt / half, P, check=False)
+        *_, s = integrate(s0, [steps * dt], dt / half, P)
         drift[half] = max(constraints(s, P).values())
     ratio = drift[1] / drift[2] if drift[2] > 0 else np.inf
     ok = (drift[1] <= floor and drift[2] <= floor) or ratio >= 12.0
@@ -164,9 +162,7 @@ def _linear_oracle():
     exact = from_dispersive(free_evolve(to_dispersive(s0, P), horizon, P), P)
 
     def global_err(dt: float) -> float:
-        s = s0.copy()
-        for _ in range(round(horizon / dt)):
-            s = step(s, dt, P, linear=True, check=False)
+        *_, s = integrate(s0, [horizon], dt, P, linear=True)
         num = den = 0.0
         for name in FIELDS:
             a = getattr(exact, name)
@@ -278,14 +274,9 @@ def _energy_bound():
     seed_f = {k: _refine_seed(v, nc, nf) for k, v in seed_c.items()}
 
     def run_grid(g: Grid, seed: dict, n_steps: int, sample_every: int):
-        s = make_irrotational(g, P, seed)
         dt = 0.4 * cfl_dt(g, P)
-        traj = [s]
-        for i in range(n_steps):
-            s = step(s, dt, P, check=False)
-            if (i + 1) % sample_every == 0:
-                traj.append(s)
-        return traj
+        times = dt * sample_every * np.arange(n_steps // sample_every + 1)
+        return list(integrate(make_irrotational(g, P, seed), times, dt, P))
 
     # fine dt is exactly half the coarse dt, so sample times coincide
     c_const, _ = gronwall_constant(run_grid(gc, seed_c, 60, 4), P, order=2)

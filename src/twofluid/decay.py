@@ -25,7 +25,7 @@ from .dispersion import BRANCHES, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import DEFAULT_WEIGHTS, Grid, phi_interval, to_physical
 from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
-from .physics import FIELDS, PhysState, _multi_indices, random_irrotational, step
+from .physics import PhysState, _derivative_symbols, cfl_dt, integrate, random_irrotational
 
 __all__ = [
     "KernelQuery",
@@ -156,6 +156,11 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> np.ndarray:
     Airy window of width (|t| lambda''' / 2)^{1/3} around the fold; that
     window gets its own cluster of radii, which a grid in s cannot resolve.
     """
+    return _stationary(q, p, nx)[0]
+
+
+def _stationary(q: KernelQuery, p: PlasmaParams, nx: int):
+    """(stationary_xs, the sweep's top radius |t| max lambda')."""
     anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), nx)
     _, slope, curv = jet(q.branch, anchors, p)
     sweep = abs(q.t) * slope
@@ -174,7 +179,7 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> np.ndarray:
         xs.append(x0 + width * np.linspace(-8.0, 3.0, 28))
 
     out = np.unique(np.concatenate(xs))
-    return out[out >= 0]
+    return out[out >= 0], hi
 
 
 def kernel_sup(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> float:
@@ -184,9 +189,7 @@ def kernel_sup(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> float:
     largest x in a batch, so the pads beyond the stationary sweep go into
     their own (small) batch instead of inflating the sweep's node table.
     """
-    xs = stationary_xs(q, p, nx)
-    sweep_hi = abs(q.t) * float(np.max(lam_prime(q.branch, np.geomspace(
-        2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), nx), p)))
+    xs, sweep_hi = _stationary(q, p, nx)
     best = 0.0
     for tier in (xs[xs <= 1.05 * sweep_hi], xs[xs > 1.05 * sweep_hi]):
         if tier.size:
@@ -242,17 +245,9 @@ def _sup_derivatives(state: PhysState, order: int = 4) -> float:
     """sup over fields and multi-indices |alpha| <= order of ||D^alpha .||_inf."""
     g = state.grid
     best = 0.0
-    for name in FIELDS:
-        f = getattr(state, name)
-        comps = f if f.ndim == 4 else f[None]
-        for c in comps:
-            for alpha in _multi_indices(order):
-                sym = np.ones((g.n,) * 3, dtype=complex)
-                for ax, powr in enumerate(alpha):
-                    if powr:
-                        sym = sym * (1j * g.xi[ax]) ** powr
-                best = max(best, float(np.max(np.abs(
-                    to_physical(g, sym * c).real))))
+    for sym in _derivative_symbols(g, order):
+        for c in state.buf:
+            best = max(best, float(np.max(np.abs(to_physical(g, sym * c).real))))
     return best
 
 
@@ -283,19 +278,12 @@ def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
             s = from_dispersive(free_evolve(d0, t, p), p)
             out["sup"].append(_sup_derivatives(s))
     else:
-        from .physics import cfl_dt
-        dt = cfl_dt(g, p)
-        cur, next_i = state, 0
-        while next_i < len(times):
-            target = times[next_i]
-            while cur.t < target - 1e-12:
-                cur = step(cur, min(dt, target - cur.t), p, check=False)
+        for cur in integrate(state, times, cfl_dt(g, p), p):
             val = _sup_derivatives(cur)
             if not math.isfinite(val):
                 out["blowup_t"] = float(cur.t)
                 break
             out["sup"].append(val)
-            next_i += 1
 
     out["sup"] = np.array(out["sup"])
     ts = times[: len(out["sup"])]

@@ -32,9 +32,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dispersion import aux_symbols, lam, q_i
+from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import PhysState, constraints, ep_electric
+from .physics import FIELDS, PhysState, _require_real, constraints, ep_electric
 from .spectral import (
     Grid,
     curl,
@@ -42,7 +42,6 @@ from .spectral import (
     div,
     hermitize,
     inv_modulus,
-    is_hermitian,
     l2_norm,
     q2_apply,
     q_apply,
@@ -142,7 +141,7 @@ def _symbols(grid: Grid, p: PlasmaParams) -> dict:
         "lam_i": lam("i", r, p),
         "lam_b": lam("b", r, p),
         "q_i": q_i(r, p),  # Lam_i/|xi|, regular through the origin
-        "R": aux_symbols(r, p)["R"],
+        "R": coupling(r, p),
         "r": r,
     }
     out["norm"] = 1.0 / np.sqrt(1.0 + out["R"] ** 2)
@@ -154,14 +153,6 @@ def _symbols(grid: Grid, p: PlasmaParams) -> dict:
 def _bar(coef: np.ndarray) -> np.ndarray:
     """Coefficients of the complex-conjugate field: Ubar^(xi) = conj(U^(-xi))."""
     return np.conj(reflect(coef))
-
-
-def _re(coef: np.ndarray) -> np.ndarray:
-    return 0.5 * (coef + _bar(coef))
-
-
-def _im(coef: np.ndarray) -> np.ndarray:
-    return -0.5j * (coef - _bar(coef))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +169,9 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
     """
     g = s.grid
     if check:
-        for name in ("n", "rho", "v", "u", "E", "B"):
-            f = getattr(s, name)
-            for c in f if f.ndim == 4 else f[None]:
-                if not is_hermitian(c, tol=1e-10):
-                    raise ValueError(f"field {name} is not real")
+        _require_real(s)
         viol = max(constraints(s, p).values())
-        scale = max(l2_norm(g, getattr(s, name)) for name in
-                    ("n", "rho", "v", "u", "E", "B"))
+        scale = max(l2_norm(g, getattr(s, name)) for name in FIELDS)
         if viol > 1e-8 * max(scale, 1e-12):
             warnings.warn(
                 f"state violates constraints (worst residual {viol:.2e}); "
@@ -222,22 +208,23 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     # U_b enters the fields through its transverse part only; projecting here
     # keeps the reconstruction admissible for arbitrary coefficient input
     U_b = q2_apply(g, d.U_b)
-    re_b = _re(U_b)
-    im_b = _im(U_b)
+    re_b = hermitize(U_b)
+    im_b = -0.5j * (U_b - _bar(U_b))
 
     r_le = sym["r_over_lam_e"]
     inv_qi = 1.0 / sym["q_i"]
-    n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
-    rho = nrm * (R * r_le * S_e + inv_qi * S_i)
+    s = PhysState._empty(g, d.t)
+    s.n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
+    s.rho = nrm * (R * r_le * S_e + inv_qi * S_i)
     h = 1j * nrm * ieps * (D_e - R * D_i)
     gg = -1j * nrm * (R * D_e + D_i)
 
     a = re_b / sym["lam_b"]  # the vector potential-like combination
-    v = riesz(g, h) + (2.0 / p.epsilon) * a
-    u = riesz(g, gg) - 2.0 * a
-    E = ep_electric(g, n, rho) - 2.0 * im_b
-    B = 2.0 * curl(g, a)
-    return PhysState(grid=g, n=n, rho=rho, v=v, u=u, E=E, B=B, t=d.t)
+    s.v = riesz(g, h) + (2.0 / p.epsilon) * a
+    s.u = riesz(g, gg) - 2.0 * a
+    s.E = ep_electric(g, s.n, s.rho) - 2.0 * im_b
+    s.B = 2.0 * curl(g, a)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +345,7 @@ class _Radius:
 
     @cached_property
     def R(self):
-        return aux_symbols(self.r, self._p)["R"]
+        return coupling(self.r, self._p)
 
     @cached_property
     def qi(self):

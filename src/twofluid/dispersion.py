@@ -180,8 +180,14 @@ def aux_symbols(r, p: PlasmaParams) -> dict:
     return {
         "H1": np.sqrt(1 + r2),
         "Heps": np.sqrt((1 + T * r2) / eps),
-        "R": 2 * np.sqrt(eps) / (u + s),
+        "R": coupling(r, p),
     }
+
+
+def coupling(r, p: PlasmaParams):
+    """R(r) = 2 sqrt(eps)/(u+s), the R entry of :func:`aux_symbols` alone."""
+    r, r2, u, s, eps, T, dtype = _prep(r, p)
+    return 2 * np.sqrt(eps) / (u + s)
 
 
 def q_i(r, p: PlasmaParams):

@@ -38,7 +38,6 @@ __all__ = [
     "reflect",
     "hermitize",
     "is_hermitian",
-    "apply_multiplier",
     "cross",
     "grad",
     "div",
@@ -48,9 +47,7 @@ __all__ = [
     "q_apply",
     "p_long",
     "q2_apply",
-    "curl_ops",
     "dealias",
-    "product",
     "l2_norm",
     "hat_cont",
     "bump",
@@ -175,23 +172,6 @@ def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
 # multipliers and vector calculus
 
 
-def apply_multiplier(grid: Grid, symbol, f: np.ndarray, zero_mode=0.0) -> np.ndarray:
-    """Coefficientwise product with symbol(xi).
-
-    ``symbol`` is either a callable receiving the (3, n, n, n) lattice or a
-    ready array.  ``zero_mode`` overrides the value at xi = 0 (pass None to
-    keep whatever the symbol produced there).
-    """
-    sym = symbol(grid.xi) if callable(symbol) else symbol
-    sym = np.asarray(sym)
-    if zero_mode is not None:
-        sym = sym.copy()
-        sym[..., 0, 0, 0] = zero_mode
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("multiplier symbol is not finite on the lattice")
-    return sym * f
-
-
 def grad(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 1j * grid.xi * f
 
@@ -241,22 +221,8 @@ def q2_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def curl_ops(grid: Grid, f: np.ndarray) -> dict:
-    return {
-        "Q": q_apply(grid, f),
-        "P": p_long(grid, f),
-        "curl": curl(grid, f),
-        "div": div(grid, f),
-    }
-
-
 def dealias(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return coef * grid.dealias_mask
-
-
-def product(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Dealiased pointwise product of two coefficient fields."""
-    return dealias(grid, to_spectral(grid, to_physical(grid, f) * to_physical(grid, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from twofluid.physics import (
     ep_electric,
     gronwall_constant,
     gronwall_quantities,
+    integrate,
     local_energy_residual,
     make_irrotational,
     random_irrotational,
@@ -173,6 +174,127 @@ def test_cfl_warning_and_nan_abort():
                 out = step(out, 1.0, P, check=False)
     with pytest.raises(ValueError):
         step(s, 0.0, P)
+
+
+# ---------------------------------------------------------------------------
+# the state layout
+
+
+def test_fields_are_views_onto_the_buffer():
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-2)
+    assert s.buf.shape == (14, 16, 16, 16) and s.buf.dtype == complex
+    for f, key in zip(FIELDS, (0, 1, slice(2, 5), slice(5, 8), slice(8, 11), slice(11, 14))):
+        arr = getattr(s, f)
+        assert np.shares_memory(arr, s.buf), f
+        assert arr.shape == s.buf[key].shape and np.array_equal(arr, s.buf[key]), f
+
+
+def test_attribute_assignment_writes_through():
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=1e-2)
+    buf = s.buf
+    arr = np.full((16,) * 3, 2.0 + 1.0j)
+    s.n = arr
+    np.testing.assert_array_equal(buf[0], arr)
+    vec = random_vector_field(g, _rng(), kmax=2)
+    s.u = vec
+    np.testing.assert_array_equal(buf[5:8], vec)
+    s.B[:] = 0.0
+    assert not np.any(buf[11:14])
+    s.v[1] += 1.0
+    np.testing.assert_array_equal(buf[3], s.v[1])
+    assert s.buf is buf
+
+
+def test_constructor_accepts_real_arrays():
+    g = Grid(16)
+    rng = _rng()
+    scal = [rng.standard_normal((16,) * 3) for _ in range(2)]
+    vec = [rng.standard_normal((3, 16, 16, 16)) for _ in range(4)]
+    s = PhysState(g, *scal, *vec, 0.5)
+    assert s.buf.dtype == complex and s.t == 0.5
+    for f, a in zip(FIELDS, scal + vec):
+        np.testing.assert_array_equal(getattr(s, f), a)
+        assert not np.shares_memory(getattr(s, f), a)
+    k = PhysState(grid=g, n=scal[0], rho=scal[1], v=vec[0], u=vec[1], E=vec[2], B=vec[3], t=0.5)
+    np.testing.assert_array_equal(k.buf, s.buf)
+
+
+def test_copy_is_deep():
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-2)
+    before = s.buf.copy()
+    c = s.copy()
+    assert c.t == s.t and c.grid == s.grid
+    assert not np.shares_memory(c.buf, s.buf)
+    c.buf += 1.0
+    c.n = 0.0
+    c.t = 7.0
+    np.testing.assert_array_equal(s.buf, before)
+    assert s.t == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop
+
+
+def _hand_loop(s, times, dt):
+    """The decay experiment's sampling loop, written out with step."""
+    cur, out = s, []
+    for target in times:
+        while cur.t < target - 1e-12:
+            cur = step(cur, min(dt, target - cur.t), P, check=False)
+        out.append(cur)
+    return out
+
+
+def test_integrate_matches_hand_written_loop():
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=1e-2)
+    dt = cfl_dt(g, P)
+    # sample times off the dt lattice, so the last step to each is clipped
+    times = np.linspace(0.0, 5.5 * dt, 3)
+    got = list(integrate(s, times, dt, P))
+    ref = _hand_loop(s, times, dt)
+    assert len(got) == len(times)
+    for a, b, t in zip(got, ref, times):
+        assert a.t == b.t
+        np.testing.assert_array_equal(a.buf, b.buf)
+        assert abs(a.t - t) <= 1e-12
+
+
+def test_integrate_hits_each_time_and_passes_kind():
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=1e-2, rotational=False)
+    dt = 0.8 * cfl_dt(g, P)
+    times = [0.3 * dt, 0.3 * dt, 2.0 * dt, 3.7 * dt]
+    got = list(integrate(s, times, dt, P, kind=EP, linear=True))
+    for out, t in zip(got, times):
+        assert abs(out.t - t) <= 1e-12
+    assert got[1] is got[0]
+    ref = s
+    for h in (0.3 * dt, dt, 0.7 * dt):
+        ref = step(ref, h, P, kind=EP, linear=True)
+    assert _diff(got[2], ref) <= 1e-12 * _norm(ref)
+
+
+def test_integrate_at_the_initial_time_yields_the_input():
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-2)
+    before = s.buf.copy()
+    (out,) = integrate(s, [s.t], 1e-3, P)
+    assert out.t == s.t
+    np.testing.assert_array_equal(out.buf, before)
+    np.testing.assert_array_equal(s.buf, before)
+
+
+def test_integrate_rejects_invalid_input():
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-2)
+    s.t = 1.0
+    for times, dt in (([1.0, 2.0, 1.5], 1e-3),   # decreasing
+                      ([0.5, 2.0], 1e-3),        # before the state's time
+                      ([1.0, 2.0], 0.0),         # dt <= 0
+                      ([1.0, 2.0], -1e-3)):
+        with pytest.raises(ValueError):
+            list(integrate(s, times, dt, P))
 
 
 # ---------------------------------------------------------------------------

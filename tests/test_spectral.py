@@ -6,10 +6,8 @@ from twofluid import spectral as sp
 from twofluid.spectral import (
     DyadicPiece,
     Grid,
-    apply_multiplier,
     b_norms,
     bump,
-    curl_ops,
     dealias,
     grad,
     hermitize,
@@ -18,7 +16,6 @@ from twofluid.spectral import (
     phi_interval,
     phi_shell,
     phi_tilde,
-    product,
     q_apply,
     q2_apply,
     random_real_field,
@@ -80,16 +77,6 @@ def test_random_field_is_real_with_requested_rms():
     assert np.sqrt(np.mean(vals**2)) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_apply_multiplier_identity_and_errors():
-    f = random_real_field(G, RNG, kmax=5)
-    out = apply_multiplier(G, lambda xi: np.ones(xi.shape[1:]), f, zero_mode=None)
-    np.testing.assert_array_equal(out, f)
-    bad = np.ones((G.n,) * 3)
-    bad[1, 2, 3] = np.nan
-    with pytest.raises(ValueError):
-        apply_multiplier(G, bad, f)
-
-
 def test_riesz_squares_sum_to_minus_one():
     sym = 1j * G.xi * G.inv_xi_mag
     total = np.sum(sym**2, axis=0)
@@ -113,12 +100,11 @@ def test_curl_ops_projections():
     assert float(np.max(np.abs(q_apply(G, gradient)))) <= 1e-13 * np.max(np.abs(gradient))
 
     v = random_vector_field(G, RNG, kmax=6)
-    ops = curl_ops(G, v)
     sol = q2_apply(G, v)
     assert float(np.max(np.abs(sp.p_long(G, sol)))) <= 1e-13 * np.max(np.abs(sol))
     assert float(np.max(np.abs(sp.div(G, sol)))) <= 1e-12 * np.max(np.abs(sol))
 
-    recon = ops["P"] + q_apply(G, ops["Q"])
+    recon = sp.p_long(G, v) + q_apply(G, q_apply(G, v))
     nz = G.xi_mag > 0
     err = np.abs(recon - v)[:, nz]
     assert float(err.max()) <= 1e-12 * np.max(np.abs(v))
@@ -126,11 +112,16 @@ def test_curl_ops_projections():
 
 def test_parseval_after_multiplier():
     f = random_real_field(G, RNG, kmax=8)
-    shell = apply_multiplier(G, phi_shell(G.xi_mag, 2), f)
+    shell = lp_project(G, f, 2)
     vals = to_physical(G, shell)
     phys = float(np.sum(np.abs(vals) ** 2))
     spec = float(np.sum(np.abs(shell) ** 2))
     assert phys == pytest.approx(spec, rel=1e-12)
+
+
+def _product(f, g):
+    """Dealiased pointwise product of two coefficient fields."""
+    return dealias(G, to_spectral(G, to_physical(G, f) * to_physical(G, g)))
 
 
 def test_convolution_constant():
@@ -139,7 +130,7 @@ def test_convolution_constant():
     g = np.zeros((G.n,) * 3, dtype=complex)
     f[2 % G.n, 1 % G.n, 0] = 1.0
     g[(-5) % G.n, 3 % G.n, 1 % G.n] = 1.0
-    out = product(G, f, g)
+    out = _product(f, g)
     expect = G.n**-1.5
     assert out[(-3) % G.n, 4 % G.n, 1 % G.n] == pytest.approx(expect, rel=1e-13)
     out[(-3) % G.n, 4 % G.n, 1 % G.n] = 0.0
@@ -148,7 +139,7 @@ def test_convolution_constant():
 
 def test_product_dealiases():
     f = random_real_field(G, RNG, kmax=10)
-    out = product(G, f, f)
+    out = _product(f, f)
     assert float(np.max(np.abs(out[~G.dealias_mask]))) == 0.0
 
 
