@@ -204,11 +204,11 @@ def _resonant_curves():
         lo, hi = _interval(ordered, P)
         lo = lo * (1.0 + 1e-3) if lo > 0.0 else (1e-3 * hi if np.isfinite(hi) else 1e-3)
         hi = hi * (1.0 - 1e-3) if np.isfinite(hi) else 8.0
+        xiv = direction[:, None] * np.geomspace(lo, hi, 100)
         for variant in (ordered, ordered.swapped()):
-            for s in np.geomspace(lo, hi, 100):
-                xiv = s * direction
-                eta = p_res(variant, xiv, P)
-                worst = max(worst, float(np.linalg.norm(xi_gradient(variant, xiv, eta, P))))
+            eta = p_res(variant, xiv, P)
+            grad = xi_gradient(variant, xiv, eta, P)
+            worst = max(worst, float(np.linalg.norm(grad, axis=0).max()))
     even = PhaseSpec("b", "e+", "e+")
     probe = np.array([0.44, -1.3, 0.27])
     exact_split = np.array_equal(p_res(even, probe, P), 0.5 * probe)

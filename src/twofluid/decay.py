@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import BRANCHES, jet, lam, lam_prime, lam_second
+from .dispersion import BRANCHES, _root, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import DEFAULT_WEIGHTS, Grid, phi_interval, to_physical
 from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
@@ -168,15 +168,13 @@ def _stationary(q: KernelQuery, p: PlasmaParams, nx: int):
     pads = np.array([0.0, 0.35 * lo, 0.6 * lo, 1.7 * hi, 3.0 * hi])
     xs = [pads, sweep]
 
-    flips = np.nonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)[0]
-    for i in flips:
-        from scipy.optimize import brentq
-        s0 = brentq(lambda s: lam_second(q.branch, s, p), anchors[i], anchors[i + 1])
-        h = 1e-4 * s0
-        third = (lam_second(q.branch, s0 + h, p) - lam_second(q.branch, s0 - h, p)) / (2 * h)
-        width = (abs(q.t) * abs(third) / 2.0) ** (1.0 / 3.0)
-        x0 = abs(q.t) * lam_prime(q.branch, s0, p)
-        xs.append(x0 + width * np.linspace(-8.0, 3.0, 28))
+    flips = np.flatnonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)
+    s0 = _root(lambda s: lam_second(q.branch, s, p), anchors[flips], anchors[flips + 1])
+    h = 1e-4 * s0
+    third = (lam_second(q.branch, s0 + h, p) - lam_second(q.branch, s0 - h, p)) / (2 * h)
+    width = (abs(q.t) * np.abs(third) / 2.0) ** (1.0 / 3.0)
+    x0 = abs(q.t) * lam_prime(q.branch, s0, p)
+    xs.append((x0[:, None] + width[:, None] * np.linspace(-8.0, 3.0, 28)).ravel())
 
     out = np.unique(np.concatenate(xs))
     return out[out >= 0], hi

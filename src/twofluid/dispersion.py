@@ -22,9 +22,11 @@ together with closed forms for the first two radial derivatives.  The
 branch formulas and their derivatives live in one place, :func:`jet`, which
 forms the common subexpressions once per call and returns lambda, lambda'
 and lambda'' up to the requested order; `lam`, `lam_prime` and
-`lam_second` are selections from it.  The radical shape is kept as a
-private reference (`_lambda_i_radical`) and the exact identities are
-verified in arbitrary precision by :func:`verify_identities`.
+`lam_second` are selections from it, and :func:`lam_prime_inverse` is its
+one inverse.  Every radial root of the package is solved on arrays by
+`_root`.  The radical shape is kept as a private reference
+(`_lambda_i_radical`) and the exact identities are verified in arbitrary
+precision by :func:`verify_identities`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import bracket_root, find_root
 
 from .params import PlasmaParams
 from .reporting import Report
@@ -147,6 +149,40 @@ def speed(branch: str, p: PlasmaParams) -> float:
     if branch == "e":
         return float(np.sqrt(p.T / p.epsilon))
     return float(np.sqrt(p.C_b / p.epsilon))
+
+
+def _root(f, lo, hi, args=()):
+    """Roots of the elementwise f(x, *args) in the brackets [lo, hi], to a bracket
+    width of 1e-15 + 8.9e-16 |x|; raises if any element does not converge."""
+    res = find_root(f, (lo, hi), args=args, tolerances={"xatol": 1e-15, "xrtol": 8.9e-16})
+    if not np.all(res.success):
+        raise RuntimeError(f"root solve failed on {np.count_nonzero(~res.success)} of "
+                           f"{res.success.size} elements (status {np.unique(res.status).tolist()})")
+    return res.x
+
+
+def lam_prime_inverse(branch: str, v, p: PlasmaParams):
+    """The radius r with lambda_branch'(r) = v, vectorized over 0 <= v < speed(branch).
+
+    lambda_e' and lambda_b' increase from 0 to the asymptotic speed; the b
+    one inverts in closed form, the e one by `_root` on a grown bracket.
+    lambda_i' falls to a minimum at r_star and rises back towards 1, so the
+    ion branch has no inverse.
+    """
+    _check_branch(branch)
+    if branch == "i":
+        raise ValueError("lambda_i' is not monotone and has no inverse")
+    v = np.asarray(v, dtype=float)
+    c = speed(branch, p)
+    if not np.all((v >= 0) & (v < c)):
+        raise ValueError(f"lambda_{branch}' takes values in [0, {c:.6g}), "
+                         f"got values in [{v.min():.6g}, {v.max():.6g}]")
+    eps, Cb = p.epsilon, p.C_b
+    if branch == "b":
+        return np.sqrt(eps * (1.0 + eps)) * v / np.sqrt(Cb * (Cb - eps * v**2))
+    f = lambda r, v: lam_prime("e", r, p) - v  # noqa: E731
+    hi = bracket_root(f, 0.0, np.sqrt(3.0 * eps / p.T), xmin=0.0, args=(v,)).bracket[1]
+    return _root(f, 0.0, hi, args=(v,))
 
 
 # -- auxiliary radial symbols --------------------------------------------------
@@ -266,38 +302,30 @@ def find_r_star(p: PlasmaParams) -> float:
     """
     lo = p.T ** (-0.5)
     hi = 4 * p.T ** (-0.5) + 4 * p.T ** (-0.25)
-    f = lambda r: float(lam_second("i", r, p))
-    flo, fhi = f(lo), f(hi)
+    f = lambda r: lam_second("i", r, p)  # noqa: E731
+    flo, fhi = float(f(lo)), float(f(hi))
     if not (flo < 0 < fhi):
         raise RuntimeError(
             f"lambda_i'' does not change sign on ({lo:.6g}, {hi:.6g}): f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    resid = abs(f(root))
+    root = float(_root(f, lo, hi))
+    resid = abs(float(f(root)))
     if resid > 1e-12 * p.T:
         raise RuntimeError(f"r_star residual {resid:.3e} exceeds 1e-12*T")
-    return float(root)
+    return root
 
 
 def find_R_sigma(branch: str, p: PlasmaParams) -> float:
     """Radius where the e (or b) branch moves at the maximal ion speed.
 
-    Solves lambda_branch'(R) = lambda_i'(0) = sqrt((1+T)/(1+eps)).  The
-    left side increases from 0 to c_branch, which exceeds the target, so
-    the root is unique.  These radii are where slow-ion output interacts
+    R_sigma = lam_prime_inverse(sigma, lambda_i'(0)), the root of
+    lambda_sigma'(R) = sqrt((1+T)/(1+eps)); it equals t^{sigma i}(0) of
+    `resonance.t_func`.  These radii are where slow-ion output interacts
     resonantly with a fast branch; they scale like sqrt(eps).
     """
     if branch not in ("e", "b"):
         raise ValueError(f"R_sigma is defined for branches 'e' and 'b', got {branch!r}")
-    target = float(lam_prime("i", 0.0, p))
-    f = lambda r: float(lam_prime(branch, r, p)) - target
-    hi = np.sqrt(p.epsilon)
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket R_sigma")
-    root = brentq(f, 0.0, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    return float(root)
+    return float(lam_prime_inverse(branch, lam_prime("i", 0.0, p), p))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ class PhysicalConstants:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+            if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                    and math.isfinite(val) and val > 0):
                 raise ValueError(f"PhysicalConstants.{f.name} must be finite and positive, got {val!r}")
 
     # characteristic speeds and lengths, used in the derivations below
@@ -101,7 +102,8 @@ class PlasmaParams:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+            if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                    and math.isfinite(val) and val > 0):
                 raise ValueError(f"PlasmaParams.{f.name} must be finite and positive, got {val!r}")
 
     def replace(self, **kw) -> "PlasmaParams":

@@ -14,6 +14,12 @@ constructive geometry of the resonant sets: the radial matching functions t,
 their inverses r^{mu,nu}, the resonant curve p_res with Xi(xi, p_res(xi)) = 0,
 the reduced phase Psi along it, and the case-B radii R_sigma.
 
+The geometry runs on arrays of radii.  Every matching t^{sigma_1 sigma_2} is
+lambda'_{sigma_1} inverted at lambda'_{sigma_2} through
+`dispersion.lam_prime_inverse`, and every other radial root (r^{mu,nu}, the
+zeros of Psi, the antiparallel fixed point, the case-B radius) is solved for
+all its elements at once by the one array root helper `dispersion._root`.
+
 A phase is written "sigma;mu,nu", e.g. "e;i+,e+".  The input pair is
 unordered for classification (the tables identify (mu,nu) with (nu,mu),
 via Phi^{sigma;mu,nu}(xi,eta) = Phi^{sigma;nu,mu}(xi,xi-eta)) but ordered
@@ -27,9 +33,8 @@ function of it.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dispersion import find_R_sigma, jet, lam, lam_prime, lam_second
+from .dispersion import _root, find_R_sigma, jet, lam, lam_prime, lam_prime_inverse, lam_second
 from .params import PlasmaParams
 
 D_NUM = 10
@@ -211,36 +216,18 @@ def _t_sup(pair: str, p: PlasmaParams) -> float:
 
 
 def t_func(pair: str, r, p: PlasmaParams):
-    """Radial matching functions between branch group velocities.
+    """Radial matching functions between branch group velocities, on arrays of r.
 
     t^{ee}(r) = r, and otherwise lambda'_e(t^{ei}(r)) = lambda'_i(r),
-    lambda'_b(t^{bi}(r)) = lambda'_i(r), lambda'_b(t^{be}(r)) = lambda'_e(r).
-    The b-targeted ones invert lambda'_b in closed form; t^{ei} is root-found.
+    lambda'_b(t^{bi}(r)) = lambda'_i(r), lambda'_b(t^{be}(r)) = lambda'_e(r):
+    t^{sigma_1 sigma_2} = lam_prime_inverse(sigma_1, lambda'_{sigma_2}(r)).
     """
     r = np.asarray(r, dtype=float)
     if pair == "ee":
         return +r
-    if pair in ("bi", "be"):
-        v = lam_prime("i" if pair == "bi" else "e", r, p)
-        eps, Cb = p.epsilon, p.C_b
-        return np.sqrt(eps * (1.0 + eps)) * v / np.sqrt(Cb * (Cb - eps * v**2))
-    if pair != "ei":
+    if pair not in ("ei", "bi", "be"):
         raise ValueError(f"unknown matching pair {pair!r}")
-    targets = np.atleast_1d(lam_prime("i", r, p))
-    out = np.empty_like(targets)
-    for j, v in enumerate(targets.ravel()):
-        out.ravel()[j] = _invert_lam_prime("e", float(v), p)
-    return out if r.ndim else float(out[0])
-
-
-def _invert_lam_prime(branch: str, target: float, p: PlasmaParams) -> float:
-    f = lambda x: lam_prime(branch, x, p) - target  # noqa: E731
-    hi = np.sqrt(3.0 * p.epsilon / p.T)
-    for _ in range(80):
-        if f(hi) >= 0.0:
-            return brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-        hi *= 2.0
-    raise RuntimeError(f"bracket failure inverting lambda'_{branch} at {target:.6g}")
+    return lam_prime_inverse(pair[0], lam_prime(pair[1], r, p), p)
 
 
 def t_func_prime(pair: str, r, p: PlasmaParams):
@@ -272,26 +259,17 @@ def t_tilde(spec: PhaseSpec, r, p: PlasmaParams):
 
 def r_munu(spec: PhaseSpec, s, p: PlasmaParams):
     """Inverse of t_tilde; increasing from 0 on [iota_1 iota_2 t(0), infinity)."""
-    pair = _pair_of(spec)
-    sgn = spec.iota1 * spec.iota2
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if pair == "ee":
-        if sgn < 0:
-            raise ValueError("t_tilde degenerates to 0 for opposite-sign ee inputs")
-        out = 0.5 * s_arr
-        if np.any(s_arr < -1e-12):
-            raise ValueError("s below the domain of r^{mu,nu}")
-        return out if np.ndim(s) else float(out[0])
-    s0 = sgn * float(t_func(pair, 0.0, p))
-    if np.any(s_arr < s0 - 1e-12):
+    s = np.asarray(s, dtype=float)
+    s0 = float(t_tilde(spec, 0.0, p))
+    if np.any(s < s0 - 1e-12):
         raise ValueError(f"s below the domain of r^{{mu,nu}} (edge {s0:.6g})")
-    hi_pad = 0.0 if sgn > 0 else 2.0 * _t_sup(pair, p)
-    out = np.empty_like(s_arr)
-    for j, sv in enumerate(s_arr):
-        f = lambda r: r + sgn * float(t_func(pair, r, p)) - sv  # noqa: E731
-        lo, hi = 0.0, max(sv, 0.0) + hi_pad + 1e-9
-        out[j] = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return out if np.ndim(s) else float(out[0])
+    if spec.branch1 + spec.branch2 == "ee":
+        out = 0.5 * s
+    else:
+        pad = 0.0 if spec.iota1 == spec.iota2 else 2.0 * _t_sup(_pair_of(spec), p)
+        hi = np.maximum(s, 0.0) + pad + 1e-9
+        out = _root(lambda r, s: t_tilde(spec, r, p) - s, 0.0, hi, args=(s,))
+    return out if s.ndim else float(out)
 
 
 def r_munu_prime(spec: PhaseSpec, s, p: PlasmaParams):
@@ -326,26 +304,29 @@ def _interval(spec: PhaseSpec, p: PlasmaParams):
     return t0, np.inf
 
 
-def _r_signed(spec: PhaseSpec, s: float, p: PlasmaParams) -> float:
+def _r_signed(spec: PhaseSpec, s, p: PlasmaParams):
     # radial coordinate of p_res along xi; negative for the one phase whose
     # resonant input points opposite to the output
     lo, hi = _interval(spec, p)
-    if not (lo - 1e-12 <= s <= hi + 1e-12):
-        raise ValueError(f"|xi| = {s:.6g} outside I = [{lo:.6g}, {hi:.6g}] for {spec.key}")
+    s = np.asarray(s, dtype=float)
+    if np.any((s < lo - 1e-12) | (s > hi + 1e-12)):
+        raise ValueError(f"|xi| in [{s.min():.6g}, {s.max():.6g}] leaves I = [{lo:.6g}, {hi:.6g}] "
+                         f"for {spec.key}")
     if spec == _DEFP2:
-        return -float(r_munu(spec, -s, p))
-    return float(r_munu(spec, s, p))
+        return -r_munu(spec, -s, p)
+    return r_munu(spec, s, p)
 
 
 def p_res(spec: PhaseSpec, xi, p: PlasmaParams):
     """The resonant input frequency: Xi^{mu,nu}(xi, p_res(xi)) = 0.
 
-    Defined for the 13 case-A phases in either input order; for the order
-    with the slow branch first the curve is xi - p_res of the swapped phase.
+    ``xi`` has shape (3, ...).  Defined for the 13 case-A phases in either
+    input order; for the order with the slow branch first the curve is
+    xi - p_res of the swapped phase.
     """
     xi = np.asarray(xi, dtype=float)
-    s = float(_norm3(xi))
-    if s == 0.0:
+    s = _norm3(xi)
+    if np.any(s == 0.0):
         raise ValueError("p_res is undefined at xi = 0")
     if spec in T_A_ORDERED:
         if spec.branch1 == spec.branch2 and spec.iota1 == spec.iota2:
@@ -359,14 +340,12 @@ def p_res(spec: PhaseSpec, xi, p: PlasmaParams):
 def psi(spec: PhaseSpec, s, p: PlasmaParams):
     """The reduced phase Psi(s) = Phi(s e, p_res(s e)) along the resonant curve."""
     sp = _ordered_rep(spec)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr)
-    for j, sv in enumerate(s_arr):
-        rr = _r_signed(sp, float(sv), p)
-        out[j] = (lam(sp.sigma, sv, p)
-                  - sp.iota1 * lam(sp.branch1, abs(rr - sv), p)
-                  - sp.iota2 * lam(sp.branch2, abs(rr), p))
-    return out if np.ndim(s) else float(out[0])
+    s = np.asarray(s, dtype=float)
+    rr = _r_signed(sp, s, p)
+    out = (lam(sp.sigma, s, p)
+           - sp.iota1 * lam(sp.branch1, np.abs(rr - s), p)
+           - sp.iota2 * lam(sp.branch2, np.abs(rr), p))
+    return out if s.ndim else float(out)
 
 
 def f_profile(spec: PhaseSpec, r, p: PlasmaParams):
@@ -385,8 +364,7 @@ def f_profile(spec: PhaseSpec, r, p: PlasmaParams):
 
 def r_fixed_point(p: PlasmaParams) -> float:
     """The radius with t^{bi}(r) = r, where the antiparallel branch closes."""
-    return brentq(lambda r: float(t_func("bi", r, p)) - r,
-                  0.0, float(_t_sup("bi", p)) + 1e-9, xtol=1e-15, rtol=8.9e-16)
+    return float(_root(lambda r: t_func("bi", r, p) - r, 0.0, _t_sup("bi", p) + 1e-9))
 
 
 def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
@@ -394,8 +372,8 @@ def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
     """Interior zeros of Psi, located through the profile f.
 
     Scans f on a geometric radial grid (for the antiparallel phase, on its
-    closed branch r in (0, r_fixed_point)), refines each sign change with a
-    root finder, and measures d/ds Psi there by a central difference.
+    closed branch r in (0, r_fixed_point)), refines all sign changes in one
+    array root solve, and measures d/ds Psi there by a central difference.
     Returns dicts with keys r, s, dpsi.  The degenerate zero that several
     phases have at the domain edge itself is excluded by construction.
     """
@@ -406,20 +384,18 @@ def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
     else:
         grid = np.geomspace(1e-6, r_hi, n)
     vals = f_profile(sp, grid, p)
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    out = []
-    for j in sign_change:
-        rz = brentq(lambda r: float(f_profile(sp, r, p)), grid[j], grid[j + 1],
-                    xtol=1e-15, rtol=8.9e-16)
-        sz = abs(float(t_tilde(sp, rz, p)))
-        lo, hi = _interval(sp, p)
-        if not lo <= sz <= hi:
-            continue
-        h = 1e-6 * max(sz, 1.0)
-        dpsi = (psi(sp, min(sz + h, hi), p) - psi(sp, max(sz - h, lo), p)) / (
-            min(sz + h, hi) - max(sz - h, lo))
-        out.append({"r": float(rz), "s": sz, "dpsi": float(dpsi)})
-    return out
+    j = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    if not j.size:
+        return []
+    rz = _root(lambda r: f_profile(sp, r, p), grid[j], grid[j + 1])
+    sz = np.abs(t_tilde(sp, rz, p))
+    lo, hi = _interval(sp, p)
+    inside = (lo <= sz) & (sz <= hi)
+    rz, sz = rz[inside], sz[inside]
+    h = 1e-6 * np.maximum(sz, 1.0)
+    up, down = np.minimum(sz + h, hi), np.maximum(sz - h, lo)
+    dpsi = (psi(sp, up, p) - psi(sp, down, p)) / (up - down)
+    return [{"r": float(a), "s": float(b), "dpsi": float(c)} for a, b, c in zip(rz, sz, dpsi)]
 
 
 def ctilde_report(p: PlasmaParams, r_hi: float = 64.0, n: int = 4096) -> dict:
@@ -465,8 +441,8 @@ def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams,
     g = lambda r: lam_prime(sigma2, r, p) - lam_prime("i", abs(s - r), p)  # noqa: E731
     lo = max(R - 2.0 ** (-D_num / 10.0), 0.0)
     hi = R + 2.0 ** (-D_num / 10.0)
-    root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return {"R": R, "r": float(root), "residual": float(g(root))}
+    root = float(_root(g, lo, hi))
+    return {"R": R, "r": root, "residual": float(g(root))}
 
 
 # ---------------------------------------------------------------------------
@@ -660,59 +636,51 @@ class PartitionReport:
         return "\n".join(lines)
 
 
-def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> list:
+def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
     """Deterministic (xi, eta) probes along this phase's exact resonant geometry.
 
     Uniform grids miss the thin pieces: the gradient-matching condition pins
     one input radius to within ~delta/lambda'' of a fixed value, far below
     any affordable grid spacing.  Seeding from the solved geometry instead
     of hoping a gridpoint lands there is what makes the scan exhaustive.
+    Returns xi and eta stacked as (3, N) arrays, both along the z axis.
     """
-    probes = []
+    xis, etas = [np.zeros(0)], [np.zeros(0)]
 
     def emit(rep, xi_s, eta_r):
-        # vectors for the representative's labeling; convert if the scanned
+        # probes for the representative's labeling; convert if the scanned
         # spec is its swap partner (same phase value, legs exchanged)
-        xiv = np.array([0.0, 0.0, xi_s])
-        etav = np.array([0.0, 0.0, eta_r])
-        if rep != spec:
-            etav = xiv - etav
-        probes.append((xiv, etav))
+        xis.append(xi_s)
+        etas.append(xi_s - eta_r if rep != spec else eta_r)
 
     rep = spec if spec in T_A_ORDERED else spec.swapped()
     if rep in T_A_ORDERED:
         # sphere hits: exact zero of the radial profile, plus the window the
         # transversal derivative allows on either side
         for z in psi_zeros(rep, p):
-            r0 = z["r"]
             halfwidth = 0.8 * base / (abs(z["dpsi"]) * 2.0 + 1e-30)
-            for dr in np.linspace(-halfwidth, halfwidth, 15):
-                r = r0 + dr
-                if r > 0:
-                    emit(rep, float(t_tilde(rep, r, p)), r)
+            r = z["r"] + np.linspace(-halfwidth, halfwidth, 15)
+            r = r[r > 0]
+            emit(rep, t_tilde(rep, r, p), r)
         # endpoint slivers: the profile vanishes at r -> 0 for some phases,
         # so the whole low-r stretch of the manifold sits under the threshold
         r_hi = r_fixed_point(p) * (1.0 - 1e-9) if rep == _DEFP2 else 0.25
-        for r in np.geomspace(2.0 ** -12, r_hi, 300):
-            emit(rep, float(t_tilde(rep, r, p)), r)
+        r = np.geomspace(2.0 ** -12, r_hi, 300)
+        emit(rep, t_tilde(rep, r, p), r)
 
     brep = spec if spec in T_B else spec.swapped()
     if brep in T_B:
         # degenerate hits: eta-leg radius pinned where its group velocity
         # matches the zero-frequency ion one, other input small
-        sgn = brep.iota1
-        for w in np.geomspace(2.0 ** -12, 2.0 ** -5, 160):
-            target = lam_prime("i", w, p)
-            rho_star = _invert_lam_prime(brep.branch2, target, p)
-            s = rho_star + sgn * w
-            if s <= 0:
-                continue
-            xiv = np.array([0.0, 0.0, s])
-            etav = np.array([0.0, 0.0, rho_star])
-            if brep != spec:
-                etav = xiv - etav
-            probes.append((xiv, etav))
-    return probes
+        w = np.geomspace(2.0 ** -12, 2.0 ** -5, 160)
+        rho_star = lam_prime_inverse(brep.branch2, lam_prime("i", w, p), p)
+        s = rho_star + brep.iota1 * w
+        pos = s > 0
+        emit(brep, s[pos], rho_star[pos])
+
+    xi_z, eta_z = np.concatenate(xis), np.concatenate(etas)
+    zero = np.zeros_like(xi_z)
+    return np.stack([zero, zero, xi_z]), np.stack([zero, zero, eta_z])
 
 
 def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
@@ -774,15 +742,9 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
         for sp in specs:
             if not classify(sp).resonant:
                 continue
-            rows = []
-            for xiv, etav in _on_manifold_probes(sp, p, base):
-                zeta = xiv - etav
-                rows.append((_norm3(xiv), _norm3(zeta), _norm3(etav),
-                             abs(phi(sp, xiv, etav, p)),
-                             _norm3(xi(sp, xiv, etav, p))))
-            if rows:
-                s, z, r, aph, axi = np.array(rows).T
-                keep(sp.key, s, z, r, aph, axi)
+            xiv, etav = _on_manifold_probes(sp, p, base)
+            keep(sp.key, _norm3(xiv), _norm3(xiv - etav), _norm3(etav),
+                 np.abs(phi(sp, xiv, etav, p)), _norm3(xi(sp, xiv, etav, p)))
 
     for sp in specs:
         if not samples[sp.key]:

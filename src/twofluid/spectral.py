@@ -83,10 +83,10 @@ class Grid:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2:
-            raise ValueError("points_per_axis must be an even integer >= 8")
-        if not self.box_half > 0:
-            raise ValueError("box_half must be positive")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 8 or self.n % 2:
+            raise ValueError(f"points_per_axis must be an even integer >= 8, got {self.n!r}")
+        if not 0 < self.box_half < math.inf:
+            raise ValueError(f"box_half must be finite and positive, got {self.box_half!r}")
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias_fraction must lie in (0, 1]")
 
@@ -345,7 +345,13 @@ class NormWeights:
 DEFAULT_WEIGHTS = NormWeights()
 
 
-@functools.lru_cache(maxsize=None)
+# one z_norm_upper on one grid reads the balls m = -jmax..kmax: 10 of them at
+# 64^3 and 12 at 256^3 (default box), so 12 keeps every ball of a call while
+# bounding what a long-running process holds to 12 (n, n, n) complex arrays
+_BALL_CACHE_SIZE = 12
+
+
+@functools.lru_cache(maxsize=_BALL_CACHE_SIZE)
 def _ball_kernel_hat(grid: Grid, m: int) -> np.ndarray:
     """FFT of the lattice indicator of the ball |xi| <= 2^m (minimal image)."""
     ind = (grid.xi_mag <= 2.0**m).astype(float)

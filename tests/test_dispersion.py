@@ -18,6 +18,7 @@ from twofluid.dispersion import (
     jet,
     lam,
     lam_prime,
+    lam_prime_inverse,
     lam_second,
     make_ctx,
     q_i,
@@ -135,6 +136,40 @@ def test_R_sigma_matches_maximal_ion_speed():
         for branch in ("e", "b"):
             R = find_R_sigma(branch, p)
             assert abs(float(lam_prime(branch, R, p)) - target) <= 1e-10 * target
+
+
+@pytest.mark.parametrize("branch", ["e", "b"])
+def test_lam_prime_inverse_round_trip(branch):
+    for p in P5:
+        c = speed(branch, p)
+        v = c * np.concatenate([np.geomspace(1e-8, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-6, 40)[1:]])
+        r = lam_prime_inverse(branch, v, p)
+        assert r.shape == v.shape
+        assert np.all(np.diff(r) > 0)
+        # the root's 1e-15 absolute bracket tolerance dominates for tiny targets
+        np.testing.assert_allclose(lam_prime(branch, r, p), v, rtol=1e-12, atol=1e-12)
+    assert float(lam_prime_inverse(branch, 0.0, DEFAULT_PARAMS)) == 0.0
+
+
+def test_lam_prime_inverse_rejects_ion_branch_and_values_outside_the_range():
+    p = DEFAULT_PARAMS
+    with pytest.raises(ValueError):
+        lam_prime_inverse("i", 0.5, p)
+    with pytest.raises(ValueError):
+        lam_prime_inverse("x", 0.5, p)
+    for branch in ("e", "b"):
+        c = speed(branch, p)
+        for bad in (-1e-12, c, 2.0 * c, np.nan, [0.5, c]):
+            with pytest.raises(ValueError):
+                lam_prime_inverse(branch, bad, p)
+
+
+def test_root_solves_arrays_and_raises_on_a_bad_bracket():
+    v = np.array([0.5, 2.0, 7.0])
+    x = disp._root(lambda x, v: x**3 - v, 0.0, 2.0, args=(v,))
+    np.testing.assert_allclose(x**3, v, rtol=1e-14)
+    with pytest.raises(RuntimeError, match="1 of 3"):
+        disp._root(lambda x, v: x**3 - v, 0.0, 1.5, args=(v + 1.0,))
 
 
 def test_identity_suite_all_triples():

@@ -38,6 +38,18 @@ def test_constants_reject_nonpositive():
         PlasmaParams(epsilon=1e-3, T=math.inf, C_b=6.0)
 
 
+def test_constants_reject_bools():
+    with pytest.raises(ValueError):
+        PhysicalConstants(m_e=True, M_i=1, Z=1, e=1, c=1, n_0=1, P_e=1, P_i=1)
+
+
+def test_params_reject_bools():
+    with pytest.raises(ValueError):
+        PlasmaParams(epsilon=True, T=1.0, C_b=6.0)
+    with pytest.raises(ValueError):
+        PlasmaParams(epsilon=1e-3, T=1.0, C_b=6.0, scale_beta=True)
+
+
 def test_derive_params_formulas():
     p = derive_params(HYDROGEN)
     pc = HYDROGEN

@@ -192,10 +192,23 @@ def test_xi_singular_raises():
 @pytest.mark.parametrize("pair,src,dst", [("ei", "i", "e"), ("bi", "i", "b"), ("be", "e", "b")])
 def test_t_func_solves_the_matching(pair, src, dst):
     r = np.geomspace(1e-4, 5.0, 25)
-    t = np.array([float(t_func(pair, float(x), P)) for x in r])
+    t = t_func(pair, r, P)
     np.testing.assert_allclose(lam_prime(dst, t, P), lam_prime(src, r, P), rtol=1e-12)
     assert np.all(t < rs._t_sup(pair, P))
     assert np.all(t > 0)
+
+
+def test_R_sigma_is_t_func_at_origin():
+    for branch in ("e", "b"):
+        assert find_R_sigma(branch, P) == t_func(branch + "i", 0.0, P)
+
+
+@pytest.mark.parametrize("pair", ["ei", "bi", "be"])
+def test_t_func_arrays_match_scalar_calls(pair):
+    r = np.geomspace(1e-5, 60.0, 40)
+    scalar = [float(t_func(pair, float(x), P)) for x in r]
+    np.testing.assert_allclose(t_func(pair, r, P), scalar, rtol=1e-15, atol=0)
+    assert t_func(pair, r.reshape(5, 8), P).shape == (5, 8)
 
 
 def test_t_func_ee_and_unknown_pair():
@@ -235,6 +248,15 @@ def test_t_tilde_r_munu_round_trip(key):
         h = 1e-6 * max(abs(s), 1.0)
         fd = (float(r_munu(sp, s + h, P)) - float(r_munu(sp, s - h, P))) / (2 * h)
         assert rp == pytest.approx(fd, rel=5e-5)
+
+
+@pytest.mark.parametrize("key", ROUND_TRIP_SPECS)
+def test_r_munu_arrays_match_scalar_calls(key):
+    sp = _parse(key)
+    s = t_tilde(sp, np.geomspace(1e-4, 3.0, 15), P)
+    scalar = [r_munu(sp, float(x), P) for x in s]
+    assert all(isinstance(x, float) for x in scalar)
+    np.testing.assert_allclose(r_munu(sp, s, P), scalar, rtol=1e-15, atol=0)
 
 
 def test_r_munu_domain_errors():
@@ -279,6 +301,20 @@ def test_p_res_residuals_both_orders():
             for order in (sp, sp.swapped()):
                 eta_v = p_res(order, xi_v, P)
                 assert np.linalg.norm(rs.xi(order, xi_v, eta_v, P)) <= 1e-10
+
+
+def test_p_res_and_psi_arrays_match_scalar_calls():
+    for sp in sorted(T_A_ORDERED):
+        s = _curve_radii(sp, n=5)
+        xi_v = E3[:, None] * s
+        for order in (sp, sp.swapped()):
+            eta_v = p_res(order, xi_v, P)
+            assert eta_v.shape == xi_v.shape
+            for j in range(len(s)):
+                np.testing.assert_allclose(eta_v[:, j], p_res(order, xi_v[:, j], P),
+                                           rtol=1e-15, atol=0)
+        np.testing.assert_allclose(psi(sp, s, P), [psi(sp, float(x), P) for x in s],
+                                   rtol=1e-15, atol=0)
 
 
 def test_p_res_equal_split_is_exact():

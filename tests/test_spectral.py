@@ -44,6 +44,34 @@ def test_grid_validation():
         Grid(16, dealias_fraction=1.5)
 
 
+def test_grid_rejects_non_integer_points_per_axis():
+    with pytest.raises(ValueError, match="integer"):
+        Grid(32.0)
+    assert Grid(np.int64(16)).modes.shape == (3, 16, 16, 16)
+
+
+def test_grid_rejects_non_finite_box():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="box_half"):
+            Grid(16, box_half=bad)
+
+
+def test_ball_kernel_cache_is_bounded():
+    cache = sp._ball_kernel_hat
+    bound = cache.cache_info().maxsize
+    assert bound == sp._BALL_CACHE_SIZE
+    grids = (Grid(16), Grid(16, box_half=10.0), Grid(16, box_half=1.0))
+    fields = [random_real_field(g, np.random.default_rng(3), kmax=5) for g in grids]
+    warm = []
+    for g, f in zip(grids, fields):
+        warm.append(z_norm_upper(g, f))
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound  # the three grids read more balls than that
+    for g, f, got in zip(grids, fields, warm):
+        cache.cache_clear()
+        assert z_norm_upper(g, f) == got
+
+
 def test_dealias_mask_cube():
     cut = 10  # floor(2/3 * 16)
     assert G.dealias_mask.sum() == (2 * cut + 1) ** 3
