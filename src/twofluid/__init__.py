@@ -3,7 +3,7 @@
 The package covers the full chain from the physical plasma parameters to the
 dispersive formulation used in long-time analysis:
 
-- ``params``      physical constants, normalized parameters, rescaling
+- ``params``      physical constants and the normalized parameters
 - ``dispersion``  the three wave branches, their derivatives and identities
 - ``spectral``    periodic grids, Fourier calculus, dyadic localization, norms
 - ``physics``     pseudo-spectral solver for the normalized system

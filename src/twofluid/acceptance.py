@@ -98,7 +98,7 @@ def _identities():
 
 @_criterion(2, "branch inequalities", 10.0)
 def _inequalities():
-    rep = verify_tech99(P, n=10_000)
+    rep = verify_tech99(P)
     if not rep.passed:
         return False, rep.summary()
     return True, "zero violations on the 10^4-point grid"

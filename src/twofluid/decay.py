@@ -23,7 +23,7 @@ import numpy as np
 
 from .dispersion import BRANCHES, _root, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
-from .spectral import DEFAULT_WEIGHTS, Grid, phi_interval, to_physical
+from .spectral import BETA, Grid, phi_interval, to_physical
 from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
 from .physics import PhysState, _derivative_symbols, cfl_dt, integrate, random_irrotational
 
@@ -45,6 +45,9 @@ __all__ = [
 NODE_CAP = 1 << 28
 
 _MIN_NODES = 8192
+# quadrature nodes held in memory at once, and anchor radii of the stationary sweep
+_CHUNK = 1 << 22
+_ANCHORS = 25
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,7 @@ class KernelQuery:
 
 
 def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
-                  t: float, xs, points_per_cycle: int = 64,
-                  chunk: int = 1 << 22) -> np.ndarray:
+                  t: float, xs, points_per_cycle: int = 64) -> np.ndarray:
     """K(x) for each x in xs, by adaptive phase-resolved quadrature.
 
     Nodes are equidistributed in the cumulative cycle count of the fastest
@@ -110,7 +112,7 @@ def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
     small = xs < 1e-12 * b  # sin(sx)/x -> s limit
     i0 = 0
     while i0 < n - 1:
-        i1 = min(i0 + chunk, n - 1)
+        i1 = min(i0 + _CHUNK, n - 1)
         u = np.arange(i0, i1 + 1) * du
         s = np.interp(u, cyc, pre)
         # trapezoid weights local to the chunk; chunks share one endpoint
@@ -146,7 +148,7 @@ def kernel_value(q: KernelQuery, p: PlasmaParams, x: float) -> complex:
     return complex(kernel_profile(q, p, [x])[0])
 
 
-def stationary_xs(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> np.ndarray:
+def stationary_xs(q: KernelQuery, p: PlasmaParams) -> np.ndarray:
     """Radial |x| grid covering the stationary sweep |x| = |t| lambda'(s).
 
     Stationary-phase radii for s across the shell, padded below and above;
@@ -156,12 +158,12 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> np.ndarray:
     Airy window of width (|t| lambda''' / 2)^{1/3} around the fold; that
     window gets its own cluster of radii, which a grid in s cannot resolve.
     """
-    return _stationary(q, p, nx)[0]
+    return _stationary(q, p)[0]
 
 
-def _stationary(q: KernelQuery, p: PlasmaParams, nx: int):
+def _stationary(q: KernelQuery, p: PlasmaParams):
     """(stationary_xs, the sweep's top radius |t| max lambda')."""
-    anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), nx)
+    anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), _ANCHORS)
     _, slope, curv = jet(q.branch, anchors, p)
     sweep = abs(q.t) * slope
     lo, hi = float(sweep.min()), float(sweep.max())
@@ -180,14 +182,14 @@ def _stationary(q: KernelQuery, p: PlasmaParams, nx: int):
     return out[out >= 0], hi
 
 
-def kernel_sup(q: KernelQuery, p: PlasmaParams, nx: int = 25) -> float:
+def kernel_sup(q: KernelQuery, p: PlasmaParams) -> float:
     """sup_x |K_{k,t}(x)| over the stationary-radius grid.
 
     The grid is integrated in two tiers: node density scales with the
     largest x in a batch, so the pads beyond the stationary sweep go into
     their own (small) batch instead of inflating the sweep's node table.
     """
-    xs, sweep_hi = _stationary(q, p, nx)
+    xs, sweep_hi = _stationary(q, p)
     best = 0.0
     for tier in (xs[xs <= 1.05 * sweep_hi], xs[xs > 1.05 * sweep_hi]):
         if tier.size:
@@ -204,9 +206,9 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
     sym = _symbols(d.grid, p)
     return DispState(
         d.grid,
-        np.exp(-1j * t * sym["lam_e"]) * d.U_e,
-        np.exp(-1j * t * sym["lam_i"]) * d.U_i,
-        np.exp(-1j * t * sym["lam_b"]) * d.U_b,
+        np.exp(-1j * t * sym.lam_e) * d.U_e,
+        np.exp(-1j * t * sym.lam_i) * d.U_i,
+        np.exp(-1j * t * sym.lam_b) * d.U_b,
         d.t + t,
     )
 
@@ -251,11 +253,10 @@ def _sup_derivatives(state: PhysState, order: int = 4) -> float:
 
 def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
                                p: PlasmaParams, *, grid: Grid | None = None,
-                               linear: bool = False, samples: int = 17,
-                               beta: float = DEFAULT_WEIGHTS.beta) -> dict:
+                               linear: bool = False, samples: int = 17) -> dict:
     """Monitor sup_{|alpha|<=4} ||D^alpha fields||_inf along a run.
 
-    Returns the time series and its (1+t)^{1+beta/2}-weighted counterpart.
+    Returns the time series and its (1+t)^{1+BETA/2}-weighted counterpart.
     This is a consistency probe, not a verification: the box cannot reach
     asymptotic times, so only boundedness over the horizon is reported.
     Linear runs use the exact diagonal flow; nonlinear runs integrate the
@@ -286,5 +287,5 @@ def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
     out["sup"] = np.array(out["sup"])
     ts = times[: len(out["sup"])]
     out["t"] = ts
-    out["weighted"] = (1.0 + ts) ** (1.0 + beta / 2.0) * out["sup"]
+    out["weighted"] = (1.0 + ts) ** (1.0 + BETA / 2.0) * out["sup"]
     return out

@@ -133,23 +133,6 @@ class DispState:
                        U_b=self.U_b.copy())
 
 
-@lru_cache(maxsize=8)
-def _symbols(grid: Grid, p: PlasmaParams) -> dict:
-    r = grid.xi_mag
-    out = {
-        "lam_e": lam("e", r, p),
-        "lam_i": lam("i", r, p),
-        "lam_b": lam("b", r, p),
-        "q_i": q_i(r, p),  # Lam_i/|xi|, regular through the origin
-        "R": coupling(r, p),
-        "r": r,
-    }
-    out["norm"] = 1.0 / np.sqrt(1.0 + out["R"] ** 2)
-    out["lam_e_over_r"] = out["lam_e"] * grid.inv_xi_mag  # zero mode dropped
-    out["r_over_lam_e"] = r / out["lam_e"]
-    return out
-
-
 def _bar(coef: np.ndarray) -> np.ndarray:
     """Coefficients of the complex-conjugate field: Ubar^(xi) = conj(U^(-xi))."""
     return np.conj(reflect(coef))
@@ -180,17 +163,17 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
 
     sym = _symbols(g, p)
     seps = np.sqrt(p.epsilon)
-    R, nrm = sym["R"], sym["norm"]
+    R, nrm = sym.R, sym.norm
 
     h = -inv_modulus(g, div(g, s.v))
     gg = -inv_modulus(g, div(g, s.u))
-    le = sym["lam_e_over_r"]
+    le = sym.lam_e * sym.inv  # zero mode dropped
 
     U_e = 0.5 * nrm * (-seps * le * s.n + R * le * s.rho
                        - 1j * seps * h + 1j * R * gg)
-    U_i = 0.5 * nrm * (seps * R * sym["q_i"] * s.n + sym["q_i"] * s.rho
+    U_i = 0.5 * nrm * (seps * R * sym.qi * s.n + sym.qi * s.rho
                        + 1j * seps * R * h + 1j * gg)
-    U_b = 0.5 * (sym["lam_b"] * inv_modulus(g, q_apply(g, s.B))
+    U_b = 0.5 * (sym.lam_b * inv_modulus(g, q_apply(g, s.B))
                  - 1j * q2_apply(g, s.E))
     return DispState(g, U_e, U_i, U_b, s.t)
 
@@ -200,7 +183,7 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     holding by construction."""
     g = d.grid
     sym = _symbols(g, p)
-    R, nrm = sym["R"], sym["norm"]
+    R, nrm = sym.R, sym.norm
     ieps = p.epsilon ** -0.5
 
     S_e, D_e = d.U_e + _bar(d.U_e), d.U_e - _bar(d.U_e)
@@ -211,15 +194,15 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     re_b = hermitize(U_b)
     im_b = -0.5j * (U_b - _bar(U_b))
 
-    r_le = sym["r_over_lam_e"]
-    inv_qi = 1.0 / sym["q_i"]
+    r_le = sym.mod_over_branch("e")
+    inv_qi = sym.mod_over_branch("i")
     s = PhysState._empty(g, d.t)
     s.n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
     s.rho = nrm * (R * r_le * S_e + inv_qi * S_i)
     h = 1j * nrm * ieps * (D_e - R * D_i)
     gg = -1j * nrm * (R * D_e + D_i)
 
-    a = re_b / sym["lam_b"]  # the vector potential-like combination
+    a = re_b / sym.lam_b  # the vector potential-like combination
     s.v = riesz(g, h) + (2.0 / p.epsilon) * a
     s.u = riesz(g, gg) - 2.0 * a
     s.E = ep_electric(g, s.n, s.rho) - 2.0 * im_b
@@ -243,7 +226,7 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     sym = _symbols(g, p)
     eps = p.epsilon
     seps = np.sqrt(eps)
-    R, nrm, r = sym["R"], sym["norm"], sym["r"]
+    R, nrm, r = sym.R, sym.norm, sym.r
 
     h = -inv_modulus(g, div(g, s.v))
     gg = -inv_modulus(g, div(g, s.u))
@@ -269,11 +252,11 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     def riesz_sum(comps):
         return inv_modulus(g, div(g, np.stack(comps)))
 
-    re_e = 0.5 * nrm * sym["lam_e"] * riesz_sum(
+    re_e = 0.5 * nrm * sym.lam_e * riesz_sum(
         [seps * nRh[a] - R * rRg[a] + nA[a] / seps + R * rA[a] for a in range(3)])
     im_e = 0.25 * nrm * r * (eps ** -1.5 * P1 - R * P2)
 
-    re_i = -0.5 * nrm * sym["lam_i"] * riesz_sum(
+    re_i = -0.5 * nrm * sym.lam_i * riesz_sum(
         [seps * R * nRh[a] + rRg[a] + R * nA[a] / seps - rA[a] for a in range(3)])
     im_i = -0.25 * nrm * r * (eps ** -1.5 * R * P1 + P2)
 
@@ -331,9 +314,9 @@ def _inv0(x: np.ndarray) -> np.ndarray:
 
 
 class _Radius:
-    """Radial symbols at one of |xi|, |zeta|, |eta| over a block of catalog
-    points.  Each symbol is evaluated on first use and kept for every row of
-    the block, so the table holds only what the rows read."""
+    """Radial symbols at the lattice |xi| (see `_symbols`) or at one of |xi|,
+    |zeta|, |eta| over a block of catalog points.  Each symbol is evaluated on
+    first use and kept, so the table holds only what its readers read."""
 
     def __init__(self, v: np.ndarray, p: PlasmaParams):
         self.r = np.sqrt(np.sum(v * v, 0))
@@ -348,12 +331,21 @@ class _Radius:
         return coupling(self.r, self._p)
 
     @cached_property
+    def norm(self):
+        return 1.0 / np.sqrt(1.0 + self.R ** 2)
+
+    @cached_property
     def qi(self):
+        """Lam_i/r, regular through the origin."""
         return q_i(self.r, self._p)
 
     @cached_property
     def lam_e(self):
         return lam("e", self.r, self._p)
+
+    @cached_property
+    def lam_i(self):
+        return lam("i", self.r, self._p)
 
     @cached_property
     def lam_b(self):
@@ -369,6 +361,15 @@ class _Radius:
     def mod_over_branch(self, branch: str):
         """r/Lam_branch(r); regular everywhere on both acoustic branches."""
         return 1.0 / self.qi if branch == "i" else self.r / self.lam_e
+
+
+@lru_cache(maxsize=8)
+def _symbols(grid: Grid, p: PlasmaParams) -> _Radius:
+    """The radial table at the lattice |xi|, filled once, as its readers read all of it."""
+    t = _Radius(grid.xi, p)
+    for name in ("lam_e", "lam_i", "lam_b", "qi", "R", "norm", "inv"):
+        getattr(t, name)
+    return t
 
 
 class _Block:
@@ -528,16 +529,11 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     return complex(out[0]) if scalar_in else out
 
 
-def _active(flat: np.ndarray, tol: float) -> np.ndarray:
-    mags = np.abs(flat)
-    top = mags.max()
-    if top == 0.0:
-        return np.empty(0, np.intp)
-    return np.nonzero(mags > tol * top)[0]
+# catalog points per block of the convolution (rows of zeta times the eta support)
+_CONV_BLOCK = 1 << 21
 
 
-def nonlinearity_multiplier(d: DispState, p: PlasmaParams,
-                            support_tol: float = 0.0, block: int = 1 << 21):
+def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     """(N_e, N_i, N_b) as the literal lattice convolution against the catalog.
 
     For every catalog pair the sum runs over the product of the supports of
@@ -545,8 +541,7 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams,
     xi = zeta + eta; the convolution constant for the unitary transform pair
     on n^3 points is c = n^{-3/2}.  Cost grows with the square of the input
     support, which is what makes this the verification route rather than
-    the production one; ``support_tol`` > 0 trades exactness for speed by
-    dropping relatively tiny coefficients.
+    the production one.
     """
     g = d.grid
     n = g.n
@@ -559,7 +554,7 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams,
         tables[f"b-{a + 1}"] = _bar(d.U_b[a])
     flat = {k: v.reshape(-1) for k, v in tables.items()}
     K = g.modes.reshape(3, -1)
-    active = {k: _active(v, support_tol) for k, v in flat.items()}
+    active = {k: np.flatnonzero(v) for k, v in flat.items()}
 
     N_e = np.zeros(n ** 3, complex)
     N_i = np.zeros(n ** 3, complex)
@@ -569,7 +564,7 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams,
         zi, hi = active[mu], active[nu]
         if zi.size == 0 or hi.size == 0:
             continue
-        rows = max(1, block // max(hi.size, 1))
+        rows = max(1, _CONV_BLOCK // max(hi.size, 1))
         for lo in range(0, zi.size, rows):
             zb = zi[lo:lo + rows]
             kz = K[:, zb][:, :, None]
@@ -632,7 +627,7 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
         live = mag > 1e-14 * top
         if U0.ndim == 4:
             live = live.any(axis=0)
-        omega = float(np.max(sym[f"lam_{branch}"][live]))
+        omega = float(np.max(getattr(sym, f"lam_{branch}")[live]))
         if omega * abs(dt) > 1.0:
             warnings.warn(
                 f"branch {branch}: fastest retained mode turns {omega * abs(dt):.2f} "
@@ -648,7 +643,7 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
         for branch, N in (("e", N_e), ("i", N_i), ("b", N_b)):
             U = [getattr(states[k + j], f"U_{branch}") for j in (-2, -1, 0, 1, 2)]
             Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
-            res = Udot + 1j * sym[f"lam_{branch}"] * U[2] - N
+            res = Udot + 1j * getattr(sym, f"lam_{branch}") * U[2] - N
             out[branch].append(l2_norm(g, res))
     for branch in ("e", "i", "b"):
         out[branch] = np.array(out[branch])
@@ -660,9 +655,9 @@ def profile(d: DispState, p: PlasmaParams) -> DispState:
     sym = _symbols(d.grid, p)
     return DispState(
         d.grid,
-        np.exp(1j * d.t * sym["lam_e"]) * d.U_e,
-        np.exp(1j * d.t * sym["lam_i"]) * d.U_i,
-        np.exp(1j * d.t * sym["lam_b"]) * d.U_b,
+        np.exp(1j * d.t * sym.lam_e) * d.U_e,
+        np.exp(1j * d.t * sym.lam_i) * d.U_i,
+        np.exp(1j * d.t * sym.lam_b) * d.U_b,
         d.t,
     )
 

@@ -204,24 +204,12 @@ def h_eps_second(r, p: PlasmaParams):
     return T / (eps**2 * h**3)
 
 
-def aux_symbols(r, p: PlasmaParams) -> dict:
-    """The auxiliary radial symbols {H1, Heps, R}.
-
-    R(r) = 2 sqrt(eps)/(u+s) takes values in (0, sqrt(eps)], with
-    R(0) = sqrt(eps); it measures the coupling between the two acoustic
-    branches:  lambda_e^2 - H_eps^2 = R/sqrt(eps) and
-    H_eps^2 - lambda_i^2 = 1/(R sqrt(eps)).
-    """
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return {
-        "H1": np.sqrt(1 + r2),
-        "Heps": np.sqrt((1 + T * r2) / eps),
-        "R": coupling(r, p),
-    }
-
-
 def coupling(r, p: PlasmaParams):
-    """R(r) = 2 sqrt(eps)/(u+s), the R entry of :func:`aux_symbols` alone."""
+    """R(r) = 2 sqrt(eps)/(u+s), the coupling of the two acoustic branches.
+
+    R takes values in (0, sqrt(eps)], with R(0) = sqrt(eps):
+    lambda_e^2 - H_eps^2 = R/sqrt(eps) and H_eps^2 - lambda_i^2 = 1/(R sqrt(eps)).
+    """
     r, r2, u, s, eps, T, dtype = _prep(r, p)
     return 2 * np.sqrt(eps) / (u + s)
 
@@ -246,12 +234,6 @@ def q_i_prime(r, p: PlasmaParams):
 # -- stable differences of squared branches ------------------------------------
 # These evaluate algebraically exact recasts with no cancellation; the
 # arbitrary-precision suite checks them against the literal differences.
-
-def gap_e_heps(r, p: PlasmaParams):
-    """lambda_e^2 - H_eps^2 = 2/(u+s) > 0."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return 2 / (u + s)
-
 
 def gap_e_i(r, p: PlasmaParams):
     """lambda_e^2 - lambda_i^2 = s/eps > 0 (difference of the two roots)."""
@@ -356,26 +338,22 @@ def make_ctx(p: PlasmaParams) -> DispersionCtx:
 
 # -- exact identity suite (arbitrary precision) --------------------------------
 
-def _identity_radii(r_max: float = 10.0, n: int = 200) -> np.ndarray:
-    """Radius sample covering [0, r_max]: origin, log fill of the small
-    scales, linear fill of the rest."""
-    n_log = max(2, (3 * n) // 5)
-    n_lin = n - 1 - n_log
-    radii = np.concatenate(
-        [
-            [0.0],
-            np.logspace(-3, np.log10(r_max), n_log),
-            np.linspace(0.02, r_max, n_lin),
-        ]
-    )
-    return np.sort(radii)
+#: radii of the identity suite and points of the inequality grid, on [0, R_MAX]
+R_MAX = 10.0
+IDENTITY_RADII = 200
+INEQUALITY_POINTS = 10_000
+#: relative tolerance of the identities, and the working precision that certifies them
+IDENTITY_RTOL = 1e-10
+IDENTITY_DPS = 40
 
 
-def verify_identities(p: PlasmaParams, radii=None, rtol: float = 1e-10, dps: int = 40) -> Report:
+def verify_identities(p: PlasmaParams) -> Report:
     """Verify the exact algebraic identities of the branch symbols.
 
     Evaluates lambda_i, lambda_e from the literal radical definitions in
-    ``dps``-digit arithmetic and checks, relative to the right-hand sides:
+    IDENTITY_DPS-digit arithmetic on IDENTITY_RADII radii (the origin, a log
+    fill of the small scales and a linear fill of the rest of [0, R_MAX]) and
+    checks, relative to the right-hand sides:
 
       * (lambda_e^2 - H_eps^2)(H_eps^2 - lambda_i^2) = 1/eps
       * lambda_e^2 - H_eps^2 = R/sqrt(eps),  H_eps^2 - lambda_i^2 = 1/(R sqrt(eps))
@@ -391,8 +369,12 @@ def verify_identities(p: PlasmaParams, radii=None, rtol: float = 1e-10, dps: int
     """
     import mpmath
 
-    if radii is None:
-        radii = _identity_radii()
+    n_log = (3 * IDENTITY_RADII) // 5
+    radii = np.sort(np.concatenate([
+        [0.0],
+        np.logspace(-3, np.log10(R_MAX), n_log),
+        np.linspace(0.02, R_MAX, IDENTITY_RADII - 1 - n_log),
+    ]))
     rep = Report(f"identities eps={p.epsilon:g} T={p.T:g} C_b={p.C_b:g}")
     worst = {k: 0.0 for k in ("pla3", "pla5a", "pla5b", "mk2", "product", "float64")}
     order_viol = 0
@@ -401,7 +383,7 @@ def verify_identities(p: PlasmaParams, radii=None, rtol: float = 1e-10, dps: int
     lam_e64 = lam("e", radii, p)
     lam_b64 = lam("b", radii, p)
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(IDENTITY_DPS):
         eps = mpmath.mpf(p.epsilon)
         T = mpmath.mpf(p.T)
         C_b = mpmath.mpf(p.C_b)
@@ -436,7 +418,8 @@ def verify_identities(p: PlasmaParams, radii=None, rtol: float = 1e-10, dps: int
 
     for key in ("pla3", "pla5a", "pla5b", "mk2", "product"):
         w = float(worst[key])
-        rep.add(f"identity {key}", w <= rtol, w, f"rtol={rtol:g}")
+        rep.add(f"identity {key}", w <= IDENTITY_RTOL, w,
+                f"rtol={IDENTITY_RTOL:g}")
     rep.add("ordering chain", order_viol == 0, float(order_viol), f"{len(radii)} radii")
     w = float(worst["float64"])
     rep.add("float64 path vs radicals", w <= 5e-13, w, "max relative")
@@ -445,8 +428,9 @@ def verify_identities(p: PlasmaParams, radii=None, rtol: float = 1e-10, dps: int
 
 # -- pointwise inequality suite ------------------------------------------------
 
-def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Report:
-    """Grid verification of the branch inequalities, zero slack.
+def verify_tech99(p: PlasmaParams) -> Report:
+    """Grid verification of the branch inequalities, zero slack, on
+    INEQUALITY_POINTS radii spanning [0, R_MAX].
 
     Every comparison is arranged so that mathematical equalities (all at
     r = 0) are evaluated through identical floating point expressions on
@@ -455,7 +439,7 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
     reported instead of asserted.
     """
     rep = Report(f"branch inequalities eps={p.epsilon:g} T={p.T:g} C_b={p.C_b:g}")
-    r = np.linspace(0.0, r_max, n)
+    r = np.linspace(0.0, R_MAX, INEQUALITY_POINTS)
     rpos = r[1:]
     T, eps = p.T, p.epsilon
 
@@ -564,7 +548,7 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
             f"measured c={ratio.min():.4g}")
 
     # two-point convexity defects (nbc3), 100 x 100 pair grid
-    rr = np.linspace(0.0, r_max, 100)
+    rr = np.linspace(0.0, R_MAX, 100)
     r1 = rr[:, None]
     r2 = rr[None, :]
     defect_i = lam("i", r1, p) + lam("i", r2, p) - lam("i", r1 + r2, p)
@@ -579,7 +563,7 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
 
     # weak ellipticity of the ion branch (BdPhiiii): defect >= c a min(1,b)^2
     a = np.linspace(1e-3, 2.0 ** (-0.5), 100)[:, None]
-    b = np.linspace(1e-3, r_max, 100)[None, :]
+    b = np.linspace(1e-3, R_MAX, 100)[None, :]
     a2, b2 = np.broadcast_arrays(a, np.maximum(a, b))
     defect = lam("i", a2, p) + lam("i", b2, p) - lam("i", a2 + b2, p)
     ratio = defect / (a2 * np.minimum(1.0, b2) ** 2)
@@ -588,26 +572,3 @@ def verify_tech99(p: PlasmaParams, n: int = 10_000, r_max: float = 10.0) -> Repo
             f"measured c={ratio.min():.4g}")
 
     return rep
-
-
-# -- tabulation ----------------------------------------------------------------
-
-TABLE_COLUMNS = (
-    "r",
-    "lambda_i", "lambda_e", "lambda_b",
-    "dlambda_i", "dlambda_e", "dlambda_b",
-    "d2lambda_i", "d2lambda_e", "d2lambda_b",
-    "H1", "Heps", "R",
-)
-
-
-def dispersion_table(p: PlasmaParams, rmin: float, rmax: float, n: int) -> np.ndarray:
-    """Tabulate all branch data on n radii; column order TABLE_COLUMNS."""
-    if not (0 <= rmin < rmax and n >= 2):
-        raise ValueError("need 0 <= rmin < rmax and n >= 2")
-    r = np.linspace(rmin, rmax, n)
-    aux = aux_symbols(r, p)
-    jets = [jet(b, r, p) for b in BRANCHES]
-    cols = [r] + [j[order] for order in range(3) for j in jets]
-    cols += [aux["H1"], aux["Heps"], aux["R"]]
-    return np.column_stack(cols)

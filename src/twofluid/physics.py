@@ -378,11 +378,19 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
                     u_rot = -eps * v_rot when both are given
       E_t           transverse electric seed (longitudinal part is solved
                     from rho - n)
-      t             initial time
+      t             initial time, finite
+    Scalar keys have shape (n, n, n), vector keys (3, n, n, n).
     """
-    known = {"n", "rho", "v_pot", "u_pot", "b_seed", "v_rot", "u_rot", "E_t", "t"}
+    scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "v_rot", "u_rot", "E_t"}
+    known = scalars | vectors | {"t"}
     if not set(seed) <= known:
         raise ValueError(f"unknown seed keys: {sorted(set(seed) - known)}")
+    for key in set(seed) - {"t"}:
+        want = (grid.n,) * 3 if key in scalars else (3,) + (grid.n,) * 3
+        if np.shape(seed[key]) != want:
+            raise ValueError(f"seed {key!r} must have shape {want}, got {np.shape(seed[key])}")
+    if not np.isfinite(seed.get("t", 0.0)):
+        raise ValueError(f"seed time must be finite, got {seed['t']!r}")
     if "b_seed" in seed and ("v_rot" in seed or "u_rot" in seed):
         raise ValueError("give either b_seed or explicit rotational velocities, not both")
 

@@ -31,6 +31,7 @@ function of it.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -245,28 +246,33 @@ def _pair_of(spec: PhaseSpec) -> str:
     pair = spec.branch1 + spec.branch2
     if pair not in ("ee", "ei", "bi", "be"):
         raise ValueError(f"no radial matching function for input branches {pair!r}")
+    if pair == "ee" and spec.iota1 != spec.iota2:
+        raise ValueError("t_tilde degenerates to 0 for opposite-sign ee inputs")
     return pair
+
+
+@lru_cache(maxsize=32)
+def _t0(pair: str, p: PlasmaParams) -> float:
+    """t^{pair}(0), the edge of the matching; solved once per (pair, p)."""
+    return float(t_func(pair, 0.0, p))
 
 
 def t_tilde(spec: PhaseSpec, r, p: PlasmaParams):
     """The signed combination r + iota_1 iota_2 t^{sigma_1 sigma_2}(r)."""
-    pair = _pair_of(spec)
-    sgn = spec.iota1 * spec.iota2
-    if pair == "ee" and sgn < 0:
-        raise ValueError("t_tilde degenerates to 0 for opposite-sign ee inputs")
-    return np.asarray(r, dtype=float) + sgn * t_func(pair, r, p)
+    return np.asarray(r, dtype=float) + spec.iota1 * spec.iota2 * t_func(_pair_of(spec), r, p)
 
 
 def r_munu(spec: PhaseSpec, s, p: PlasmaParams):
     """Inverse of t_tilde; increasing from 0 on [iota_1 iota_2 t(0), infinity)."""
     s = np.asarray(s, dtype=float)
-    s0 = float(t_tilde(spec, 0.0, p))
+    pair = _pair_of(spec)
+    s0 = spec.iota1 * spec.iota2 * _t0(pair, p)
     if np.any(s < s0 - 1e-12):
         raise ValueError(f"s below the domain of r^{{mu,nu}} (edge {s0:.6g})")
-    if spec.branch1 + spec.branch2 == "ee":
+    if pair == "ee":
         out = 0.5 * s
     else:
-        pad = 0.0 if spec.iota1 == spec.iota2 else 2.0 * _t_sup(_pair_of(spec), p)
+        pad = 0.0 if spec.iota1 == spec.iota2 else 2.0 * _t_sup(pair, p)
         hi = np.maximum(s, 0.0) + pad + 1e-9
         out = _root(lambda r, s: t_tilde(spec, r, p) - s, 0.0, hi, args=(s,))
     return out if s.ndim else float(out)
@@ -298,7 +304,7 @@ def _ordered_rep(spec: PhaseSpec) -> PhaseSpec:
 
 def _interval(spec: PhaseSpec, p: PlasmaParams):
     """I^{sigma;mu,nu}, the radii where the resonant curve exists."""
-    t0 = float(t_func(_pair_of(spec), 0.0, p))
+    t0 = _t0(_pair_of(spec), p)
     if spec == _DEFP2:
         return 0.0, t0
     return t0, np.inf
@@ -367,8 +373,13 @@ def r_fixed_point(p: PlasmaParams) -> float:
     return float(_root(lambda r: t_func("bi", r, p) - r, 0.0, _t_sup("bi", p) + 1e-9))
 
 
-def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
-              n: int = 4096) -> list:
+# radial scan of the profile f behind psi_zeros: points, and the top of the
+# geometric grid
+_PSI_POINTS = 4096
+_PSI_R_HI = 64.0
+
+
+def psi_zeros(spec: PhaseSpec, p: PlasmaParams) -> list:
     """Interior zeros of Psi, located through the profile f.
 
     Scans f on a geometric radial grid (for the antiparallel phase, on its
@@ -380,9 +391,9 @@ def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
     sp = _ordered_rep(spec)
     if sp == _DEFP2:
         r0 = r_fixed_point(p)
-        grid = np.linspace(r0 * 1e-6, r0 * (1.0 - 1e-9), n)
+        grid = np.linspace(r0 * 1e-6, r0 * (1.0 - 1e-9), _PSI_POINTS)
     else:
-        grid = np.geomspace(1e-6, r_hi, n)
+        grid = np.geomspace(1e-6, _PSI_R_HI, _PSI_POINTS)
     vals = f_profile(sp, grid, p)
     j = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     if not j.size:
@@ -398,7 +409,7 @@ def psi_zeros(spec: PhaseSpec, p: PlasmaParams, r_hi: float = 64.0,
     return [{"r": float(a), "s": float(b), "dpsi": float(c)} for a, b, c in zip(rz, sz, dpsi)]
 
 
-def ctilde_report(p: PlasmaParams, r_hi: float = 64.0, n: int = 4096) -> dict:
+def ctilde_report(p: PlasmaParams) -> dict:
     """Measured resonant-zero structure against the proved c-tilde table.
 
     For each ordered case-A phase: the profile value f(0) at the domain
@@ -410,7 +421,7 @@ def ctilde_report(p: PlasmaParams, r_hi: float = 64.0, n: int = 4096) -> dict:
     """
     rows = {}
     for sp in sorted(T_A_ORDERED):
-        zeros = psi_zeros(sp, p, r_hi=r_hi, n=n)
+        zeros = psi_zeros(sp, p)
         signs = {int(np.sign(z["dpsi"])) for z in zeros}
         measured = signs.pop() if len(signs) == 1 else (0 if signs else None)
         vacuous = sp in VACUOUS_A
@@ -531,7 +542,7 @@ def _phase_on_plane(spec: PhaseSpec, t: dict):
 def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
                        delta1: float, delta2: float, p: PlasmaParams,
                        resolution: tuple = (256, 256, 128),
-                       D_num: int = D_NUM, block: int = 64) -> list:
+                       D_num: int = D_NUM) -> list:
     """All grid samples of shell (k, k1, k2) with |Xi| <= delta1, |Phi| <= delta2.
 
     The scan is exhaustive over the rotation-reduced grid: radial xi times
@@ -540,7 +551,7 @@ def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
     """
     cases = admissible_cases(classify(spec), k, k1, k2, D_num)
     out = []
-    for t in _sweep(p, (k, k), (k2, k2), resolution, block):
+    for t in _sweep(p, (k, k), (k2, k2), resolution, block=64):
         Phi, Xi2 = _phase_on_plane(spec, t)
         with np.errstate(invalid="ignore"):
             mask = ((t["zm"] >= 2.0 ** (k1 - 4)) & (t["zm"] <= 2.0 ** (k1 + 4))
@@ -557,9 +568,12 @@ def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
     return out
 
 
-def case_d_window(pc: PhaseClass, k: int, k1: int, k2: int,
-                  d_lo: int = 4, d_hi: int = 48) -> dict:
-    """Cutoff values D in [d_lo, d_hi] for which each case admits the triple.
+# the cutoffs D that case_d_window searches
+D_WINDOW = (4, 48)
+
+
+def case_d_window(pc: PhaseClass, k: int, k1: int, k2: int) -> dict:
+    """Cutoff values D in D_WINDOW for which each case admits the triple.
 
     The case inequalities compare shells against fractions of a cutoff that
     the underlying analysis takes arbitrarily large, with thresholds that
@@ -568,6 +582,7 @@ def case_d_window(pc: PhaseClass, k: int, k1: int, k2: int,
     the window says where the assignment lives instead of forcing a yes/no
     at one value.
     """
+    d_lo, d_hi = D_WINDOW
     out = {}
     if pc.a:
         lo = max(2 * max(abs(k), abs(k1), abs(k2)), d_lo)
@@ -590,7 +605,6 @@ class PartitionReport:
     d_num: int
     shells: tuple
     resolution: tuple
-    delta_base: float
     refined: bool = False
     hits: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
@@ -616,7 +630,7 @@ class PartitionReport:
 
     def summary(self) -> str:
         lines = [f"D_num = {self.d_num}, shells {self.shells[0]}..{self.shells[-1]}, "
-                 f"resolution {self.resolution}, delta base {self.delta_base:.3e}, "
+                 f"resolution {self.resolution}, delta base {2.0 ** -self.d_num:.3e}, "
                  f"refined = {self.refined}"]
         for key in sorted(self.hits):
             shells = self.hits[key]
@@ -685,7 +699,6 @@ def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
 
 def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
                           D_num: int = D_NUM, resolution: tuple = (1024, 512, 256),
-                          delta_base: float = None, block: int = 16,
                           refine: bool = True) -> PartitionReport:
     """Exhaustive near-resonance census, binned by home dyadic shells.
 
@@ -697,14 +710,14 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
     back empty.  For the rest, every nonempty home triple inside the scanned
     box is checked against the case conditions at this D_num; failures are
     listed together with the cutoff window that admits them, and triples no
-    cutoff admits land in `unresolved`.
+    cutoff admits land in `unresolved`.  Samples pass at |Phi|, |Xi| <= 2^-D_num.
     """
     specs = tuple(specs) if specs is not None else ALL_PHASES
     shells = tuple(shells)
     kmin, kmax = min(shells), max(shells)
-    base = 2.0 ** (-D_num) if delta_base is None else float(delta_base)
+    base = 2.0 ** (-D_num)
 
-    report = PartitionReport(D_num, shells, resolution, base, refined=refine,
+    report = PartitionReport(D_num, shells, resolution, refined=refine,
                              hits={sp.key: {} for sp in specs},
                              elliptic_floor={sp.key: np.inf for sp in specs})
     samples = {sp.key: [] for sp in specs}  # rows (k, k1, k2, |Phi|, |Xi|)
@@ -722,7 +735,8 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
             samples[key].append(np.column_stack([
                 k[strict], k1[strict], k2[strict], aph[strict], axi[strict]]))
 
-    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block):
+    # the block size bounds the memory of the sweep tables and their masks
+    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=16):
         # pointwise analogue of the 2^{max(k1,k2,0)} shell weight
         w = np.maximum(t["zm"], np.maximum(t["rho"][None, :, None], 1.0))
         for sp in specs:
@@ -778,8 +792,7 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
 
 def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
           delta1: float = 2.0 ** -10, delta2: float = 2.0 ** -10,
-          resolution: tuple = (2048, 1024, 512), D_num: int = D_NUM,
-          block: int = 8) -> list:
+          resolution: tuple = (2048, 1024, 512), D_num: int = D_NUM) -> list:
     """Per-shell-triple survey of one phase: one row per home triple seen.
 
     Every sample is charged to its home triple (the dyadic shell of each
@@ -798,7 +811,7 @@ def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
     counts = np.zeros(R * R * R, dtype=np.int64)
     min_phi = np.full(R * R * R, np.inf)
     min_xi = np.full(R * R * R, np.inf)
-    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block):
+    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=8):
         Phi, Xi2 = _phase_on_plane(spec, t)
         aphi = np.abs(Phi)
         with np.errstate(invalid="ignore"):

@@ -60,8 +60,7 @@ __all__ = [
     "shell_range",
     "spatial_range",
     "DyadicPiece",
-    "NormWeights",
-    "DEFAULT_WEIGHTS",
+    "BETA",
     "b_norms",
     "ZNormUpper",
     "z_norm_upper",
@@ -73,6 +72,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # grid
 
+#: the 2/3 rule: products keep the modes with every |m_axis| <= (2/3)(n/2)
+_DEALIAS = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -80,15 +82,12 @@ class Grid:
 
     n: int
     box_half: float = np.pi
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 8 or self.n % 2:
             raise ValueError(f"points_per_axis must be an even integer >= 8, got {self.n!r}")
         if not 0 < self.box_half < math.inf:
             raise ValueError(f"box_half must be finite and positive, got {self.box_half!r}")
-        if not 0 < self.dealias_fraction <= 1:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
@@ -113,7 +112,7 @@ class Grid:
 
     @functools.cached_property
     def dealias_mask(self) -> np.ndarray:
-        cut = math.floor(self.dealias_fraction * self.n / 2)
+        cut = math.floor(_DEALIAS * self.n / 2)
         keep = np.abs(self.modes) <= cut
         return keep[0] & keep[1] & keep[2]
 
@@ -329,20 +328,9 @@ class DyadicPiece:
             raise ValueError("(k, j) outside the admissible index set")
 
 
-@dataclass(frozen=True)
-class NormWeights:
-    beta: float = 0.01
-
-    @property
-    def alpha(self) -> float:
-        return self.beta / 2.0
-
-    @property
-    def gamma(self) -> float:
-        return 1.5 - 4.0 * self.beta
-
-
-DEFAULT_WEIGHTS = NormWeights()
+#: the weight exponent beta of the Z-norm; its other exponents are
+#: alpha = beta/2 and gamma = 3/2 - 4 beta
+BETA = 0.01
 
 
 # one z_norm_upper on one grid reads the balls m = -jmax..kmax: 10 of them at
@@ -374,7 +362,7 @@ def _flat_hat(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return a
 
 
-def b_norms(grid: Grid, piece: DyadicPiece, weights: NormWeights = DEFAULT_WEIGHTS) -> dict:
+def b_norms(grid: Grid, piece: DyadicPiece) -> dict:
     """The two admissible shell norms and their min, an upper bound for the
     infimum norm of the (k, j) piece."""
     k, j = piece.k, piece.j
@@ -384,10 +372,10 @@ def b_norms(grid: Grid, piece: DyadicPiece, weights: NormWeights = DEFAULT_WEIGH
 
     hl2 = l2_norm(grid, piece.field)
     hsup = float(a.max())
-    lead = 2.0 ** (weights.alpha * k) + 2.0 ** (10.0 * k)
+    lead = 2.0 ** (BETA / 2.0 * k) + 2.0 ** (10.0 * k)
     ktil = min(k, 0)
 
-    b1 = lead * (2.0 ** ((1.0 + weights.beta) * j) * hl2 + 2.0 ** (0.5 * ktil - weights.beta * ktil) * hsup)
+    b1 = lead * (2.0 ** ((1.0 + BETA) * j) * hl2 + 2.0 ** (0.5 * ktil - BETA * ktil) * hsup)
 
     fa = sfft.fftn(a)
     ball = max(
@@ -395,7 +383,7 @@ def b_norms(grid: Grid, piece: DyadicPiece, weights: NormWeights = DEFAULT_WEIGH
         for m in range(-j, k + 1)
     )
     b2 = 2.0 ** (10.0 * abs(k)) * lead * (
-        2.0 ** ((1.0 - weights.beta) * j) * hl2 + hsup + 2.0 ** (weights.gamma * j) * ball
+        2.0 ** ((1.0 - BETA) * j) * hl2 + hsup + 2.0 ** ((1.5 - 4.0 * BETA) * j) * ball
     )
     return {"B1": b1, "B2": b2, "B_upper": min(b1, b2)}
 
@@ -408,7 +396,7 @@ class ZNormUpper:
     table: tuple
 
 
-def z_norm_upper(grid: Grid, f: np.ndarray, weights: NormWeights = DEFAULT_WEIGHTS) -> ZNormUpper:
+def z_norm_upper(grid: Grid, f: np.ndarray) -> ZNormUpper:
     """sup over reachable (k, j) of the per-piece upper bound B_upper."""
     best = (0.0, 0, 0)
     rows = []
@@ -420,7 +408,7 @@ def z_norm_upper(grid: Grid, f: np.ndarray, weights: NormWeights = DEFAULT_WEIGH
         for j in spatial_range(grid, k):
             w = phi_tilde(grid.x_radius, k, j)
             piece = DyadicPiece(k, j, to_spectral(grid, w * fk_phys))
-            b = b_norms(grid, piece, weights)
+            b = b_norms(grid, piece)
             rows.append((k, j, b["B1"], b["B2"], b["B_upper"]))
             if b["B_upper"] > best[0]:
                 best = (b["B_upper"], k, j)
@@ -431,23 +419,19 @@ def z_norm_upper(grid: Grid, f: np.ndarray, weights: NormWeights = DEFAULT_WEIGH
 # random band-limited fields
 
 
-def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0,
-                      zero_mean: bool = True) -> np.ndarray:
+def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0) -> np.ndarray:
+    """Real Gaussian field, band-limited to |m_axis| <= kmax, mean zero, rms ``rms``."""
     vals = rng.standard_normal((grid.n,) * 3)
     coef = to_spectral(grid, vals)
     if kmax is not None:
         keep = np.max(np.abs(grid.modes), axis=0) <= kmax
         coef = coef * keep
-    if zero_mean:
-        coef[0, 0, 0] = 0.0
+    coef[0, 0, 0] = 0.0
     norm = float(np.linalg.norm(coef))
     if norm > 0:
         coef *= rms * grid.n**1.5 / norm
     return coef
 
 
-def random_vector_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0,
-                        zero_mean: bool = True) -> np.ndarray:
-    return np.stack(
-        [random_real_field(grid, rng, kmax=kmax, rms=rms, zero_mean=zero_mean) for _ in range(3)]
-    )
+def random_vector_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0) -> np.ndarray:
+    return np.stack([random_real_field(grid, rng, kmax=kmax, rms=rms) for _ in range(3)])

@@ -7,14 +7,11 @@ from twofluid.params import PlasmaParams
 from twofluid import dispersion as disp
 from twofluid.dispersion import (
     DEFAULT_PARAMS,
-    aux_symbols,
-    dispersion_table,
+    coupling,
     find_R_sigma,
     find_r_star,
     gap_b_e,
-    gap_e_heps,
     gap_e_i,
-    h_eps,
     jet,
     lam,
     lam_prime,
@@ -174,12 +171,12 @@ def test_root_solves_arrays_and_raises_on_a_bad_bracket():
 
 def test_identity_suite_all_triples():
     for p in P5:
-        rep = verify_identities(p, radii=disp._identity_radii(n=60))
+        rep = verify_identities(p)
         assert rep.passed, rep.summary()
 
 
 def test_inequality_suite_default_triple():
-    rep = verify_tech99(DEFAULT_PARAMS, n=2000)
+    rep = verify_tech99(DEFAULT_PARAMS)
     assert rep.passed, rep.summary()
 
 
@@ -192,7 +189,7 @@ def test_factored_ion_form_matches_radical_away_from_origin():
 def test_aux_R_range():
     p = DEFAULT_PARAMS
     r = np.linspace(0.0, 50.0, 500)
-    R = aux_symbols(r, p)["R"]
+    R = coupling(r, p)
     root_eps = np.sqrt(p.epsilon)
     assert R[0] == pytest.approx(root_eps, rel=1e-13)
     assert np.all(R > 0) and np.all(R <= root_eps * (1 + 1e-15))
@@ -207,10 +204,8 @@ def test_gap_functions_match_literal_differences():
     le2 = lam("e", r, p) ** 2
     li2 = lam("i", r, p) ** 2
     lb2 = lam("b", r, p) ** 2
-    he2 = h_eps(r, p) ** 2
     np.testing.assert_allclose(gap_e_i(r, p), le2 - li2, rtol=1e-10)
     np.testing.assert_allclose(gap_b_e(r, p), lb2 - le2, rtol=1e-8)
-    np.testing.assert_allclose(gap_e_heps(r, p), le2 - he2, rtol=1e-6)
 
 
 def test_longdouble_pass_through():
@@ -238,12 +233,3 @@ def test_ordering_everywhere(r):
     li, le, lb = (float(lam(b, r, p)) for b in ("i", "e", "b"))
     assert r <= li * (1 + 1e-12) and li <= le <= lb * (1 + 1e-15)
 
-
-def test_dispersion_table():
-    tab = dispersion_table(DEFAULT_PARAMS, 0.0, 2.0, 5)
-    assert tab.shape == (5, len(disp.TABLE_COLUMNS))
-    r = tab[:, 0]
-    np.testing.assert_allclose(r, np.linspace(0, 2, 5))
-    np.testing.assert_allclose(tab[:, 1], lam("i", r, DEFAULT_PARAMS))
-    with pytest.raises(ValueError):
-        dispersion_table(DEFAULT_PARAMS, 2.0, 1.0, 5)

@@ -21,7 +21,7 @@ from twofluid.physics import (
     rhs,
     step,
 )
-from twofluid.spectral import Grid, l2_norm, is_hermitian, random_vector_field
+from twofluid.spectral import Grid, l2_norm, is_hermitian, random_real_field, random_vector_field
 
 P = PlasmaParams(1e-3, 1.0, 6.0)
 EM = SystemKind.euler_maxwell
@@ -311,8 +311,6 @@ def test_make_irrotational_satisfies_constraints():
 def test_make_irrotational_potential_only():
     g = Grid(16)
     rng = _rng()
-    from twofluid.spectral import random_real_field
-
     s = make_irrotational(g, P, {
         "n": random_real_field(g, rng, kmax=3),
         "v_pot": random_real_field(g, rng, kmax=3),
@@ -334,6 +332,17 @@ def test_make_irrotational_rejects_bad_seeds():
         make_irrotational(g, P, {"vorticity": w})
     with pytest.raises(ValueError, match="not both"):
         make_irrotational(g, P, {"b_seed": w, "v_rot": w})
+
+
+def test_make_irrotational_rejects_malformed_seeds():
+    g = Grid(16)
+    f = random_real_field(g, _rng(), kmax=2)
+    with pytest.raises(ValueError, match="shape"):
+        make_irrotational(g, P, {"n": f[:, :, :1]})  # would broadcast over the grid
+    with pytest.raises(ValueError, match="shape"):
+        make_irrotational(g, P, {"b_seed": f})  # scalar where a vector belongs
+    with pytest.raises(ValueError, match="finite"):
+        make_irrotational(g, P, {"n": f, "t": np.nan})
 
 
 def test_corrupted_B_detected():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twofluid import dispersion as disp
 from twofluid.dispersion import DEFAULT_PARAMS, find_R_sigma, lam_prime
 from twofluid import resonance as rs
+from twofluid.params import PlasmaParams
 from twofluid.resonance import (
     ALL_PHASES,
     C_TILDE,
@@ -239,15 +241,15 @@ ROUND_TRIP_SPECS = ["b;e+,e+", "b;b+,e+", "e;b+,i+", "i;e+,i-", "e;b+,i-"]
 
 @pytest.mark.parametrize("key", ROUND_TRIP_SPECS)
 def test_t_tilde_r_munu_round_trip(key):
+    # all radii in one call; the tolerances are pytest.approx's max(rel |x|, abs)
     sp = _parse(key)
-    for r in np.geomspace(1e-4, 3.0, 15):
-        s = float(t_tilde(sp, float(r), P))
-        back = float(r_munu(sp, s, P))
-        assert back == pytest.approx(r, rel=1e-10, abs=1e-12)
-        rp = float(r_munu_prime(sp, s, P))
-        h = 1e-6 * max(abs(s), 1.0)
-        fd = (float(r_munu(sp, s + h, P)) - float(r_munu(sp, s - h, P))) / (2 * h)
-        assert rp == pytest.approx(fd, rel=5e-5)
+    r = np.geomspace(1e-4, 3.0, 15)
+    s = t_tilde(sp, r, P)
+    assert np.all(np.abs(r_munu(sp, s, P) - r) <= np.maximum(1e-10 * r, 1e-12))
+    rp = r_munu_prime(sp, s, P)
+    h = 1e-6 * np.maximum(np.abs(s), 1.0)
+    fd = (r_munu(sp, s + h, P) - r_munu(sp, s - h, P)) / (2 * h)
+    assert np.all(np.abs(rp - fd) <= np.maximum(5e-5 * np.abs(fd), 1e-12))
 
 
 @pytest.mark.parametrize("key", ROUND_TRIP_SPECS)
@@ -296,11 +298,27 @@ def _curve_radii(sp, n=12, margin=1e-3, s_hi=8.0):
 
 def test_p_res_residuals_both_orders():
     for sp in sorted(T_A_ORDERED):
-        for s in _curve_radii(sp):
-            xi_v = float(s) * E3
-            for order in (sp, sp.swapped()):
-                eta_v = p_res(order, xi_v, P)
-                assert np.linalg.norm(rs.xi(order, xi_v, eta_v, P)) <= 1e-10
+        xi_v = E3[:, None] * _curve_radii(sp)
+        for order in (sp, sp.swapped()):
+            eta_v = p_res(order, xi_v, P)
+            assert np.all(np.linalg.norm(rs.xi(order, xi_v, eta_v, P), axis=0) <= 1e-10)
+
+
+def test_interval_edge_is_solved_once(monkeypatch):
+    sp = _parse("i;e+,i-")  # edge t^{ei}(0), a root solve on the e branch
+    p = PlasmaParams(1e-3, 2.0, 12.0)  # a point no other test reads, so the first call solves
+    calls, real = [], disp.find_root
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(disp, "find_root", counting)
+    first = rs._interval(sp, p)
+    assert calls
+    calls.clear()
+    assert rs._interval(sp, p) == first
+    assert not calls
 
 
 def test_p_res_and_psi_arrays_match_scalar_calls():
@@ -565,7 +583,7 @@ def test_verify_case_partition_low_res():
 
 
 def test_partition_report_in_box():
-    rep = rs.PartitionReport(10, tuple(range(-8, 5)), (1, 1, 1), 2.0**-10)
+    rep = rs.PartitionReport(10, tuple(range(-8, 5)), (1, 1, 1))
     assert rep.in_box((-8, 0, 4))
     assert not rep.in_box((-9, 0, 0))
     assert not rep.in_box((0, 5, 0))

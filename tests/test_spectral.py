@@ -40,8 +40,6 @@ def test_grid_validation():
             Grid(bad)
     with pytest.raises(ValueError):
         Grid(16, box_half=-1.0)
-    with pytest.raises(ValueError):
-        Grid(16, dealias_fraction=1.5)
 
 
 def test_grid_rejects_non_integer_points_per_axis():
