@@ -1,9 +1,9 @@
 """Numerical laboratory for the normalized two-fluid Euler-Maxwell system.
 
-The package covers the full chain from the physical plasma parameters to the
-dispersive formulation used in long-time analysis:
+The package covers the full chain from the normalized parameters
+(epsilon, T, C_b) to the dispersive formulation used in long-time analysis:
 
-- ``params``      physical constants and the normalized parameters
+- ``params``      the normalized parameters
 - ``dispersion``  the three wave branches, their derivatives and identities
 - ``spectral``    periodic grids, Fourier calculus, dyadic localization, norms
 - ``physics``     pseudo-spectral solver for the normalized system
@@ -15,18 +15,13 @@ dispersive formulation used in long-time analysis:
 
 __version__ = "0.1.0"
 
-from .params import PhysicalConstants, PlasmaParams, derive_params, validate_regime
-from .dispersion import DispersionCtx, lam, lam_prime, lam_second, make_ctx
+from .params import PlasmaParams
+from .dispersion import lam, lam_prime, lam_second
 
 __all__ = [
-    "PhysicalConstants",
     "PlasmaParams",
-    "derive_params",
-    "validate_regime",
-    "DispersionCtx",
     "lam",
     "lam_prime",
     "lam_second",
-    "make_ctx",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import PlasmaParams
-from .dispersion import DEFAULT_PARAMS, verify_identities, verify_tech99
+from .dispersion import DEFAULT_PARAMS, find_R_sigma, verify_identities, verify_tech99
 from .spectral import Grid, l2_norm
 from .physics import (
     FIELDS,
@@ -36,8 +36,11 @@ from .decay import KernelQuery, decay_fit, free_evolve, kernel_sup
 from .resonance import (
     T_A,
     T_A_ORDERED,
+    T_B,
     PhaseSpec,
     _interval,
+    caseB_r,
+    ctilde_report,
     p_res,
     verify_case_partition,
 )
@@ -212,10 +215,22 @@ def _resonant_curves():
     even = PhaseSpec("b", "e+", "e+")
     probe = np.array([0.44, -1.3, 0.27])
     exact_split = np.array_equal(p_res(even, probe, P), 0.5 * probe)
-    ok = worst <= 1e-10 and exact_split
+    # the zeros of Psi carry the proved c-tilde signs
+    ctilde = sum(row["agree"] for row in ctilde_report(P).values())
+    # case-B roots at s = R_sigma (1 +- 1/2), inside the 2^{-D/5} window: the
+    # root solves its equation, and s - r has the sign of s - R_sigma
+    caseB = 0
+    for sp in sorted(T_B, key=lambda spec: spec.key):
+        R = find_R_sigma(sp.branch2, P)
+        for s in (0.5 * R, 1.5 * R):
+            d = caseB_r(sp, s, P)
+            caseB += abs(d["residual"]) <= 1e-12 and np.sign(s - d["r"]) == np.sign(s - R)
+    ok = worst <= 1e-10 and exact_split and ctilde == len(T_A_ORDERED) and caseB == 2 * len(T_B)
     return ok, (
         f"13 phases x 2 orders x 100 radii, worst |Xi| {worst:.1e} (tol 1e-10); "
-        f"equal-branch split exact: {exact_split}"
+        f"equal-branch split exact: {exact_split}; "
+        f"c-tilde signs agree on {ctilde}/{len(T_A_ORDERED)} phases; "
+        f"case-B roots {caseB}/{2 * len(T_B)} (residual <= 1e-12, s - r signed as s - R)"
     )
 
 
@@ -305,7 +320,3 @@ def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:
         if stream is not None:
             print(res.line(), file=stream, flush=True)
     return results
-
-
-def criterion_numbers() -> tuple[int, ...]:
-    return tuple(fn.number for fn in _RUNNERS)

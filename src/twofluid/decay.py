@@ -31,7 +31,6 @@ __all__ = [
     "KernelQuery",
     "radial_kernel",
     "kernel_profile",
-    "kernel_value",
     "stationary_xs",
     "kernel_sup",
     "free_evolve",
@@ -67,8 +66,12 @@ class KernelQuery:
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch {self.branch!r}")
-        if self.t == 0:
-            raise ValueError("t must be nonzero")
+        for name in ("k", "points_per_cycle"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+        if not (math.isfinite(self.t) and self.t != 0):
+            raise ValueError(f"t must be finite and nonzero, got {self.t!r}")
         if self.points_per_cycle < 64:
             raise ValueError("points_per_cycle must be at least 64")
 
@@ -144,12 +147,9 @@ def kernel_profile(q: KernelQuery, p: PlasmaParams, xs) -> np.ndarray:
                          points_per_cycle=q.points_per_cycle)
 
 
-def kernel_value(q: KernelQuery, p: PlasmaParams, x: float) -> complex:
-    return complex(kernel_profile(q, p, [x])[0])
-
-
-def stationary_xs(q: KernelQuery, p: PlasmaParams) -> np.ndarray:
-    """Radial |x| grid covering the stationary sweep |x| = |t| lambda'(s).
+def stationary_xs(q: KernelQuery, p: PlasmaParams) -> tuple:
+    """(xs, sweep_top): the radial |x| grid covering the stationary sweep
+    |x| = |t| lambda'(s), and the sweep's top radius |t| max lambda'.
 
     Stationary-phase radii for s across the shell, padded below and above;
     the origin is included so the small-time mass bound is also seen.  If
@@ -158,11 +158,6 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams) -> np.ndarray:
     Airy window of width (|t| lambda''' / 2)^{1/3} around the fold; that
     window gets its own cluster of radii, which a grid in s cannot resolve.
     """
-    return _stationary(q, p)[0]
-
-
-def _stationary(q: KernelQuery, p: PlasmaParams):
-    """(stationary_xs, the sweep's top radius |t| max lambda')."""
     anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), _ANCHORS)
     _, slope, curv = jet(q.branch, anchors, p)
     sweep = abs(q.t) * slope
@@ -189,7 +184,7 @@ def kernel_sup(q: KernelQuery, p: PlasmaParams) -> float:
     largest x in a batch, so the pads beyond the stationary sweep go into
     their own (small) batch instead of inflating the sweep's node table.
     """
-    xs, sweep_hi = _stationary(q, p)
+    xs, sweep_hi = stationary_xs(q, p)
     best = 0.0
     for tier in (xs[xs <= 1.05 * sweep_hi], xs[xs > 1.05 * sweep_hi]):
         if tier.size:
@@ -263,8 +258,8 @@ def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
     full system and stop with a stamped ``blowup_t`` if the monitor leaves
     the representable range.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     g = grid or Grid(32)
     rng = np.random.default_rng(seed)
     state = random_irrotational(g, p, rng, amplitude=amplitude)

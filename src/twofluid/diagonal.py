@@ -314,12 +314,13 @@ def _inv0(x: np.ndarray) -> np.ndarray:
 
 
 class _Radius:
-    """Radial symbols at the lattice |xi| (see `_symbols`) or at one of |xi|,
-    |zeta|, |eta| over a block of catalog points.  Each symbol is evaluated on
-    first use and kept, so the table holds only what its readers read."""
+    """Radial symbols at the radii ``r``: the lattice |xi| (see `_symbols`) or
+    one of |xi|, |zeta|, |eta| over a block of catalog points.  Each symbol is
+    evaluated on first use and kept, so the table holds only what its readers
+    read."""
 
-    def __init__(self, v: np.ndarray, p: PlasmaParams):
-        self.r = np.sqrt(np.sum(v * v, 0))
+    def __init__(self, r: np.ndarray, p: PlasmaParams):
+        self.r = r
         self._p = p
 
     @cached_property
@@ -365,9 +366,11 @@ class _Radius:
 
 @lru_cache(maxsize=8)
 def _symbols(grid: Grid, p: PlasmaParams) -> _Radius:
-    """The radial table at the lattice |xi|, filled once, as its readers read all of it."""
-    t = _Radius(grid.xi, p)
-    for name in ("lam_e", "lam_i", "lam_b", "qi", "R", "norm", "inv"):
+    """The radial table at the lattice |xi|, filled once, as its readers read
+    all of it; |xi| and its inverse are the grid's own arrays."""
+    t = _Radius(grid.xi_mag, p)
+    t.inv = grid.inv_xi_mag
+    for name in ("lam_e", "lam_i", "lam_b", "qi", "R", "norm"):
         getattr(t, name)
     return t
 
@@ -378,7 +381,7 @@ class _Block:
 
     def __init__(self, xi, zeta, eta, p: PlasmaParams):
         self.xi, self.zeta, self.eta, self.p = xi, zeta, eta, p
-        self.x, self.z, self.e = _Radius(xi, p), _Radius(zeta, p), _Radius(eta, p)
+        self.x, self.z, self.e = (_Radius(np.sqrt(np.sum(v * v, 0)), p) for v in (xi, zeta, eta))
 
 
 def _eval_acoustic(sigma, mu, nu, t: _Block):

@@ -31,8 +31,6 @@ precision by :func:`verify_identities`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize.elementwise import bracket_root, find_root
 
@@ -308,32 +306,6 @@ def find_R_sigma(branch: str, p: PlasmaParams) -> float:
     if branch not in ("e", "b"):
         raise ValueError(f"R_sigma is defined for branches 'e' and 'b', got {branch!r}")
     return float(lam_prime_inverse(branch, lam_prime("i", 0.0, p), p))
-
-
-@dataclass(frozen=True)
-class DispersionCtx:
-    """Parameter point together with its distinguished radii.
-
-    k_star is log2(r_star); R_e and R_b are the fast-branch radii matching
-    the maximal ion group speed.
-    """
-
-    params: PlasmaParams
-    r_star: float
-    k_star: float
-    R_e: float
-    R_b: float
-
-
-def make_ctx(p: PlasmaParams) -> DispersionCtx:
-    r_star = find_r_star(p)
-    return DispersionCtx(
-        params=p,
-        r_star=r_star,
-        k_star=float(np.log2(r_star)),
-        R_e=find_R_sigma("e", p),
-        R_b=find_R_sigma("b", p),
-    )
 
 
 # -- exact identity suite (arbitrary precision) --------------------------------

@@ -244,8 +244,8 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
     times = np.asarray(times, dtype=float)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if times.ndim != 1 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a nondecreasing 1d sequence")
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a finite nondecreasing 1d sequence")
     if times.size and times[0] < state.t:
         raise ValueError(f"times start at {times[0]:.6g}, before the state's t = {state.t:.6g}")
     _require_real(state)
@@ -379,14 +379,17 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
       E_t           transverse electric seed (longitudinal part is solved
                     from rho - n)
       t             initial time, finite
-    Scalar keys have shape (n, n, n), vector keys (3, n, n, n).
+    Scalar keys have shape (n, n, n), vector keys (3, n, n, n).  Seed
+    content on the unpaired Nyquist planes (index n/2 on any axis) is
+    dropped, so the state is real.
     """
     scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "v_rot", "u_rot", "E_t"}
     known = scalars | vectors | {"t"}
+    shape = lambda key: (grid.n,) * 3 if key in scalars else (3,) + (grid.n,) * 3  # noqa: E731
     if not set(seed) <= known:
         raise ValueError(f"unknown seed keys: {sorted(set(seed) - known)}")
     for key in set(seed) - {"t"}:
-        want = (grid.n,) * 3 if key in scalars else (3,) + (grid.n,) * 3
+        want = shape(key)
         if np.shape(seed[key]) != want:
             raise ValueError(f"seed {key!r} must have shape {want}, got {np.shape(seed[key])}")
     if not np.isfinite(seed.get("t", 0.0)):
@@ -394,34 +397,40 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     if "b_seed" in seed and ("v_rot" in seed or "u_rot" in seed):
         raise ValueError("give either b_seed or explicit rotational velocities, not both")
 
-    scal = lambda key: hermitize(np.asarray(seed[key], dtype=complex)) if key in seed \
-        else np.zeros((grid.n,) * 3, dtype=complex)  # noqa: E731
-    vec = lambda key: hermitize(np.asarray(seed[key], dtype=complex)) if key in seed \
-        else np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)  # noqa: E731
+    h = grid.n // 2
+
+    def take(key):
+        # index n/2 is its own mirror, so the odd symbol i xi of grad, curl
+        # and the electric solve would break conjugate symmetry there
+        if key not in seed:
+            return np.zeros(shape(key), dtype=complex)
+        c = hermitize(np.asarray(seed[key], dtype=complex))
+        c[..., h, :, :] = c[..., :, h, :] = c[..., :, :, h] = 0.0
+        return c
 
     s = PhysState._empty(grid, float(seed.get("t", 0.0)))
-    s.n, s.rho = scal("n"), scal("rho")
+    s.n, s.rho = take("n"), take("rho")
     s.n[0, 0, 0] = 0.0
     s.rho[0, 0, 0] = 0.0
 
     if "v_rot" in seed or "u_rot" in seed:
         if "v_rot" in seed and "u_rot" in seed:
-            vr, ur = vec("v_rot"), vec("u_rot")
+            vr, ur = take("v_rot"), take("u_rot")
             scale = max(np.max(np.abs(ur)), p.epsilon * np.max(np.abs(vr)), 1e-300)
             if np.max(np.abs(ur + p.epsilon * vr)) > 1e-12 * scale:
                 raise ValueError("rotational seed violates u_rot = -eps * v_rot")
         elif "v_rot" in seed:
-            vr = vec("v_rot")
+            vr = take("v_rot")
         else:
-            vr = vec("u_rot") / (-p.epsilon)
+            vr = take("u_rot") / (-p.epsilon)
         vr = q2_apply(grid, vr)
     else:
-        vr = q2_apply(grid, vec("b_seed"))
+        vr = q2_apply(grid, take("b_seed"))
 
-    s.v = grad(grid, scal("v_pot")) + vr
-    s.u = grad(grid, scal("u_pot")) - p.epsilon * vr
+    s.v = grad(grid, take("v_pot")) + vr
+    s.u = grad(grid, take("u_pot")) - p.epsilon * vr
     s.B = p.epsilon * curl(grid, vr)
-    s.E = ep_electric(grid, s.n, s.rho) + q2_apply(grid, vec("E_t"))
+    s.E = ep_electric(grid, s.n, s.rho) + q2_apply(grid, take("E_t"))
     return s
 
 

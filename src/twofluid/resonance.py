@@ -285,15 +285,6 @@ def r_munu_prime(spec: PhaseSpec, s, p: PlasmaParams):
     return 1.0 / (1.0 + spec.iota1 * spec.iota2 * t_func_prime(pair, r, p))
 
 
-def q_munu(spec: PhaseSpec, eta, p: PlasmaParams):
-    """The xi with Xi^{mu,nu}(xi, eta) = 0 on the ray of eta."""
-    eta = np.asarray(eta, dtype=float)
-    em = _norm3(eta)
-    if np.any(em == 0.0):
-        raise ValueError("q^{mu,nu} is undefined at eta = 0")
-    return t_tilde(spec, em, p) * eta / em
-
-
 def _ordered_rep(spec: PhaseSpec) -> PhaseSpec:
     if spec in T_A_ORDERED:
         return spec
@@ -459,7 +450,7 @@ def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams,
 # ---------------------------------------------------------------------------
 # brute-force shell scans
 #
-# scan_near_resonant, verify_case_partition and atlas run one sweep, _sweep:
+# scan_near_resonant and verify_case_partition run one sweep, _sweep:
 # a generator over blocks of |xi| that yields, per block, the three radii
 # |xi|, |eta|, |xi - eta| on the rotation-reduced (s, rho, theta) grid, with
 # shape (block, n_rho, n_theta) where they vary, the cosine between xi - eta
@@ -788,59 +779,3 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
             if not wins:
                 report.unresolved.append((sp.key, triple))
     return report
-
-
-def atlas(spec: PhaseSpec, p: PlasmaParams, shells=range(-8, 5),
-          delta1: float = 2.0 ** -10, delta2: float = 2.0 ** -10,
-          resolution: tuple = (2048, 1024, 512), D_num: int = D_NUM) -> list:
-    """Per-shell-triple survey of one phase: one row per home triple seen.
-
-    Every sample is charged to its home triple (the dyadic shell of each
-    radius); rows carry the passing-sample count and the minima of |Phi|
-    and |Xi| over everything the triple saw.
-    """
-    shells = tuple(shells)
-    kmin, kmax = min(shells), max(shells)
-    R = kmax - kmin + 1
-
-    def home(x):
-        # radii outside the box, and zm = 0 (home -inf), go to its edge shells
-        with np.errstate(divide="ignore"):
-            return np.clip(_home(x), kmin, kmax).astype(int) - kmin
-
-    counts = np.zeros(R * R * R, dtype=np.int64)
-    min_phi = np.full(R * R * R, np.inf)
-    min_xi = np.full(R * R * R, np.inf)
-    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=8):
-        Phi, Xi2 = _phase_on_plane(spec, t)
-        aphi = np.abs(Phi)
-        with np.errstate(invalid="ignore"):
-            axi = np.sqrt(np.maximum(Xi2, 0.0))
-            passing = (aphi <= delta2) & (Xi2 <= delta1 * delta1)
-        # the gradient is undefined where xi - eta vanishes; those samples
-        # must not poison the per-triple minima
-        axi = np.where(np.isfinite(axi), axi, np.inf)
-        ik, ik1, ik2 = home(t["s"]), home(t["zm"]), home(t["rho"])
-        flat = (ik[:, None, None] * R + ik1) * R + ik2[None, :, None]
-        counts += np.bincount(flat[passing].ravel(), minlength=R * R * R)
-        # grouped minima: one masked sweep per k1 value keeps this vectorized
-        for v in range(R):
-            sel = ik1 == v
-            if not sel.any():
-                continue
-            pv = np.where(sel, aphi, np.inf).min(axis=2)
-            xv = np.where(sel, axi, np.inf).min(axis=2)
-            rows = (ik[:, None] * R + v) * R + ik2[None, :]
-            np.minimum.at(min_phi, rows.ravel(), pv.ravel())
-            np.minimum.at(min_xi, rows.ravel(), xv.ravel())
-
-    cls = classify(spec)
-    rows = []
-    for flat in np.flatnonzero(np.isfinite(min_phi)):
-        k = kmin + flat // (R * R)
-        k1 = kmin + (flat // R) % R
-        k2 = kmin + flat % R
-        rows.append({"k": k, "k1": k1, "k2": k2, "count": int(counts[flat]),
-                     "min_phi": float(min_phi[flat]), "min_xi": float(min_xi[flat]),
-                     "cases": "".join(admissible_cases(cls, k, k1, k2, D_num))})
-    return rows

@@ -14,7 +14,6 @@ from twofluid.decay import (
     free_evolve,
     kernel_profile,
     kernel_sup,
-    kernel_value,
     nonlinear_decay_experiment,
     radial_kernel,
     stationary_xs,
@@ -33,6 +32,12 @@ def test_kernel_query_validation():
         KernelQuery("e", 0, 0.0)
     with pytest.raises(ValueError):
         KernelQuery("e", 0, 1.0, points_per_cycle=32)
+    # a NaN time once gave kernel_sup = 0.0, which reads as perfect decay
+    for bad in (dict(t=np.nan), dict(t=np.inf), dict(t=-np.inf), dict(k=True), dict(k=0.5),
+                dict(points_per_cycle=64.5), dict(points_per_cycle=True)):
+        with pytest.raises(ValueError):
+            KernelQuery(**{"branch": "e", "k": 0, "t": 1.0, **bad})
+    assert KernelQuery("e", np.int64(-1), np.float64(2.0)).k == -1
 
 
 # ---------------------------------------------------------------------------
@@ -79,23 +84,24 @@ def test_node_cap_refusal():
 def test_kernel_profile_resolution_consistency():
     # doubling the per-cycle node budget must not move the answer
     x = 40.0
-    a = kernel_value(KernelQuery("i", 0, 50.0), P, x)
-    b = kernel_value(KernelQuery("i", 0, 50.0, points_per_cycle=128), P, x)
+    a = kernel_profile(KernelQuery("i", 0, 50.0), P, [x])[0]
+    b = kernel_profile(KernelQuery("i", 0, 50.0, points_per_cycle=128), P, [x])[0]
     assert abs(a - b) <= 5e-3 * abs(a)
     assert abs(a - b) <= 1e-6 * abs(a)  # in practice far tighter than the contract
 
 
 def test_stationary_grid_covers_the_sweep():
     q = KernelQuery("e", 0, 1000.0)
-    xs = stationary_xs(q, P)
+    xs, top = stationary_xs(q, P)
     assert xs[0] == 0.0
     anchors = np.geomspace(2.0**-2.5, 2.0**2.5, 25)
     sweep = 1000.0 * np.abs(decay.lam_prime("e", anchors, P))
+    assert top == pytest.approx(sweep.max(), rel=1e-14)
     assert xs.max() >= 2.9 * sweep.max()
     assert np.all(np.diff(xs) > 0)
     # the ion shell at the curvature flip gets the Airy cluster
     q_star = KernelQuery("i", 1, 1000.0)
-    assert len(stationary_xs(q_star, P)) > len(xs)
+    assert len(stationary_xs(q_star, P)[0]) > len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,5 +273,7 @@ def test_experiment_nonlinear_short_run():
     assert len(out["sup"]) == 3
     assert np.all(np.isfinite(out["sup"]))
     assert out["sup"][0] > 0
-    with pytest.raises(ValueError):
-        nonlinear_decay_experiment(5, 1e-4, -1.0, P)
+    # a NaN horizon once returned t = [nan, ...] and a constant sup series
+    for horizon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            nonlinear_decay_experiment(5, 1e-4, horizon, P, grid=Grid(16), linear=True, samples=3)

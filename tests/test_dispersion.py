@@ -17,7 +17,6 @@ from twofluid.dispersion import (
     lam_prime,
     lam_prime_inverse,
     lam_second,
-    make_ctx,
     q_i,
     speed,
     verify_identities,
@@ -110,11 +109,9 @@ def test_asymptotic_speeds():
 
 
 def test_ctx_frozen_values():
-    ctx = make_ctx(DEFAULT_PARAMS)
-    assert ctx.r_star == pytest.approx(1.9107348810801443, rel=1e-12)
-    assert ctx.k_star == pytest.approx(np.log2(ctx.r_star), rel=1e-15)
-    assert ctx.R_e == pytest.approx(0.044810690422728866, rel=1e-10)
-    assert ctx.R_b == pytest.approx(0.007454801253998202, rel=1e-10)
+    assert find_r_star(DEFAULT_PARAMS) == pytest.approx(1.9107348810801443, rel=1e-12)
+    assert find_R_sigma("e", DEFAULT_PARAMS) == pytest.approx(0.044810690422728866, rel=1e-10)
+    assert find_R_sigma("b", DEFAULT_PARAMS) == pytest.approx(0.007454801253998202, rel=1e-10)
 
 
 def test_r_star_is_inflection():

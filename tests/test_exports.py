@@ -1,7 +1,23 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import twofluid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that nothing in the package or the benchmark calls, kept on
+# purpose; every other public function or class needs a caller there
+ORACLES = (
+    ("multiplier", "pointwise catalog symbol m_{sigma;mu,nu}; tests check both nonlinearity routes against it"),
+    ("dispersive_residual", "residual of (d_t + i Lam)U = N along a trajectory; tests check the diagonalization with it"),
+    ("local_energy_residual", "pointwise energy identity; tests check rhs and its fluxes against it"),
+    ("spatial_localize", "rebuilds the dyadic piece that z_norm_upper reports, independently of it"),
+    ("z_norm_upper", "the paper's Z-norm bound of a profile, computed nowhere else"),
+    ("hn_norm", "the paper's H^N norm of a profile, computed nowhere else"),
+    ("r_munu_prime", "d r^{mu,nu}/ds of the paper's resonant geometry, computed nowhere else"),
+)
 
 
 def test_every_exported_name_resolves():
@@ -15,3 +31,34 @@ def test_every_exported_name_resolves():
             missing[name] = stale
     assert len(names) >= 10
     assert not missing
+
+
+def _public_defs(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _references(tree):
+    """(name, enclosing top-level definition) for every name read in ``tree``."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_public_name_has_a_caller():
+    package = sorted((ROOT / "src" / "twofluid").glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in package + sorted((ROOT / "perfbench").glob("*.py"))]
+    public = {name for tree in trees[:len(package)] for name in _public_defs(tree)}
+    # a definition that only refers to itself has no caller
+    used = {name for tree in trees for name, owner in _references(tree) if name != owner}
+    oracles = dict(ORACLES)
+    assert len(oracles) == len(ORACLES) == 7
+    uncalled = public - used
+    assert uncalled - set(oracles) == set(), sorted(uncalled - set(oracles))
+    # an oracle that gained a caller, or went, leaves the list
+    assert set(oracles) <= uncalled, sorted(set(oracles) - uncalled)

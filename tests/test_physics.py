@@ -292,13 +292,33 @@ def test_integrate_rejects_invalid_input():
     for times, dt in (([1.0, 2.0, 1.5], 1e-3),   # decreasing
                       ([0.5, 2.0], 1e-3),        # before the state's time
                       ([1.0, 2.0], 0.0),         # dt <= 0
-                      ([1.0, 2.0], -1e-3)):
+                      ([1.0, 2.0], -1e-3),
+                      # a NaN target was once yielded unstepped, or stamped
+                      # with the previous time
+                      ([np.nan], 1e-3),
+                      ([1.0, np.nan, 1.002], 1e-3),
+                      ([1.0, np.inf], 1e-3)):
         with pytest.raises(ValueError):
             list(integrate(s, times, dt, P))
 
 
 # ---------------------------------------------------------------------------
 # constraints
+
+
+@pytest.mark.parametrize("n,kmax", [(8, 4), (16, 8), (16, None)])
+def test_make_irrotational_is_real_with_nyquist_content(n, kmax):
+    # grad, curl and the electric solve multiply by the odd symbol i xi, which
+    # breaks conjugate symmetry on the self-mirrored index n/2
+    g = Grid(n)
+    s = random_irrotational(g, P, _rng(), amplitude=1e-2, kmax=kmax)
+    for name, c in zip(FIELDS, (s.n, s.rho, s.v, s.u, s.E, s.B)):
+        assert is_hermitian(c, tol=1e-12), name
+    for val in constraints(s, P).values():
+        assert val <= 1e-12
+    rhs(s, P)
+    (out,) = integrate(s, [1e-3], 1e-3, P)
+    assert out.t == pytest.approx(1e-3)
 
 
 def test_make_irrotational_satisfies_constraints():

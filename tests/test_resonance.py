@@ -20,7 +20,6 @@ from twofluid.resonance import (
     T_SELL,
     VACUOUS_A,
     admissible_cases,
-    atlas,
     caseB_r,
     case_d_window,
     classify,
@@ -30,7 +29,6 @@ from twofluid.resonance import (
     phi,
     psi,
     psi_zeros,
-    q_munu,
     r_fixed_point,
     r_munu,
     r_munu_prime,
@@ -278,10 +276,9 @@ def test_q_munu_kills_the_gradient(key):
     sp = _parse(key)
     for r in (0.02, 0.3, 1.4):
         eta_v = r * E3
-        xi_v = q_munu(sp, eta_v, P)
+        # the paper's q^{mu,nu}(eta) = t_tilde(|eta|) eta/|eta| on the ray of eta
+        xi_v = t_tilde(sp, r, P) * E3
         assert np.linalg.norm(rs.xi(sp, xi_v, eta_v, P)) <= 1e-10
-    with pytest.raises(ValueError):
-        q_munu(sp, np.zeros(3), P)
 
 
 # ---------------------------------------------------------------------------
@@ -588,24 +585,3 @@ def test_partition_report_in_box():
     assert not rep.in_box((-9, 0, 0))
     assert not rep.in_box((0, 5, 0))
     assert rep.ok
-
-
-def test_atlas_rows():
-    rows = atlas(_parse("i;i+,i+"), P, shells=range(-6, -1), delta1=2.0**-10,
-                 delta2=2.0**-10, resolution=(128, 64, 32))
-    assert rows
-    keys = {"k", "k1", "k2", "count", "min_phi", "min_xi", "cases"}
-    hot = 0
-    for row in rows:
-        assert set(row) == keys
-        assert -6 <= row["k"] <= -2
-        assert row["count"] >= 0
-        assert row["min_phi"] >= 0.0
-        assert not np.isnan(row["min_xi"])
-        assert set(row["cases"]) <= set("ABC")
-        if row["count"] > 0:
-            hot += 1
-            assert row["min_phi"] <= 2.0**-10
-            assert row["min_xi"] <= 2.0**-10
-            assert "C" in row["cases"]
-    assert hot > 0
