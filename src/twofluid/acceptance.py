@@ -19,6 +19,7 @@ from .dispersion import DEFAULT_PARAMS, find_R_sigma, verify_identities, verify_
 from .spectral import Grid, l2_norm
 from .physics import (
     FIELDS,
+    _random_seed,
     cfl_dt,
     constraints,
     gronwall_constant,
@@ -45,7 +46,6 @@ from .resonance import (
     verify_case_partition,
 )
 from .resonance import xi as xi_gradient
-from .spectral import random_real_field, random_vector_field
 
 P = DEFAULT_PARAMS
 
@@ -259,34 +259,22 @@ def _decay_exponents():
     return ok, "; ".join(parts)
 
 
-def _refine_seed(coef: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Embed spectral coefficients into a finer grid, continuum values fixed."""
-    scale = (n_to / n_from) ** 1.5
-    idx = np.fft.fftfreq(n_from, 1.0 / n_from).astype(int)
-    src = np.nonzero(np.abs(idx) < n_from // 2)[0]  # drop the unpaired Nyquist row
+def _refine_seed(coef: np.ndarray, coarse: Grid, n_to: int) -> np.ndarray:
+    """Embed coefficients on ``coarse`` into an n_to grid, continuum values fixed."""
+    scale = (n_to / coarse.n) ** 1.5
+    idx = coarse.modes[0, :, 0, 0]
+    src = np.flatnonzero(np.abs(idx) < coarse.n // 2)  # drop the unpaired Nyquist row
     dst = idx[src] % n_to
-    if coef.ndim == 4:
-        return np.stack([_refine_seed(c, n_from, n_to) for c in coef])
-    out = np.zeros((n_to,) * 3, dtype=complex)
-    out[np.ix_(dst, dst, dst)] = coef[np.ix_(src, src, src)] * scale
+    out = np.zeros(coef.shape[:-3] + (n_to,) * 3, dtype=complex)
+    out[(..., *np.ix_(dst, dst, dst))] = coef[(..., *np.ix_(src, src, src))] * scale
     return out
 
 
 @_criterion(10, "energy growth bound", 600.0)
 def _energy_bound():
-    nc, nf = 16, 32
-    gc, gf = Grid(nc), Grid(nf)
-    rng = np.random.default_rng(42)
-    amp, kmax = 0.05, 2
-    seed_c = {
-        "n": random_real_field(gc, rng, kmax=kmax, rms=amp),
-        "rho": random_real_field(gc, rng, kmax=kmax, rms=amp),
-        "v_pot": random_real_field(gc, rng, kmax=kmax, rms=amp),
-        "u_pot": random_real_field(gc, rng, kmax=kmax, rms=amp),
-        "E_t": random_vector_field(gc, rng, kmax=kmax, rms=amp),
-        "b_seed": random_vector_field(gc, rng, kmax=kmax, rms=amp),
-    }
-    seed_f = {k: _refine_seed(v, nc, nf) for k, v in seed_c.items()}
+    gc, gf = Grid(16), Grid(32)
+    seed_c = _random_seed(gc, np.random.default_rng(42), 0.05, 2, True)
+    seed_f = {k: _refine_seed(v, gc, gf.n) for k, v in seed_c.items()}
 
     def run_grid(g: Grid, seed: dict, n_steps: int, sample_every: int):
         dt = 0.4 * cfl_dt(g, P)

@@ -23,9 +23,9 @@ import numpy as np
 
 from .dispersion import BRANCHES, _root, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
-from .spectral import BETA, Grid, phi_interval, to_physical
+from .spectral import BETA, Grid, phi_interval
 from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
-from .physics import PhysState, _derivative_symbols, cfl_dt, integrate, random_irrotational
+from .physics import PhysState, _derivative_sups, cfl_dt, integrate, random_irrotational
 
 __all__ = [
     "KernelQuery",
@@ -47,6 +47,8 @@ _MIN_NODES = 8192
 # quadrature nodes held in memory at once, and anchor radii of the stationary sweep
 _CHUNK = 1 << 22
 _ANCHORS = 25
+#: the derivative order of the monitor sup_{|alpha| <= 4} ||D^alpha fields||_inf
+MONITOR_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -134,16 +136,11 @@ def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
     return scale * out
 
 
-def _branch_fns(branch: str, p: PlasmaParams):
-    return (lambda s: lam(branch, s, p)), (lambda s: lam_prime(branch, s, p))
-
-
 def kernel_profile(q: KernelQuery, p: PlasmaParams, xs) -> np.ndarray:
     """K_{k,t} evaluated at each radius |x| in xs."""
-    lam_fn, lamp_fn = _branch_fns(q.branch, p)
     a, b = q.support
-    weight = lambda s: phi_interval(s, q.k - 2, q.k + 2)  # noqa: E731
-    return radial_kernel(lam_fn, lamp_fn, weight, a, b, q.t, xs,
+    return radial_kernel(lambda s: lam(q.branch, s, p), lambda s: lam_prime(q.branch, s, p),
+                         lambda s: phi_interval(s, q.k - 2, q.k + 2), a, b, q.t, xs,
                          points_per_cycle=q.points_per_cycle)
 
 
@@ -236,14 +233,9 @@ def decay_fit(ts, sups) -> dict:
 # desk-scale nonlinear consistency probe
 
 
-def _sup_derivatives(state: PhysState, order: int = 4) -> float:
-    """sup over fields and multi-indices |alpha| <= order of ||D^alpha .||_inf."""
-    g = state.grid
-    best = 0.0
-    for sym in _derivative_symbols(g, order):
-        for c in state.buf:
-            best = max(best, float(np.max(np.abs(to_physical(g, sym * c).real))))
-    return best
+def _sup_derivatives(state: PhysState) -> float:
+    """sup over fields and multi-indices |alpha| <= MONITOR_ORDER of ||D^alpha .||_inf."""
+    return float(np.max(_derivative_sups(state, MONITOR_ORDER)))
 
 
 def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,

@@ -37,6 +37,7 @@ from .params import PlasmaParams
 from .physics import FIELDS, PhysState, _require_real, constraints, ep_electric
 from .spectral import (
     Grid,
+    _inv0,
     curl,
     dealias,
     div,
@@ -186,13 +187,14 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     R, nrm = sym.R, sym.norm
     ieps = p.epsilon ** -0.5
 
-    S_e, D_e = d.U_e + _bar(d.U_e), d.U_e - _bar(d.U_e)
-    S_i, D_i = d.U_i + _bar(d.U_i), d.U_i - _bar(d.U_i)
+    bar_e, bar_i = _bar(d.U_e), _bar(d.U_i)
+    S_e, D_e = d.U_e + bar_e, d.U_e - bar_e
+    S_i, D_i = d.U_i + bar_i, d.U_i - bar_i
     # U_b enters the fields through its transverse part only; projecting here
     # keeps the reconstruction admissible for arbitrary coefficient input
     U_b = q2_apply(g, d.U_b)
-    re_b = hermitize(U_b)
-    im_b = -0.5j * (U_b - _bar(U_b))
+    bar_b = _bar(U_b)
+    re_b, im_b = 0.5 * (U_b + bar_b), -0.5j * (U_b - bar_b)
 
     r_le = sym.mod_over_branch("e")
     inv_qi = sym.mod_over_branch("i")
@@ -304,13 +306,6 @@ _B_ROW_SIGNS = {
     ("cross", "-", "+"): (0.5, -0.5),
     ("cross", "-", "-"): (-0.5, -0.5),
 }
-
-
-def _inv0(x: np.ndarray) -> np.ndarray:
-    """1/x continued by 0 at x = 0 (lattice zero-mode convention)."""
-    out = np.zeros_like(x)
-    np.divide(1.0, x, out=out, where=x != 0)
-    return out
 
 
 class _Radius:

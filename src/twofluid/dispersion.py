@@ -23,7 +23,9 @@ branch formulas and their derivatives live in one place, :func:`jet`, which
 forms the common subexpressions once per call and returns lambda, lambda'
 and lambda'' up to the requested order; `lam`, `lam_prime` and
 `lam_second` are selections from it, and :func:`lam_prime_inverse` is its
-one inverse.  Every radial root of the package is solved on arrays by
+one inverse.  `jet`'s ion branch, `q_i` and `q_i_prime` read q_i and q_i'
+from one helper, and :func:`h_eps` returns H_eps and its two derivatives
+like `jet`.  Every radial root of the package is solved on arrays by
 `_root`.  The radical shape is kept as a private reference
 (`_lambda_i_radical`) and the exact identities are verified in arbitrary
 precision by :func:`verify_identities`.
@@ -77,6 +79,15 @@ def _m_prime(r, u, s, eps, T):
     return (T + eps) * r + (T - eps) * r * u / s
 
 
+def _q_i_jet(r, r2, u, s, eps, T, M, order: int) -> tuple:
+    """(q_i, q_i')[:order + 1] with q_i = sqrt(A/M), A = 1 + T + T r^2."""
+    A = 1 + T + T * r2
+    qi = np.sqrt(A / M)
+    if order == 0:
+        return (qi,)
+    return qi, qi * (T * r / A - _m_prime(r, u, s, eps, T) / (2 * M))
+
+
 def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
     """(lambda, lambda', lambda'')[:order + 1] of one branch, vectorized over r >= 0.
 
@@ -109,8 +120,7 @@ def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
             out.append((Mpp / eps - 2 * lep * lep) / (2 * le))
         return tuple(out)
     # ion branch in the factored form r * q_i(r); exact zero at r = 0
-    A = 1 + T + T * r2
-    qi = np.sqrt(A / M)
+    qi, *dqi = _q_i_jet(r, r2, u, s, eps, T, M, int(order == 2))
     out = [r * qi]
     if order >= 1:
         # 2 lambda_i lambda_i' = r W with W = ((T+eps) - (T-eps) u/s)/eps
@@ -119,8 +129,7 @@ def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
     if order == 2:
         # lambda_i' = W/(2 q_i); differentiate the quotient
         Wp = -8 * (T - eps) ** 2 * r / s**3
-        qip = qi * (T * r / A - _m_prime(r, u, s, eps, T) / (2 * M))
-        out.append(Wp / (2 * qi) - W * qip / (2 * qi * qi))
+        out.append(Wp / (2 * qi) - W * dqi[0] / (2 * qi * qi))
     return tuple(out)
 
 
@@ -185,21 +194,11 @@ def lam_prime_inverse(branch: str, v, p: PlasmaParams):
 
 # -- auxiliary radial symbols --------------------------------------------------
 
-def h_eps(r, p: PlasmaParams):
-    """H_eps(r) = sqrt((1 + T r^2)/eps), the electron branch without coupling."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return np.sqrt((1 + T * r2) / eps)
-
-
-def h_eps_prime(r, p: PlasmaParams):
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return T * r / (eps * np.sqrt((1 + T * r2) / eps))
-
-
-def h_eps_second(r, p: PlasmaParams):
+def h_eps(r, p: PlasmaParams) -> tuple:
+    """(H, H', H'') of H_eps(r) = sqrt((1 + T r^2)/eps), the uncoupled electron branch."""
     r, r2, u, s, eps, T, dtype = _prep(r, p)
     h = np.sqrt((1 + T * r2) / eps)
-    return T / (eps**2 * h**3)
+    return h, T * r / (eps * h), T / (eps**2 * h**3)
 
 
 def coupling(r, p: PlasmaParams):
@@ -218,15 +217,12 @@ def q_i(r, p: PlasmaParams):
     Decreasing from q_i(0) to 1; in particular r <= lambda_i(r) <= q_i(0) r.
     """
     r, r2, u, s, eps, T, dtype = _prep(r, p)
-    A = 1 + T + T * r2
-    return np.sqrt(A / _m_of_r(r2, s, eps, T))
+    return _q_i_jet(r, r2, u, s, eps, T, _m_of_r(r2, s, eps, T), 0)[0]
 
 
 def q_i_prime(r, p: PlasmaParams):
     r, r2, u, s, eps, T, dtype = _prep(r, p)
-    A = 1 + T + T * r2
-    M = _m_of_r(r2, s, eps, T)
-    return np.sqrt(A / M) * (T * r / A - _m_prime(r, u, s, eps, T) / (2 * M))
+    return _q_i_jet(r, r2, u, s, eps, T, _m_of_r(r2, s, eps, T), 1)[1]
 
 
 # -- stable differences of squared branches ------------------------------------
@@ -418,7 +414,7 @@ def verify_tech99(p: PlasmaParams) -> Report:
     (li, lip, lis), (le, lep, les), (lb, _, lbs) = (jet(b, r, p) for b in BRANCHES)
     qi = q_i(r, p)
     qip = q_i_prime(r, p)
-    he, hep, hes = h_eps(r, p), h_eps_prime(r, p), h_eps_second(r, p)
+    he, hep, hes = h_eps(r, p)
 
     def count(bad) -> int:
         return int(np.count_nonzero(bad))

@@ -76,6 +76,8 @@ ENERGY_ORDER_MAX = 8
 CFL_SAFETY = 0.5
 #: a sample time counts as reached once the state is this close to it
 TIME_TOL = 1e-12
+#: the sup-norms of `gronwall_quantities`, in summation order; "grad_x" is sup |grad x|
+_GRONWALL_KEYS = ("grad_n", "v", "grad_v", "grad_rho", "u", "grad_u", "grad_E", "B", "grad_B")
 
 
 class SystemKind(enum.Enum):
@@ -373,9 +375,8 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     Seed keys (all optional, spectral coefficient arrays):
       n, rho        density perturbations (projected mean-zero)
       v_pot, u_pot  scalar potentials for the longitudinal velocities
-      b_seed        vector whose transverse part seeds the rotational sector
-      v_rot, u_rot  explicit rotational velocities; must satisfy
-                    u_rot = -eps * v_rot when both are given
+      b_seed        vector whose transverse part vr seeds the rotational
+                    sector: v gets vr, u gets -eps vr, B = eps curl vr
       E_t           transverse electric seed (longitudinal part is solved
                     from rho - n)
       t             initial time, finite
@@ -383,7 +384,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     content on the unpaired Nyquist planes (index n/2 on any axis) is
     dropped, so the state is real.
     """
-    scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "v_rot", "u_rot", "E_t"}
+    scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "E_t"}
     known = scalars | vectors | {"t"}
     shape = lambda key: (grid.n,) * 3 if key in scalars else (3,) + (grid.n,) * 3  # noqa: E731
     if not set(seed) <= known:
@@ -394,8 +395,6 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
             raise ValueError(f"seed {key!r} must have shape {want}, got {np.shape(seed[key])}")
     if not np.isfinite(seed.get("t", 0.0)):
         raise ValueError(f"seed time must be finite, got {seed['t']!r}")
-    if "b_seed" in seed and ("v_rot" in seed or "u_rot" in seed):
-        raise ValueError("give either b_seed or explicit rotational velocities, not both")
 
     h = grid.n // 2
 
@@ -412,21 +411,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     s.n, s.rho = take("n"), take("rho")
     s.n[0, 0, 0] = 0.0
     s.rho[0, 0, 0] = 0.0
-
-    if "v_rot" in seed or "u_rot" in seed:
-        if "v_rot" in seed and "u_rot" in seed:
-            vr, ur = take("v_rot"), take("u_rot")
-            scale = max(np.max(np.abs(ur)), p.epsilon * np.max(np.abs(vr)), 1e-300)
-            if np.max(np.abs(ur + p.epsilon * vr)) > 1e-12 * scale:
-                raise ValueError("rotational seed violates u_rot = -eps * v_rot")
-        elif "v_rot" in seed:
-            vr = take("v_rot")
-        else:
-            vr = take("u_rot") / (-p.epsilon)
-        vr = q2_apply(grid, vr)
-    else:
-        vr = q2_apply(grid, take("b_seed"))
-
+    vr = q2_apply(grid, take("b_seed"))
     s.v = grad(grid, take("v_pot")) + vr
     s.u = grad(grid, take("u_pot")) - p.epsilon * vr
     s.B = p.epsilon * curl(grid, vr)
@@ -434,9 +419,9 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     return s
 
 
-def random_irrotational(grid: Grid, p: PlasmaParams, rng,
-                        amplitude: float = 1e-3, kmax: int = 4,
-                        rotational: bool = True) -> PhysState:
+def _random_seed(grid: Grid, rng, amplitude: float, kmax: int, rotational: bool) -> dict:
+    """A `make_irrotational` seed of fields band-limited to kmax with rms
+    ``amplitude``, drawn in the order n, rho, v_pot, u_pot, E_t, b_seed."""
     seed = {
         "n": random_real_field(grid, rng, kmax=kmax, rms=amplitude),
         "rho": random_real_field(grid, rng, kmax=kmax, rms=amplitude),
@@ -446,35 +431,34 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
     }
     if rotational:
         seed["b_seed"] = random_vector_field(grid, rng, kmax=kmax, rms=amplitude)
-    return make_irrotational(grid, p, seed)
+    return seed
+
+
+def random_irrotational(grid: Grid, p: PlasmaParams, rng,
+                        amplitude: float = 1e-3, kmax: int = 4,
+                        rotational: bool = True) -> PhysState:
+    return make_irrotational(grid, p, _random_seed(grid, rng, amplitude, kmax, rotational))
 
 
 # ---------------------------------------------------------------------------
 # growth-rate monitors
 
 
-def _sup(grid: Grid, coef: np.ndarray) -> float:
-    return float(np.max(np.abs(to_physical(grid, coef).real)))
+def _derivative_sups(state: PhysState, order: int) -> np.ndarray:
+    """sup over the box of |D^gamma c|: one row per |gamma| <= order, in
+    `_multi_indices` order (row 0 is gamma = 0), one column per row c of buf."""
+    g = state.grid
+    return np.array([[np.max(np.abs(to_physical(g, sym * c).real)) for c in state.buf]
+                     for sym in _derivative_symbols(g, order)])
 
 
 def gronwall_quantities(state: PhysState) -> dict:
     """Sup-norms driving the energy inequality, and their sum A."""
-    g = state.grid
-
-    def sup_grad(name: str) -> float:
-        return max(_sup(g, grad(g, c)) for c in state.buf[ROWS[name]])
-
-    out = {
-        "grad_n": sup_grad("n"),
-        "v": _sup(g, state.v),
-        "grad_v": sup_grad("v"),
-        "grad_rho": sup_grad("rho"),
-        "u": _sup(g, state.u),
-        "grad_u": sup_grad("u"),
-        "grad_E": sup_grad("E"),
-        "B": _sup(g, state.B),
-        "grad_B": sup_grad("B"),
-    }
+    sups = _derivative_sups(state, 1)
+    out = {}
+    for key in _GRONWALL_KEYS:
+        rows = sups[1:] if key.startswith("grad_") else sups[:1]
+        out[key] = float(np.max(rows[:, ROWS[key.removeprefix("grad_")]]))
     out["A"] = sum(out.values())
     return out
 

@@ -26,8 +26,8 @@ via Phi^{sigma;mu,nu}(xi,eta) = Phi^{sigma;nu,mu}(xi,xi-eta)) but ordered
 for the geometry functions, whose defining equations distinguish the slots.
 
 The analytic box constant D is "sufficiently large" and carries no numeric
-value; scans expose D_num (default 10) and report case assignment as a
-function of it.
+value; its stand-in is D_NUM = 10, and the case conditions and the
+partition census take D_num to report case assignment as a function of it.
 """
 
 from dataclasses import dataclass, field
@@ -61,8 +61,8 @@ class PhaseSpec:
 
     @classmethod
     def parse(cls, text: str) -> "PhaseSpec":
-        """Accepts 'e;i+,e+' and, as an alternative spelling, 'e:i+,e+'."""
-        head, _, tail = text.replace(":", ";").partition(";")
+        """Reads the key spelling 'sigma;mu,nu', e.g. 'e;i+,e+'."""
+        head, _, tail = text.partition(";")
         mu, _, nu = tail.partition(",")
         return cls(head.strip(), mu.strip(), nu.strip())
 
@@ -424,25 +424,25 @@ def ctilde_report(p: PlasmaParams) -> dict:
     return rows
 
 
-def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams,
-            D_num: int = D_NUM) -> dict:
+def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams) -> dict:
     """Case-B resonant radius: the root r of lambda'_{sigma_2}(r) = lambda'_i(|s - r|).
 
     The even extension of lambda'_i is C^1 at zero (lambda_i'' vanishes
     there), so the equation has a single root near R_{sigma_2} regardless
     of the ion sign; which side of R_{sigma_2} the near-resonances live on
-    is decided by iota_1 afterwards.
+    is decided by iota_1 afterwards.  The output radius s must be positive
+    and within 2^(-D_NUM/5) of R_{sigma_2}.
     """
     c = spec.canonical()
     if c not in T_B:
         raise ValueError(f"{spec.key} is not a case-B phase")
     sigma2 = c.branch2
     R = find_R_sigma(sigma2, p)
-    if not abs(s - R) < 2.0 ** (-D_num / 5.0):
+    if not (s > 0 and abs(s - R) < 2.0 ** (-D_NUM / 5.0)):
         raise ValueError(f"s = {s:.6g} outside the case-B window around {R:.6g}")
     g = lambda r: lam_prime(sigma2, r, p) - lam_prime("i", abs(s - r), p)  # noqa: E731
-    lo = max(R - 2.0 ** (-D_num / 10.0), 0.0)
-    hi = R + 2.0 ** (-D_num / 10.0)
+    lo = max(R - 2.0 ** (-D_NUM / 10.0), 0.0)
+    hi = R + 2.0 ** (-D_NUM / 10.0)
     root = float(_root(g, lo, hi))
     return {"R": R, "r": root, "residual": float(g(root))}
 
@@ -532,15 +532,14 @@ def _phase_on_plane(spec: PhaseSpec, t: dict):
 
 def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
                        delta1: float, delta2: float, p: PlasmaParams,
-                       resolution: tuple = (256, 256, 128),
-                       D_num: int = D_NUM) -> list:
+                       resolution: tuple = (256, 256, 128)) -> list:
     """All grid samples of shell (k, k1, k2) with |Xi| <= delta1, |Phi| <= delta2.
 
     The scan is exhaustive over the rotation-reduced grid: radial xi times
     radial eta (both geometric) times the polar angle, with the xi - eta
     shell enforced as a filter.
     """
-    cases = admissible_cases(classify(spec), k, k1, k2, D_num)
+    cases = admissible_cases(classify(spec), k, k1, k2, D_NUM)
     out = []
     for t in _sweep(p, (k, k), (k2, k2), resolution, block=64):
         Phi, Xi2 = _phase_on_plane(spec, t)

@@ -74,6 +74,8 @@ __all__ = [
 
 #: the 2/3 rule: products keep the modes with every |m_axis| <= (2/3)(n/2)
 _DEALIAS = 2.0 / 3.0
+#: scipy.fft threads of every transform of the package: all the process may use
+_FFT_WORKERS = -1
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,7 @@ class Grid:
     @functools.cached_property
     def inv_xi_mag(self) -> np.ndarray:
         """1/|xi| with the zero mode mapped to 0."""
-        out = np.zeros_like(self.xi_mag)
-        np.divide(1.0, self.xi_mag, out=out, where=self.xi_mag > 0)
-        return out
+        return _inv0(self.xi_mag)
 
     @functools.cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -139,11 +139,18 @@ class Grid:
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return sfft.fftn(values, axes=(-3, -2, -1), norm="ortho", workers=-1)
+    return sfft.fftn(values, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
 
 
 def to_physical(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(coef, axes=(-3, -2, -1), norm="ortho", workers=-1)
+    return sfft.ifftn(coef, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
+
+
+def _inv0(x: np.ndarray) -> np.ndarray:
+    """1/x continued by 0 at x = 0 (lattice zero-mode convention)."""
+    out = np.zeros_like(x)
+    np.divide(1.0, x, out=out, where=x != 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +159,7 @@ def to_physical(grid: Grid, coef: np.ndarray) -> np.ndarray:
 
 def reflect(coef: np.ndarray) -> np.ndarray:
     """coef evaluated at -xi (index reversal respecting FFT layout)."""
-    out = coef[..., ::-1, ::-1, ::-1]
-    for ax in (-3, -2, -1):
-        out = np.roll(out, 1, axis=ax)
-    return out
+    return np.roll(coef[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
 
 
 def hermitize(coef: np.ndarray) -> np.ndarray:
@@ -341,16 +345,17 @@ _BALL_CACHE_SIZE = 12
 
 @functools.lru_cache(maxsize=_BALL_CACHE_SIZE)
 def _ball_kernel_hat(grid: Grid, m: int) -> np.ndarray:
-    """FFT of the lattice indicator of the ball |xi| <= 2^m (minimal image)."""
+    """n^{3/2} (the convolution constant) times the transform of the lattice
+    indicator of the ball |xi| <= 2^m (minimal image)."""
     ind = (grid.xi_mag <= 2.0**m).astype(float)
-    return sfft.fftn(ind)
+    return grid.n**1.5 * to_spectral(grid, ind)
 
 
 def _ball_sum_max(grid: Grid, fa: np.ndarray, m: int) -> float:
     # circular convolution: sum of the |hat| array over a ball around every
     # lattice center at once; the periodic wrap can only enlarge a ball, so
     # the sup stays an upper bound for its continuum counterpart
-    s = sfft.ifftn(fa * _ball_kernel_hat(grid, m)).real
+    s = to_physical(grid, fa * _ball_kernel_hat(grid, m)).real
     return float(s.max())
 
 
@@ -377,7 +382,7 @@ def b_norms(grid: Grid, piece: DyadicPiece) -> dict:
 
     b1 = lead * (2.0 ** ((1.0 + BETA) * j) * hl2 + 2.0 ** (0.5 * ktil - BETA * ktil) * hsup)
 
-    fa = sfft.fftn(a)
+    fa = to_spectral(grid, a)
     ball = max(
         4.0 ** (-m) * _ball_sum_max(grid, fa, m) * grid.cell_volume_xi
         for m in range(-j, k + 1)

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from twofluid import acceptance
+from twofluid.physics import _random_seed
+from twofluid.spectral import Grid, to_physical
 
 # the criteria that finish within seconds; [4], [5], [7], [9] and [10] run
 # for minutes and are left to a full acceptance run
@@ -29,3 +32,16 @@ def test_partition_detail_reports_counts(monkeypatch):
     assert "home triples" in res.detail
     assert "elliptic hits" in res.detail
     assert "{" not in res.detail and "raised" not in res.detail
+
+
+def test_refine_seed_keeps_continuum_values():
+    # criterion [10] embeds its 16^3 seed into 32^3; the fine field must take
+    # the coarse field's values at the shared grid points, scalars and vectors
+    coarse, fine = Grid(16), Grid(32)
+    seed = _random_seed(coarse, np.random.default_rng(3), 0.05, 4, True)
+    for key, coef in seed.items():
+        refined = acceptance._refine_seed(coef, coarse, fine.n)
+        assert refined.shape == coef.shape[:-3] + (fine.n,) * 3
+        want = to_physical(coarse, coef)
+        got = to_physical(fine, refined)[..., ::2, ::2, ::2]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key

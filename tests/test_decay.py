@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from twofluid.dispersion import DEFAULT_PARAMS
 from twofluid.spectral import Grid, phi_interval, to_physical, to_spectral
 from twofluid.diagonal import DispState
-from twofluid.physics import PhysState
+from twofluid.physics import PhysState, _derivative_sups
 from twofluid import decay
 from twofluid.decay import (
     KernelQuery,
@@ -247,6 +247,11 @@ def test_sup_derivatives_plane_wave():
                       zero_v.copy(), zero_v.copy(), 0.0)
     # max over |alpha| <= 4 of ||D^alpha cos(2 x_1)||_inf = 2^4
     assert decay._sup_derivatives(state) == pytest.approx(16.0, rel=1e-10)
+    # the table behind it: 35 multi-indices by 14 rows, nonzero only in n's column
+    table = _derivative_sups(state, 4)
+    assert table.shape == (35, 14)
+    assert np.max(table[:, 0]) == pytest.approx(16.0, rel=1e-10)
+    assert not np.any(table[:, 1:])
 
 
 def test_experiment_zero_amplitude():

@@ -205,6 +205,23 @@ def test_gap_functions_match_literal_differences():
     np.testing.assert_allclose(gap_b_e(r, p), lb2 - le2, rtol=1e-8)
 
 
+def test_auxiliary_symbols_match_their_definitions():
+    # q_i = lambda_i / r continued by sqrt((1+T)/(1+eps)), H_eps = sqrt((1+T r^2)/eps),
+    # and their derivatives against central differences
+    p = DEFAULT_PARAMS
+    r = np.linspace(0.2, 8.0, 40)
+    h = 1e-5
+    np.testing.assert_allclose(q_i(r, p), lam("i", r, p) / r, rtol=1e-14)
+    assert q_i(0.0, p) == pytest.approx(np.sqrt((1 + p.T) / (1 + p.epsilon)), rel=1e-15)
+    fd = (q_i(r + h, p) - q_i(r - h, p)) / (2 * h)
+    np.testing.assert_allclose(disp.q_i_prime(r, p), fd, rtol=1e-6)
+    H, dH, d2H = disp.h_eps(r, p)
+    np.testing.assert_allclose(H, np.sqrt((1 + p.T * r**2) / p.epsilon), rtol=1e-15)
+    for order, deriv in ((0, dH), (1, d2H)):
+        fd = (disp.h_eps(r + h, p)[order] - disp.h_eps(r - h, p)[order]) / (2 * h)
+        np.testing.assert_allclose(deriv, fd, rtol=1e-6)
+
+
 def test_longdouble_pass_through():
     p = DEFAULT_PARAMS
     r = np.linspace(0.0, 5.0, 11).astype(np.longdouble)

@@ -62,3 +62,26 @@ def test_every_public_name_has_a_caller():
     assert uncalled - set(oracles) == set(), sorted(uncalled - set(oracles))
     # an oracle that gained a caller, or went, leaves the list
     assert set(oracles) <= uncalled, sorted(set(oracles) - uncalled)
+
+
+# parameters with defaults plus dataclass fields over the package, as counted
+# when the unused options became constants; the count may only go down
+SETTABLE_VALUES_MAX = 100
+
+
+def _settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    package = sorted((ROOT / "src" / "twofluid").glob("*.py"))
+    total = sum(_settable_values(ast.parse(path.read_text())) for path in package)
+    assert total <= SETTABLE_VALUES_MAX, total

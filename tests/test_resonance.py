@@ -101,10 +101,11 @@ def test_parse_and_swap():
     sp = _parse("e;i+,e-")
     assert (sp.sigma, sp.mu, sp.nu) == ("e", "i+", "e-")
     assert (sp.branch1, sp.branch2, sp.iota1, sp.iota2) == ("i", "e", 1, -1)
-    assert PhaseSpec.parse("e:i+,e-") == sp
     assert PhaseSpec.parse(sp.key) == sp
     assert sp.swapped().swapped() == sp
     assert sp.swapped().canonical() == sp.canonical() == sp
+    with pytest.raises(ValueError):
+        PhaseSpec.parse("e:i+,e-")  # ";" is the one separator
     with pytest.raises(ValueError):
         PhaseSpec.parse("x;i+,e+")
     with pytest.raises(ValueError):
@@ -415,7 +416,8 @@ def test_caseB_exact_at_R():
         assert abs(d["residual"]) <= 1e-12
 
 
-# (R - r) / (s - R)^2 near the degenerate radius, both window sides
+# (R - r) / (s - R)^2 near the degenerate radius, both window sides, at
+# offsets that keep s positive: +-R_b/2 (R_b = 0.00745), +-0.02 (R_e = 0.0448)
 PULL_IN = {"b;i+,b+": 0.00557, "e;i+,e+": 0.03357}
 
 
@@ -423,7 +425,8 @@ PULL_IN = {"b;i+,b+": 0.00557, "e;i+,e+": 0.03357}
 def test_caseB_quadratic_pull_in(key):
     sp = _parse(key)
     R = find_R_sigma(sp.canonical().branch2, P)
-    for ds in (-0.02, 0.02):
+    offset = R / 2 if key == "b;i+,b+" else 0.02
+    for ds in (-offset, offset):
         d = caseB_r(sp, R + ds, P)
         assert (d["R"] - d["r"]) / ds**2 == pytest.approx(PULL_IN[key], rel=0.02)
         assert np.sign(R + ds - d["r"]) == np.sign(ds)
@@ -438,6 +441,9 @@ def test_caseB_accepts_swapped_order_and_rejects_junk():
         caseB_r(_parse("b;b+,b+"), R, P)
     with pytest.raises(ValueError):
         caseB_r(_parse("b;i+,b+"), R + 0.3, P)  # outside the 2^{-D/5} window
+    for s in (R - 0.02, 0.0):  # inside the window, but not a radius
+        with pytest.raises(ValueError):
+            caseB_r(_parse("b;i+,b+"), s, P)
 
 
 # ---------------------------------------------------------------------------
