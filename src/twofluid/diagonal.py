@@ -29,20 +29,24 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import FIELDS, PhysState, _require_real, constraints, ep_electric
+from .physics import FIELDS, ROW_FIELDS, ROWS, PhysState, constraints, ep_electric
 from .spectral import (
     Grid,
     _inv0,
     curl,
     dealias,
     div,
+    full_spectrum,
+    half_spectrum,
     hermitize,
     inv_modulus,
+    is_hermitian,
     l2_norm,
     q2_apply,
     q_apply,
@@ -114,7 +118,8 @@ class DispState:
     """Dispersive unknowns as spectral coefficients.
 
     U_e, U_i are scalar complex fields, U_b a complex vector field; unlike a
-    PhysState the coefficients carry no conjugate symmetry.
+    PhysState the coefficients carry no conjugate symmetry, so they are kept
+    in the full layout of module spectral, (n, n, n) per component.
     """
 
     grid: Grid
@@ -139,6 +144,13 @@ def _bar(coef: np.ndarray) -> np.ndarray:
     return np.conj(reflect(coef))
 
 
+def _full_fields(s: PhysState) -> SimpleNamespace:
+    """The six fields of ``s`` in the full layout, by name."""
+    full = full_spectrum(s.grid, s.buf)
+    return SimpleNamespace(**{f: full[r.start] if r.stop - r.start == 1 else full[r]
+                              for f, r in ROWS.items()})
+
+
 # ---------------------------------------------------------------------------
 # the change of variables and its inverse
 
@@ -149,11 +161,15 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
     The map reads B only through Q and drops the spatial means of v, u, E,
     B, so it is one-to-one exactly on the constraint manifold; with
     ``check`` a violation of the constraints raises a warning rather than
-    an error.
+    an error, and a state that is not real (possible only on the
+    self-mirrored planes of the half layout) raises.  The state is expanded
+    to the full layout on entry.
     """
-    g = s.grid
+    g, t = s.grid, s.t
     if check:
-        _require_real(s)
+        for name, c in zip(ROW_FIELDS, s.buf):
+            if not is_hermitian(c, tol=1e-10):
+                raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
         viol = max(constraints(s, p).values())
         scale = max(l2_norm(g, getattr(s, name)) for name in FIELDS)
         if viol > 1e-8 * max(scale, 1e-12):
@@ -165,6 +181,7 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
     sym = _symbols(g, p)
     seps = np.sqrt(p.epsilon)
     R, nrm = sym.R, sym.norm
+    s = _full_fields(s)
 
     h = -inv_modulus(g, div(g, s.v))
     gg = -inv_modulus(g, div(g, s.u))
@@ -176,12 +193,13 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
                        + 1j * seps * R * h + 1j * gg)
     U_b = 0.5 * (sym.lam_b * inv_modulus(g, q_apply(g, s.B))
                  - 1j * q2_apply(g, s.E))
-    return DispState(g, U_e, U_i, U_b, s.t)
+    return DispState(g, U_e, U_i, U_b, t)
 
 
 def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     """Reconstruct the physical fields; real, with div B = 0 and Gauss law
-    holding by construction."""
+    holding by construction.  They are formed in the full layout and their
+    half spectra kept, Nyquist planes zeroed."""
     g = d.grid
     sym = _symbols(g, p)
     R, nrm = sym.R, sym.norm
@@ -198,18 +216,17 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
 
     r_le = sym.mod_over_branch("e")
     inv_qi = sym.mod_over_branch("i")
-    s = PhysState._empty(g, d.t)
-    s.n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
-    s.rho = nrm * (R * r_le * S_e + inv_qi * S_i)
+    n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
+    rho = nrm * (R * r_le * S_e + inv_qi * S_i)
     h = 1j * nrm * ieps * (D_e - R * D_i)
     gg = -1j * nrm * (R * D_e + D_i)
 
     a = re_b / sym.lam_b  # the vector potential-like combination
-    s.v = riesz(g, h) + (2.0 / p.epsilon) * a
-    s.u = riesz(g, gg) - 2.0 * a
-    s.E = ep_electric(g, s.n, s.rho) - 2.0 * im_b
-    s.B = 2.0 * curl(g, a)
-    return s
+    v = riesz(g, h) + (2.0 / p.epsilon) * a
+    u = riesz(g, gg) - 2.0 * a
+    E = ep_electric(g, n, rho) - 2.0 * im_b
+    B = 2.0 * curl(g, a)
+    return PhysState(g, *(half_spectrum(g, f) for f in (n, rho, v, u, E, B)), d.t)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +239,11 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     Products are formed pointwise in physical space and dealiased; the
     radial multipliers act on the transforms of the products.  Re(N_b) is
     zero by construction (the coefficients are symmetrized before the final
-    rotation by i).
+    rotation by i).  The state is expanded to the full layout on entry, the
+    layout of the returned unknowns.
     """
     g = s.grid
+    s = _full_fields(s)
     sym = _symbols(g, p)
     eps = p.epsilon
     seps = np.sqrt(eps)
@@ -664,5 +683,5 @@ def hn_norm(grid: Grid, coef: np.ndarray, order: int = 0) -> float:
     """Continuum-calibrated Sobolev norm of a coefficient field."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    w = (1.0 + grid.xi_mag ** 2) ** (order / 2.0)
+    w = (1.0 + grid.tables(coef).xi_mag ** 2) ** (order / 2.0)
     return l2_norm(grid, w * coef)

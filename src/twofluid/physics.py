@@ -2,13 +2,15 @@
 sides, RK4 stepping, weighted energies, and constraint monitors.
 
 The six unknowns are the density perturbations n, rho, the velocities v, u,
-and the rescaled fields E, B on a periodic box.  A :class:`PhysState` keeps
-their fourteen components as spectral coefficients in one complex buffer of
-shape (14, n, n, n) with the fields as views onto its rows (``ROWS``), so
-one loop over the rows reaches every component and the RK4 stages combine
-whole states row by row.  Quadratic products are formed in physical space
-and dealiased by the grid's 2/3 mask.  Runs to later sample times go
-through :func:`integrate`, the one stepping loop.
+and the rescaled fields E, B on a periodic box.  They are real, and a
+:class:`PhysState` keeps their fourteen components as the ``rfftn``
+half-spectrum of each: one complex buffer of shape (14, n, n, n//2 + 1) with
+the fields as views onto its rows (``ROWS``).  The layout makes the fields
+real, so nothing checks it; its Nyquist planes are zero and stay zero (see
+module spectral).  One batched transform reaches every row, and an RK4
+stage combines whole states in one operation.  Quadratic products are
+formed in physical space and dealiased by the grid's 2/3 mask.  Runs to
+later sample times go through :func:`integrate`, the one stepping loop.
 
 Two structural choices make the continuum conservation laws survive
 discretization exactly rather than to O(dt^4):
@@ -35,16 +37,16 @@ from .spectral import (
     Grid,
     cross,
     curl,
-    dealias,
     div,
     grad,
+    half_spectrum,
     hermitize,
-    is_hermitian,
     l2_norm,
     p_long,
     q2_apply,
     random_real_field,
     random_vector_field,
+    to_half,
     to_physical,
     to_spectral,
 )
@@ -92,28 +94,34 @@ def _field(name: str) -> property:
     return property(lambda s: s.buf[key], lambda s, value: s.buf.__setitem__(key, value))
 
 
-class PhysState:
-    """The six unknowns at time t, as one coefficient buffer.
+def _buffer(grid: Grid) -> np.ndarray:
+    return np.empty((14, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
 
-    ``buf`` has shape (14, n, n, n): rows 0 and 1 hold n and rho, rows 2:5,
-    5:8, 8:11 and 11:14 the components of v, u, E and B.  The attributes
-    ``n``, ``rho`` (n, n, n) and ``v``, ``u``, ``E``, ``B`` (3, n, n, n) are
+
+class PhysState:
+    """The six real unknowns at time t, as one half-spectrum buffer.
+
+    ``buf`` has shape (14, n, n, n//2 + 1), the ``rfftn`` layout of module
+    spectral: rows 0 and 1 hold n and rho, rows 2:5, 5:8, 8:11 and 11:14 the
+    components of v, u, E and B.  The attributes ``n``, ``rho``
+    (n, n, n//2 + 1) and ``v``, ``u``, ``E``, ``B`` (3, n, n, n//2 + 1) are
     views onto those rows; assigning to one (``s.n = arr``, ``s.B[:] = 0``)
-    writes into ``buf``.  The constructor copies its six arrays, real or
-    complex, into a new buffer.
+    writes into ``buf``.  The constructor copies its six half-layout arrays,
+    real or complex, into a new buffer.  The dispersive unknowns are not
+    real, so module diagonal keeps them in the full layout instead.
     """
 
     n, rho, v, u, E, B = (_field(f) for f in FIELDS)
 
     def __init__(self, grid: Grid, n, rho, v, u, E, B, t: float = 0.0):
-        self.grid, self.t, self.buf = grid, t, np.empty((14,) + (grid.n,) * 3, dtype=complex)
+        self.grid, self.t, self.buf = grid, t, _buffer(grid)
         self.n, self.rho, self.v, self.u, self.E, self.B = n, rho, v, u, E, B
 
     @classmethod
     def _empty(cls, grid: Grid, t: float = 0.0) -> "PhysState":
         """A state whose buffer is allocated but not initialized."""
         out = cls.__new__(cls)
-        out.grid, out.t, out.buf = grid, t, np.empty((14,) + (grid.n,) * 3, dtype=complex)
+        out.grid, out.t, out.buf = grid, t, _buffer(grid)
         return out
 
     @classmethod
@@ -124,24 +132,18 @@ class PhysState:
         return PhysState(self.grid, self.n, self.rho, self.v, self.u, self.E, self.B, self.t)
 
 
-def _require_real(state: PhysState) -> None:
-    for name, c in zip(ROW_FIELDS, state.buf):
-        if not is_hermitian(c, tol=1e-10):
-            raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
-
-
 def ep_electric(grid: Grid, n: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Electrostatic field slaved to the charge density, div E = rho - n."""
-    return -1j * grid.xi * ((rho - n) * grid.inv_xi_mag**2)
+    t = grid.tables(n)
+    return -1j * t.xi * ((rho - n) * t.inv_xi_mag**2)
 
 
 def rhs(state: PhysState, p: PlasmaParams,
         kind: SystemKind = SystemKind.euler_maxwell,
         linear: bool = False, check: bool = True) -> PhysState:
     """Tendencies of all six fields; the returned container carries d/dt
-    arrays in the field slots and the evaluation time in t."""
-    if check:
-        _require_real(state)
+    arrays in the field slots and the evaluation time in t.  ``check`` has
+    no effect: the half-spectrum layout makes every state real."""
     return _tendencies(state, p, kind, linear, PhysState._empty(state.grid))
 
 
@@ -154,44 +156,57 @@ def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: boo
     E = ep_electric(g, state.n, state.rho) if electrostatic else state.E
 
     out.t = state.t
+    xi = g.half.xi
     if linear:
         Je, Ji = state.v, state.u
-        out.v = -(T / eps) * grad(g, state.n) - E / eps
-        out.u = -grad(g, state.rho) + E
+        out.v = grad(g, -(T / eps) * state.n) - E / eps
+        out.u = grad(g, -state.rho) + E
     else:
-        n_p = to_physical(g, state.n).real
-        rho_p = to_physical(g, state.rho).real
-        v_p = to_physical(g, state.v).real
-        u_p = to_physical(g, state.u).real
-        Je = state.v + dealias(g, to_spectral(g, n_p * v_p))
-        Ji = state.u + dealias(g, to_spectral(g, rho_p * u_p))
-        B_eff = 0.0 if electrostatic else state.B
-        # the generalized-vorticity combinations; zero on admissible data
-        Y_p = to_physical(g, B_eff - eps * curl(g, state.v)).real
-        Z_p = to_physical(g, B_eff + curl(g, state.u)).real
-        v2 = dealias(g, to_spectral(g, np.sum(v_p**2, axis=0)))
-        u2 = dealias(g, to_spectral(g, np.sum(u_p**2, axis=0)))
-        out.v = (
-            -(T / eps) * grad(g, state.n)
-            - E / eps
-            - 0.5 * grad(g, v2)
-            - dealias(g, to_spectral(g, cross(v_p, Y_p))) / eps
-        )
-        out.u = (
-            -grad(g, state.rho)
-            + E
-            - 0.5 * grad(g, u2)
-            + dealias(g, to_spectral(g, cross(u_p, Z_p)))
-        )
+        # one inverse transform of n, rho, v, u and the generalized-vorticity
+        # combinations Y = B - eps curl v, Z = B + curl u (zero on admissible
+        # data) in the rows of E, B; out's buffer is the scratch, as out is
+        # written only after the transform
+        src = out.buf
+        src[:8] = state.buf[:8]  # n, rho, v, u
+        np.multiply(cross(xi, state.v), -1j * eps, out=src[ROWS["E"]])
+        np.multiply(cross(xi, state.u), 1j, out=src[ROWS["B"]])
+        if not electrostatic:
+            src[ROWS["E"]] += state.B
+            src[ROWS["B"]] += state.B
+        phys = to_physical(g, src)
+        # the fourteen products overwrite their factors' rows: |v|^2, |u|^2,
+        # n v, rho u, v x Y, u x Z; then one forward transform, dealiased
+        n_p, rho_p, v_p, u_p = phys[0], phys[1], phys[ROWS["v"]], phys[ROWS["u"]]
+        phys[ROWS["E"]] = cross(v_p, phys[ROWS["E"]])
+        phys[ROWS["B"]] = cross(u_p, phys[ROWS["B"]])
+        v2, u2 = np.sum(v_p**2, axis=0), np.sum(u_p**2, axis=0)
+        v_p *= n_p
+        u_p *= rho_p
+        phys[0], phys[1] = v2, u2
+        hat = to_half(g, phys)
+        hat *= g.half.dealias_mask
+        Je = hat[ROWS["v"]]
+        Je += state.v
+        Ji = hat[ROWS["u"]]
+        Ji += state.u
+        # grad(-(T/eps) n - |v|^2/2) - (E + v x Y)/eps, grad(-rho - |u|^2/2) + E + u x Z
+        force_e, force_i = hat[ROWS["E"]], hat[ROWS["B"]]
+        force_e += E
+        force_e *= -1.0 / eps
+        force_i += E
+        np.add(grad(g, -(T / eps) * state.n - 0.5 * hat[0]), force_e, out=out.v)
+        np.add(grad(g, -state.rho - 0.5 * hat[1]), force_i, out=out.u)
 
-    out.n = -div(g, Je)
-    out.rho = -div(g, Ji)
+    np.multiply(np.sum(xi * Je, axis=0), -1j, out=out.n)  # -div Je
+    np.multiply(np.sum(xi * Ji, axis=0), -1j, out=out.rho)
     if electrostatic:
         out.B = 0.0
         out.E = p_long(g, Je - Ji)
     else:
-        out.B = -curl(g, E)
-        out.E = (Cb / eps) * curl(g, state.B) + Je - Ji
+        np.multiply(cross(xi, E), -1j, out=out.B)
+        np.multiply(cross(xi, state.B), 1j * Cb / eps, out=out.E)
+        out.E += Je
+        out.E -= Ji
     return out
 
 
@@ -201,38 +216,37 @@ def cfl_dt(grid: Grid, p: PlasmaParams) -> float:
     return CFL_SAFETY * dx * np.sqrt(p.epsilon / p.C_b)
 
 
-def _axpy(out: PhysState, a: PhysState, c: float, x: PhysState) -> None:
-    """out = a + c x, one row at a time (out may be a)."""
-    for o, ar, xr in zip(out.buf, a.buf, x.buf):
-        np.add(ar, c * xr, out=o)
-
-
 def step(state: PhysState, dt: float, p: PlasmaParams,
          kind: SystemKind = SystemKind.euler_maxwell,
          linear: bool = False, check: bool = True) -> PhysState:
     """One classical RK4 step.  Negative dt integrates backward (the system
-    is time-reversible)."""
+    is time-reversible).  ``check`` has no effect, as in :func:`rhs`."""
     if dt == 0:
         raise ValueError("dt must be nonzero")
-    if check:
-        _require_real(state)
     if abs(dt) > cfl_dt(state.grid, p):
         warnings.warn("dt exceeds the advisory CFL bound", RuntimeWarning, stacklevel=2)
     g, t = state.grid, state.t
     # out = state + dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4, summed in that order
-    # as the stages arrive; out is allocated after the scratch (the other order
-    # let glibc malloc release it each step: ~4,500 page faults at 32^3, not ~1,800)
+    # as the stages arrive, each stage and each term one operation on the
+    # whole buffer: a stage is formed from k before k is scaled into the sum.
+    # out is allocated after the scratch (the other order lets glibc malloc
+    # release memory each step: ~3,700 page faults per step at 32^3, not ~1,400)
     stage, k, out = PhysState._empty(g), PhysState._empty(g), PhysState._empty(g, t + dt)
+    out.buf[...] = state.buf
     _tendencies(state, p, kind, linear, k)
-    _axpy(out, state, dt / 6, k)
-    for c_stage, c_out in ((dt / 2, dt / 3), (dt / 2, dt / 3), (dt, dt / 6)):
-        _axpy(stage, state, c_stage, k)
+    for c_stage, c_out in ((dt / 2, dt / 6), (dt / 2, dt / 3), (dt, dt / 3)):
+        np.multiply(k.buf, c_stage, out=stage.buf)
+        stage.buf += state.buf
         stage.t = t + c_stage
+        k.buf *= c_out
+        out.buf += k.buf
         _tendencies(stage, p, kind, linear, k)
-        _axpy(out, out, c_out, k)
-    for name, c in zip(ROW_FIELDS, out.buf):
-        if not np.isfinite(np.sum(c)):
-            raise FloatingPointError(f"non-finite value in field {name} at t = {out.t:.6g}")
+    k.buf *= dt / 6
+    out.buf += k.buf
+    bad = np.flatnonzero(~np.isfinite(np.sum(out.buf, axis=(1, 2, 3))))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite value in field {ROW_FIELDS[bad[0]]} at t = {out.t:.6g}")
     return out
 
 
@@ -241,8 +255,7 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
     """Yield the state at each of the nondecreasing ``times`` (all >= state.t),
     stepping by min(dt, target - t) until t is within ``TIME_TOL`` of each;
     a time equal to ``state.t`` yields ``state`` itself.  The one stepping
-    loop: the initial state is checked for reality once, the steps are not.
-    Invalid input raises on the first ``next``."""
+    loop.  Invalid input raises on the first ``next``."""
     times = np.asarray(times, dtype=float)
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -250,11 +263,10 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
         raise ValueError("times must be a finite nondecreasing 1d sequence")
     if times.size and times[0] < state.t:
         raise ValueError(f"times start at {times[0]:.6g}, before the state's t = {state.t:.6g}")
-    _require_real(state)
     cur = state
     for target in times:
         while cur.t < target - TIME_TOL:
-            cur = step(cur, min(dt, target - cur.t), p, kind=kind, linear=linear, check=False)
+            cur = step(cur, min(dt, target - cur.t), p, kind=kind, linear=linear)
         yield cur
 
 
@@ -270,10 +282,12 @@ def _multi_indices(order: int):
 
 
 def _derivative_symbols(grid: Grid, order: int):
-    """The symbols (i xi)^gamma of D^gamma for every |gamma| <= order."""
-    ixi = 1j * grid.xi
+    """The symbols (i xi)^gamma of D^gamma for every |gamma| <= order, in
+    the half layout; each is the outer product of one factor per axis."""
+    ixi = 1j * grid.half.xi
+    ix, iy, iz = ixi[0][:, :1, :1], ixi[1][:1, :, :1], ixi[2][:1, :1, :]
     for gamma in _multi_indices(order):
-        yield ixi[0] ** gamma[0] * ixi[1] ** gamma[1] * ixi[2] ** gamma[2]
+        yield ix ** gamma[0] * iy ** gamma[1] * iz ** gamma[2]
 
 
 def energy(state: PhysState, p: PlasmaParams, order: int = 0) -> float:
@@ -284,20 +298,19 @@ def energy(state: PhysState, p: PlasmaParams, order: int = 0) -> float:
         raise ValueError(f"order must lie in [0, {ENERGY_ORDER_MAX}]")
     g = state.grid
     vol = (2.0 * g.box_half / g.n) ** 3
-    n_p = to_physical(g, state.n).real
-    rho_p = to_physical(g, state.rho).real
+    n_p, rho_p = to_physical(g, state.buf[0:2])
     total = 0.0
     for sym in _derivative_symbols(g, order):
-        total += vol * (
-            p.T * float(np.sum(np.abs(sym * state.n) ** 2))
-            + float(np.sum(np.abs(sym * state.rho) ** 2))
-            + float(np.sum(np.abs(sym * state.E) ** 2))
-            + (p.C_b / p.epsilon) * float(np.sum(np.abs(sym * state.B) ** 2))
+        total += (
+            p.T * l2_norm(g, sym * state.n) ** 2
+            + l2_norm(g, sym * state.rho) ** 2
+            + l2_norm(g, sym * state.E) ** 2
+            + (p.C_b / p.epsilon) * l2_norm(g, sym * state.B) ** 2
         )
-        dv = to_physical(g, sym * state.v).real
-        du = to_physical(g, sym * state.u).real
-        total += vol * p.epsilon * float(np.sum((1.0 + n_p) * np.sum(dv**2, axis=0)))
-        total += vol * float(np.sum((1.0 + rho_p) * np.sum(du**2, axis=0)))
+        # v and u are the adjacent rows 2:8, one transform for both
+        dvu = to_physical(g, sym * state.buf[2:8])
+        total += vol * p.epsilon * float(np.sum((1.0 + n_p) * np.sum(dvu[:3] ** 2, axis=0)))
+        total += vol * float(np.sum((1.0 + rho_p) * np.sum(dvu[3:] ** 2, axis=0)))
     return total
 
 
@@ -380,9 +393,10 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
       E_t           transverse electric seed (longitudinal part is solved
                     from rho - n)
       t             initial time, finite
-    Scalar keys have shape (n, n, n), vector keys (3, n, n, n).  Seed
-    content on the unpaired Nyquist planes (index n/2 on any axis) is
-    dropped, so the state is real.
+    Scalar keys have shape (n, n, n), vector keys (3, n, n, n): seeds are
+    full-layout coefficients.  Each is made conjugate-symmetric (a seed and
+    its ``hermitize`` give the same state), its unpaired Nyquist planes
+    (index n/2 on any axis) are dropped, and its half spectrum is kept.
     """
     scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "E_t"}
     known = scalars | vectors | {"t"}
@@ -396,16 +410,12 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     if not np.isfinite(seed.get("t", 0.0)):
         raise ValueError(f"seed time must be finite, got {seed['t']!r}")
 
-    h = grid.n // 2
-
     def take(key):
         # index n/2 is its own mirror, so the odd symbol i xi of grad, curl
         # and the electric solve would break conjugate symmetry there
         if key not in seed:
-            return np.zeros(shape(key), dtype=complex)
-        c = hermitize(np.asarray(seed[key], dtype=complex))
-        c[..., h, :, :] = c[..., :, h, :] = c[..., :, :, h] = 0.0
-        return c
+            return np.zeros(shape(key)[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        return half_spectrum(grid, hermitize(np.asarray(seed[key], dtype=complex)))
 
     s = PhysState._empty(grid, float(seed.get("t", 0.0)))
     s.n, s.rho = take("n"), take("rho")
@@ -446,10 +456,14 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
 
 def _derivative_sups(state: PhysState, order: int) -> np.ndarray:
     """sup over the box of |D^gamma c|: one row per |gamma| <= order, in
-    `_multi_indices` order (row 0 is gamma = 0), one column per row c of buf."""
+    `_multi_indices` order (row 0 is gamma = 0), one column per row c of buf;
+    one batched transform per gamma."""
     g = state.grid
-    return np.array([[np.max(np.abs(to_physical(g, sym * c).real)) for c in state.buf]
-                     for sym in _derivative_symbols(g, order)])
+    out = []
+    for sym in _derivative_symbols(g, order):
+        vals = to_physical(g, sym * state.buf)
+        out.append(np.maximum(vals.max(axis=(1, 2, 3)), -vals.min(axis=(1, 2, 3))))
+    return np.array(out)
 
 
 def gronwall_quantities(state: PhysState) -> dict:

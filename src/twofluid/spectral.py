@@ -7,8 +7,26 @@ Conventions
 * The box is [-L, L]^3 with L = ``box_half``; the wavenumber lattice is
   (pi/L) * Z^3 truncated to |m_axis| <= n/2 - 1 (plus the Nyquist row).
 * FFTs are orthonormal (scipy ``norm="ortho"``).  A field is stored as a
-  bare complex coefficient array: (n, n, n) for scalars, (3, n, n, n) for
-  vectors.
+  bare complex coefficient array in one of two layouts, told apart by the
+  last axis:
+
+  - the full layout, (n, n, n) for scalars and (3, n, n, n) for vectors,
+    holds any complex field; the dispersive unknowns live here, since their
+    coefficients carry no conjugate symmetry;
+  - the half layout, (n, n, n//2 + 1) per component, is the ``rfftn``
+    half-spectrum of a real field: the entries with negative last-axis
+    modes are the conjugates of their mirrors and are not stored.  The
+    physical state lives here, so its fields are real by construction.
+
+  Only the self-mirrored planes (last-axis modes 0 and n/2) can still hold
+  a non-real field, and the Nyquist planes (index n/2 on any axis) are kept
+  zero: the odd symbol i xi of grad and curl maps their real content to
+  imaginary content, which no real field has there.  ``to_half`` and the
+  half branch of ``to_physical`` are the real transform pair;
+  ``full_spectrum`` and ``half_spectrum`` convert between the layouts.
+  Every multiplier below reads its wavevector table in the layout of its
+  argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
+  entry with its Hermitian multiplicity.
 * Continuum calibration, any L::
 
       ||f||_L2   = (2L/n)^{3/2} * ||coef||_2
@@ -27,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft as sfft
@@ -35,6 +54,9 @@ __all__ = [
     "Grid",
     "to_spectral",
     "to_physical",
+    "to_half",
+    "full_spectrum",
+    "half_spectrum",
     "reflect",
     "hermitize",
     "is_hermitian",
@@ -125,6 +147,20 @@ class Grid:
             c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2
         )
 
+    @functools.cached_property
+    def half(self) -> SimpleNamespace:
+        """The tables ``xi``, ``xi_mag``, ``inv_xi_mag`` and ``dealias_mask`` in
+        the half layout: the first n//2 + 1 entries of the last axis."""
+        cut = lambda a: np.ascontiguousarray(a[..., : self.n // 2 + 1])  # noqa: E731
+        return SimpleNamespace(xi=cut(self.xi), xi_mag=cut(self.xi_mag),
+                               inv_xi_mag=cut(self.inv_xi_mag),
+                               dealias_mask=cut(self.dealias_mask))
+
+    def tables(self, coef: np.ndarray):
+        """The wavevector tables in the layout of ``coef``: ``half`` when its
+        last axis holds n//2 + 1 entries, the grid's own otherwise."""
+        return self.half if _is_half(self, coef) else self
+
     @property
     def xi_min(self) -> float:
         return np.pi / self.box_half
@@ -143,7 +179,21 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def to_physical(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """Values of a coefficient field: real from the half layout, complex from
+    the full one.  Leading axes are batched into one transform."""
+    if _is_half(grid, coef):
+        return sfft.irfftn(coef, s=(grid.n,) * 3, axes=(-3, -2, -1), norm="ortho",
+                           workers=_FFT_WORKERS)
     return sfft.ifftn(coef, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
+
+
+def to_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-layout coefficients of real values; leading axes batched."""
+    return sfft.rfftn(values, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
+
+
+def _is_half(grid: Grid, coef: np.ndarray) -> bool:
+    return coef.shape[-1] == grid.n // 2 + 1
 
 
 def _inv0(x: np.ndarray) -> np.ndarray:
@@ -157,9 +207,16 @@ def _inv0(x: np.ndarray) -> np.ndarray:
 # symmetry helpers
 
 
+def _negate_modes(coef: np.ndarray, axes: tuple) -> np.ndarray:
+    """coef with the modes along ``axes`` negated (index i -> -i mod n)."""
+    rev = tuple(slice(None, None, -1) if ax - coef.ndim in axes else slice(None)
+                for ax in range(coef.ndim))
+    return np.roll(coef[rev], 1, axis=axes)
+
+
 def reflect(coef: np.ndarray) -> np.ndarray:
     """coef evaluated at -xi (index reversal respecting FFT layout)."""
-    return np.roll(coef[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
+    return _negate_modes(coef, (-3, -2, -1))
 
 
 def hermitize(coef: np.ndarray) -> np.ndarray:
@@ -167,8 +224,33 @@ def hermitize(coef: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether coef holds the coefficients of a real field.  In the half
+    layout only the self-mirrored planes, last-axis modes 0 and n/2, can
+    break that, so only they are compared with their mirrors."""
     scale = max(1.0, float(np.max(np.abs(coef))))
-    return float(np.max(np.abs(coef - np.conj(reflect(coef))))) <= tol * scale
+    if coef.shape[-1] == coef.shape[-2] // 2 + 1:
+        coef = coef[..., [0, -1]]
+        mirror = _negate_modes(coef, (-3, -2))
+    else:
+        mirror = reflect(coef)
+    return float(np.max(np.abs(coef - np.conj(mirror)))) <= tol * scale
+
+
+def full_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """The full layout of half-layout coefficients: each missing entry is the
+    conjugate of its mirror, c(-xi) = conj c(xi)."""
+    h = grid.n // 2
+    tail = np.conj(_negate_modes(coef[..., h - 1:0:-1], (-3, -2)))
+    return np.concatenate((coef, tail), axis=-1)
+
+
+def half_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """The half layout of full-layout coefficients of a real field, with the
+    Nyquist planes zeroed (see the module conventions)."""
+    h = grid.n // 2
+    out = coef[..., : h + 1].copy()
+    out[..., h, :, :] = out[..., :, h, :] = out[..., :, :, h] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,45 +258,45 @@ def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def grad(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return 1j * grid.xi * f
+    return grid.tables(f).xi * (1j * f)
 
 
 def div(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return 1j * np.sum(grid.xi * f, axis=0)
+    return 1j * np.sum(grid.tables(f).xi * f, axis=0)
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[j] * b[k], a[k] * b[j], out=out[i])
+    return out
 
 
 def curl(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return 1j * cross(grid.xi, f)
+    return 1j * cross(grid.tables(f).xi, f)
 
 
 def riesz(grid: Grid, f: np.ndarray) -> np.ndarray:
     """R_alpha f = i xi_alpha / |xi| * f, zero mode -> 0.  Scalar in, vector out."""
-    return 1j * grid.xi * grid.inv_xi_mag * f
+    t = grid.tables(f)
+    return 1j * t.xi * t.inv_xi_mag * f
 
 
 def inv_modulus(grid: Grid, f: np.ndarray) -> np.ndarray:
     """|nabla|^{-1} with the zero mode mapped to 0."""
-    return grid.inv_xi_mag * f
+    return grid.tables(f).inv_xi_mag * f
 
 
 def q_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Q f = |nabla|^{-1} (curl f); kills gradients and the zero mode."""
-    return 1j * grid.inv_xi_mag * cross(grid.xi, f)
+    t = grid.tables(f)
+    return 1j * t.inv_xi_mag * cross(t.xi, f)
 
 
 def p_long(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Longitudinal projection xi (xi . f)/|xi|^2, zero mode -> 0."""
-    return grid.xi * (np.sum(grid.xi * f, axis=0) * grid.inv_xi_mag**2)
+    t = grid.tables(f)
+    return t.xi * (np.sum(t.xi * f, axis=0) * t.inv_xi_mag**2)
 
 
 def q2_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -225,7 +307,7 @@ def q2_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def dealias(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return coef * grid.dealias_mask
+    return coef * grid.tables(coef).dealias_mask
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +316,12 @@ def dealias(grid: Grid, coef: np.ndarray) -> np.ndarray:
 
 def l2_norm(grid: Grid, coef: np.ndarray) -> float:
     scale = (2.0 * grid.box_half / grid.n) ** 1.5
-    return scale * float(np.linalg.norm(coef.ravel()))
+    if not _is_half(grid, coef):
+        return scale * float(np.linalg.norm(coef.ravel()))
+    # every stored entry off the self-mirrored planes stands for two
+    sq = coef.real**2 + coef.imag**2
+    total = 2.0 * np.sum(sq[..., 1:-1]) + np.sum(sq[..., 0]) + np.sum(sq[..., -1])
+    return scale * math.sqrt(float(total))
 
 
 def hat_cont(grid: Grid, coef: np.ndarray) -> np.ndarray:
@@ -295,7 +382,7 @@ def phi_tilde(x, k: int, j: int) -> np.ndarray:
 
 
 def lp_project(grid: Grid, f: np.ndarray, k: int) -> np.ndarray:
-    return phi_shell(grid.xi_mag, k) * f
+    return phi_shell(grid.tables(f).xi_mag, k) * f
 
 
 def shell_range(grid: Grid) -> range:

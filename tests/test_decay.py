@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twofluid.dispersion import DEFAULT_PARAMS
-from twofluid.spectral import Grid, phi_interval, to_physical, to_spectral
+from twofluid.spectral import Grid, phi_interval, to_half, to_physical
 from twofluid.diagonal import DispState
 from twofluid.physics import PhysState, _derivative_sups
 from twofluid import decay
@@ -239,10 +239,10 @@ def test_sup_derivatives_plane_wave():
     g = Grid(16)
     x1 = np.arange(g.n) * (2.0 * g.box_half / g.n)
     n_vals = np.broadcast_to(np.cos(2.0 * x1)[:, None, None], (g.n,) * 3)
-    # state fields are spectral coefficients
-    n_field = to_spectral(g, n_vals.astype(complex))
-    zero_s = np.zeros((g.n,) * 3)
-    zero_v = np.zeros((3,) + (g.n,) * 3)
+    # state fields are half-spectrum coefficients
+    n_field = to_half(g, n_vals)
+    zero_s = np.zeros(n_field.shape)
+    zero_v = np.zeros((3,) + n_field.shape)
     state = PhysState(g, n_field, zero_s, zero_v, zero_v.copy(),
                       zero_v.copy(), zero_v.copy(), 0.0)
     # max over |alpha| <= 4 of ||D^alpha cos(2 x_1)||_inf = 2^4

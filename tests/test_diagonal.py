@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twofluid import diagonal, physics
+from twofluid import physics
 from twofluid.diagonal import (
     CATALOG_PAIRS,
     DispState,
@@ -106,8 +106,7 @@ def test_reconstruction_is_real_and_constrained():
 def test_to_dispersive_warns_on_broken_constraints():
     s = _state(G16)
     bad = s.copy()
-    bad.B[0][1, 2, 1] += 1e-4  # real bump in a conjugate pair keeps reality
-    bad.B[0][-1, -2, -1] += 1e-4  # conjugate slot
+    bad.B[0][1, 2, 1] += 1e-4  # the half layout stores no conjugate slot: still real
     with pytest.warns(RuntimeWarning, match="constraints"):
         to_dispersive(bad, P)
 

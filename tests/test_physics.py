@@ -21,7 +21,9 @@ from twofluid.physics import (
     rhs,
     step,
 )
-from twofluid.spectral import Grid, l2_norm, is_hermitian, random_real_field, random_vector_field
+from twofluid import physics, spectral
+from twofluid.spectral import (Grid, half_spectrum, hermitize, is_hermitian, l2_norm,
+                               random_real_field, random_vector_field, to_half, to_physical)
 
 P = PlasmaParams(1e-3, 1.0, 6.0)
 EM = SystemKind.euler_maxwell
@@ -55,12 +57,23 @@ def test_zero_state_equilibrium(kind):
     assert out.t == pytest.approx(1e-3)
 
 
-def test_rhs_rejects_non_real_state():
+def test_non_hermitian_seed_gives_the_hermitized_state():
+    # the half-spectrum layout makes every state real: a seed without
+    # conjugate symmetry is symmetrized on entry, and nothing is rejected
     g = Grid(16)
-    s = PhysState.zero(g)
-    s.n = np.asarray(_rng().standard_normal((16,) * 3) + 1j * _rng().standard_normal((16,) * 3))
-    with pytest.raises(ValueError, match="not real"):
-        rhs(s, P)
+    rng = _rng()
+    shapes = {"n": (16,) * 3, "rho": (16,) * 3, "v_pot": (16,) * 3, "u_pot": (16,) * 3,
+              "b_seed": (3,) + (16,) * 3, "E_t": (3,) + (16,) * 3}
+    seed = {k: rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for k, sh in shapes.items()}
+    raw = make_irrotational(g, P, seed)
+    np.testing.assert_array_equal(
+        raw.buf, make_irrotational(g, P, {k: hermitize(c) for k, c in seed.items()}).buf)
+    # the buffer is the half spectrum of its own (real) values
+    again = to_half(g, to_physical(g, raw.buf))
+    assert np.max(np.abs(again - raw.buf)) <= 1e-13 * np.max(np.abs(raw.buf))
+    assert all(is_hermitian(c) for c in raw.buf)
+    tend = rhs(raw, P)
+    assert np.all(np.isfinite(tend.buf))
 
 
 def test_rhs_tendencies_are_real():
@@ -182,7 +195,7 @@ def test_cfl_warning_and_nan_abort():
 
 def test_fields_are_views_onto_the_buffer():
     s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-2)
-    assert s.buf.shape == (14, 16, 16, 16) and s.buf.dtype == complex
+    assert s.buf.shape == (14, 16, 16, 9) and s.buf.dtype == complex
     for f, key in zip(FIELDS, (0, 1, slice(2, 5), slice(5, 8), slice(8, 11), slice(11, 14))):
         arr = getattr(s, f)
         assert np.shares_memory(arr, s.buf), f
@@ -193,10 +206,10 @@ def test_attribute_assignment_writes_through():
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
     buf = s.buf
-    arr = np.full((16,) * 3, 2.0 + 1.0j)
+    arr = np.full((16, 16, 9), 2.0 + 1.0j)
     s.n = arr
     np.testing.assert_array_equal(buf[0], arr)
-    vec = random_vector_field(g, _rng(), kmax=2)
+    vec = half_spectrum(g, random_vector_field(g, _rng(), kmax=2))
     s.u = vec
     np.testing.assert_array_equal(buf[5:8], vec)
     s.B[:] = 0.0
@@ -209,8 +222,8 @@ def test_attribute_assignment_writes_through():
 def test_constructor_accepts_real_arrays():
     g = Grid(16)
     rng = _rng()
-    scal = [rng.standard_normal((16,) * 3) for _ in range(2)]
-    vec = [rng.standard_normal((3, 16, 16, 16)) for _ in range(4)]
+    scal = [rng.standard_normal((16, 16, 9)) for _ in range(2)]
+    vec = [rng.standard_normal((3, 16, 16, 9)) for _ in range(4)]
     s = PhysState(g, *scal, *vec, 0.5)
     assert s.buf.dtype == complex and s.t == 0.5
     for f, a in zip(FIELDS, scal + vec):
@@ -365,7 +378,7 @@ def test_make_irrotational_rejects_malformed_seeds():
 def test_corrupted_B_detected():
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
-    s.B = s.B + 1e-3 * random_vector_field(g, _rng(), kmax=2)
+    s.B = s.B + 1e-3 * half_spectrum(g, random_vector_field(g, _rng(), kmax=2))
     res = constraints(s, P)
     assert res["div_B"] > 1e-6 or res["girr_e"] > 1e-6
 
@@ -385,6 +398,47 @@ def test_constraints_preserved_through_stepping(kind):
         # reuse and rotational-form advection keep the drift at roundoff
         assert val <= 1e-12, (name, val)
         assert val <= 10 * dt**4 * 50
+
+
+@pytest.mark.parametrize("kind", [EM, EP])
+def test_nyquist_planes_stay_zero(kind):
+    # every odd symbol i xi and every dealiased product keeps index n/2 empty
+    # on all three axes, so the stored half spectrum stays that of a real field
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=None)
+    dt = 0.8 * cfl_dt(g, P)
+    h = g.n // 2
+    for _ in range(100):
+        s = step(s, dt, P, kind=kind)
+    assert np.any(s.buf)
+    for plane in (s.buf[:, h], s.buf[:, :, h], s.buf[..., h]):
+        assert not np.any(plane)
+
+
+def _count_transforms(monkeypatch):
+    """Count the inverse and forward transforms of module spectral."""
+    counts = {"inverse": 0, "forward": 0}
+    for name, way in (("irfftn", "inverse"), ("ifftn", "inverse"),
+                      ("rfftn", "forward"), ("fftn", "forward")):
+        def counted(*args, _fn=getattr(spectral.sfft, name), _way=way, **kw):
+            counts[_way] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(spectral.sfft, name, counted)
+    return counts
+
+
+def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=1e-2)
+    counts = _count_transforms(monkeypatch)
+    rhs(s, P)
+    assert counts == {"inverse": 1, "forward": 1}
+    counts.update(inverse=0, forward=0)
+    step(s, 0.5 * cfl_dt(g, P), P)
+    assert counts == {"inverse": 4, "forward": 4}
+    counts.update(inverse=0, forward=0)
+    physics._derivative_sups(s, 4)  # one inverse per multi-index |gamma| <= 4
+    assert counts == {"inverse": 35, "forward": 0}
 
 
 def test_ep_tracks_slaved_field():
@@ -453,6 +507,29 @@ def test_gronwall_quantities_keys():
     q = gronwall_quantities(s)
     assert q["A"] == pytest.approx(sum(v for k, v in q.items() if k != "A"))
     assert q["grad_n"] > 0
+
+
+def test_batched_monitors_match_row_by_row_reference():
+    # the batched half-layout monitors against one full-layout transform per
+    # row and multi-index, the form they replace
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
+    full = spectral.full_spectrum(g, s.buf)
+    ixi = 1j * g.xi
+    syms = [ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in physics._multi_indices(4)]
+    table = [[np.max(np.abs(to_physical(g, sym * row).real)) for row in full] for sym in syms]
+    np.testing.assert_allclose(physics._derivative_sups(s, 4), table, rtol=1e-12, atol=0)
+
+    vol = (2.0 * g.box_half / g.n) ** 3
+    n_p, rho_p = to_physical(g, full[0]).real, to_physical(g, full[1]).real
+    ref = 0.0
+    for sym in syms[:10]:  # |gamma| <= 2
+        sq = np.sum(np.abs(sym * full) ** 2, axis=(1, 2, 3))
+        ref += vol * (P.T * sq[0] + sq[1] + np.sum(sq[8:11]) + P.C_b / P.epsilon * np.sum(sq[11:14]))
+        dv, du = (to_physical(g, sym * full[r]).real for r in (slice(2, 5), slice(5, 8)))
+        ref += vol * P.epsilon * np.sum((1.0 + n_p) * np.sum(dv**2, axis=0))
+        ref += vol * np.sum((1.0 + rho_p) * np.sum(du**2, axis=0))
+    assert energy(s, P, 2) == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

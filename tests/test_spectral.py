@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft as sfft
 
 from twofluid import spectral as sp
 from twofluid.spectral import (
@@ -9,9 +8,12 @@ from twofluid.spectral import (
     b_norms,
     bump,
     dealias,
+    full_spectrum,
     grad,
+    half_spectrum,
     hermitize,
     is_hermitian,
+    l2_norm,
     lp_project,
     phi_interval,
     phi_shell,
@@ -25,6 +27,7 @@ from twofluid.spectral import (
     shell_range,
     spatial_localize,
     spatial_range,
+    to_half,
     to_physical,
     to_spectral,
     z_norm_upper,
@@ -94,6 +97,38 @@ def test_hermitize_and_reality():
     np.testing.assert_allclose(hermitize(h), h, rtol=0, atol=1e-14)
     vals = to_physical(G, h)
     assert float(np.max(np.abs(vals.imag))) <= 1e-13 * float(np.max(np.abs(vals.real)))
+
+
+def test_l2_norm_counts_hermitian_multiplicity():
+    # the half layout stores each conjugate pair once, the self-mirrored
+    # planes (last-axis modes 0 and n/2) once per entry
+    vals = RNG.standard_normal((3,) + (G.n,) * 3)
+    half, full = to_half(G, vals), to_spectral(G, vals)
+    assert half.shape == (3, G.n, G.n, G.n // 2 + 1)
+    assert l2_norm(G, half) == pytest.approx(l2_norm(G, full), rel=1e-14)
+    assert l2_norm(G, half[0]) == pytest.approx(l2_norm(G, full[0]), rel=1e-14)
+
+
+def test_half_and_full_layouts_agree():
+    vals = RNG.standard_normal((3,) + (G.n,) * 3)
+    half, full = to_half(G, vals), to_spectral(G, vals)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(full_spectrum(G, half) - full)) <= 1e-14 * scale
+    back = to_physical(G, half)
+    assert back.dtype == float and np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
+    assert all(is_hermitian(c) for c in half)
+    # half_spectrum keeps the half and zeroes the Nyquist planes
+    h = G.n // 2
+    cut = half_spectrum(G, full)
+    assert not np.any(cut[:, h]) and not np.any(cut[:, :, h]) and not np.any(cut[..., h])
+    assert np.max(np.abs(cut[..., :h, :h, :h] - half[..., :h, :h, :h])) <= 1e-14 * scale
+    # every multiplier reads the table of its argument's layout
+    for op in (grad, riesz, sp.inv_modulus):
+        np.testing.assert_allclose(op(G, cut[0]), half_spectrum(G, op(G, full_spectrum(G, cut[0]))),
+                                   rtol=0, atol=1e-14 * scale)
+    for op in (sp.curl, sp.div, q_apply, q2_apply, sp.p_long):
+        np.testing.assert_allclose(op(G, cut), half_spectrum(G, op(G, full_spectrum(G, cut))),
+                                   rtol=0, atol=1e-14 * scale)
 
 
 def test_random_field_is_real_with_requested_rms():
