@@ -14,10 +14,13 @@ with h = -|grad|^{-1} div v and g = -|grad|^{-1} div u, and each solves
     (d_t + i Lam_sigma) U_sigma = N_sigma,   sigma in {e, i, b},
 
 with a quadratic right-hand side.  This module implements the change of
-variables, its inverse, and N_sigma two independent ways: once straight
-from the physical fields, and once as a lattice convolution against the
-explicit multiplier catalog.  The routes share nothing past the radial
-symbol tables, so their agreement exercises every entry of the catalog.
+variables, its inverse, and N_sigma two independent ways.  Route one is the
+quadratic part of the solver's right-hand side, mapped by the exact linear
+change of variables; route two is a lattice convolution against the explicit
+multiplier catalog.  The routes share the radial symbol tables and the
+change of variables, nothing else: route one forms the products of
+physics.rhs, route two those of the catalog's symbols, so their agreement
+exercises every entry of the catalog and every quadratic term of the solver.
 
 Zero-mode conventions follow module spectral: symbols carrying a 1/|xi|
 that does not cancel drop the xi = 0 mode (mean-zero perturbations), while
@@ -35,16 +38,15 @@ import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import FIELDS, ROW_FIELDS, ROWS, PhysState, constraints, ep_electric
+from .physics import (_KEYS, FIELDS, ROW_FIELDS, PhysState, SystemKind, _tendencies,
+                      constraints, ep_electric)
 from .spectral import (
     Grid,
     _inv0,
     curl,
-    dealias,
     div,
     full_spectrum,
     half_spectrum,
-    hermitize,
     inv_modulus,
     is_hermitian,
     l2_norm,
@@ -52,8 +54,6 @@ from .spectral import (
     q_apply,
     reflect,
     riesz,
-    to_physical,
-    to_spectral,
 )
 
 __all__ = [
@@ -147,8 +147,7 @@ def _bar(coef: np.ndarray) -> np.ndarray:
 def _full_fields(s: PhysState) -> SimpleNamespace:
     """The six fields of ``s`` in the full layout, by name."""
     full = full_spectrum(s.grid, s.buf)
-    return SimpleNamespace(**{f: full[r.start] if r.stop - r.start == 1 else full[r]
-                              for f, r in ROWS.items()})
+    return SimpleNamespace(**{f: full[key] for f, key in _KEYS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -230,62 +229,26 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity, route one: straight from the physical fields
+# nonlinearity, route one: the solver's quadratic terms
 
 
 def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     """Quadratic right-hand sides (N_e, N_i, N_b) from the physical fields.
 
-    Products are formed pointwise in physical space and dealiased; the
-    radial multipliers act on the transforms of the products.  Re(N_b) is
-    zero by construction (the coefficients are symmetrized before the final
-    rotation by i).  The state is expanded to the full layout on entry, the
-    layout of the returned unknowns.
+    The change of variables is linear and diagonalizes the linear part, so
+    N_sigma is :func:`to_dispersive` of the quadratic part of
+    :func:`physics.rhs`: the solver's own dealiased products, from one
+    batched inverse and one batched forward transform, with every linear
+    term taken from the zero state (rhs(s) - rhs(s, linear=True) would
+    cancel O(s) terms to leave O(s^2), losing digits as s gets small).  The
+    real part (N_b + bar N_b)/2 of the field N_b vanishes in exact
+    arithmetic; it is dropped, so that it is exactly zero.  The unknowns
+    are in the full layout.
     """
-    g = s.grid
-    s = _full_fields(s)
-    sym = _symbols(g, p)
-    eps = p.epsilon
-    seps = np.sqrt(eps)
-    R, nrm, r = sym.R, sym.norm, sym.r
-
-    h = -inv_modulus(g, div(g, s.v))
-    gg = -inv_modulus(g, div(g, s.u))
-    A = inv_modulus(g, q_apply(g, s.B))
-
-    n_p = to_physical(g, s.n).real
-    rho_p = to_physical(g, s.rho).real
-    Rh_p = to_physical(g, riesz(g, h)).real
-    Rg_p = to_physical(g, riesz(g, gg)).real
-    A_p = to_physical(g, A).real
-
-    def ps(values):
-        return dealias(g, to_spectral(g, values))
-
-    nRh = [ps(n_p * Rh_p[a]) for a in range(3)]
-    rRg = [ps(rho_p * Rg_p[a]) for a in range(3)]
-    nA = [ps(n_p * A_p[a]) for a in range(3)]
-    rA = [ps(rho_p * A_p[a]) for a in range(3)]
-    # squares summed over the component index before transforming
-    P1 = ps(sum((eps * Rh_p[a] + A_p[a]) ** 2 for a in range(3)))
-    P2 = ps(sum((Rg_p[a] - A_p[a]) ** 2 for a in range(3)))
-
-    def riesz_sum(comps):
-        return inv_modulus(g, div(g, np.stack(comps)))
-
-    re_e = 0.5 * nrm * sym.lam_e * riesz_sum(
-        [seps * nRh[a] - R * rRg[a] + nA[a] / seps + R * rA[a] for a in range(3)])
-    im_e = 0.25 * nrm * r * (eps ** -1.5 * P1 - R * P2)
-
-    re_i = -0.5 * nrm * sym.lam_i * riesz_sum(
-        [seps * R * nRh[a] + rRg[a] + R * nA[a] / seps - rA[a] for a in range(3)])
-    im_i = -0.25 * nrm * r * (eps ** -1.5 * R * P1 + P2)
-
-    w_b = np.stack([hermitize(nRh[a] - rRg[a] + nA[a] / eps + rA[a])
-                    for a in range(3)])
-    N_b = -0.5j * q2_apply(g, w_b)
-
-    return re_e + 1j * im_e, re_i + 1j * im_i, N_b
+    quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
+                       PhysState._empty(s.grid))
+    d = to_dispersive(quad, p, check=False)
+    return d.U_e, d.U_i, 0.5 * (d.U_b - _bar(d.U_b))
 
 
 # ---------------------------------------------------------------------------

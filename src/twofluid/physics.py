@@ -48,7 +48,6 @@ from .spectral import (
     random_vector_field,
     to_half,
     to_physical,
-    to_spectral,
 )
 
 __all__ = [
@@ -73,6 +72,8 @@ FIELDS = ("n", "rho", "v", "u", "E", "B")
 ROWS = {"n": slice(0, 1), "rho": slice(1, 2), "v": slice(2, 5),
         "u": slice(5, 8), "E": slice(8, 11), "B": slice(11, 14)}
 ROW_FIELDS = tuple(f for f in FIELDS for _ in range(ROWS[f].stop - ROWS[f].start))
+#: the index of each field in a 14-row array: a row for a scalar, rows for a vector
+_KEYS = {f: r.start if r.stop - r.start == 1 else r for f, r in ROWS.items()}
 
 ENERGY_ORDER_MAX = 8
 CFL_SAFETY = 0.5
@@ -89,8 +90,7 @@ class SystemKind(enum.Enum):
 
 def _field(name: str) -> property:
     """A writable view onto the rows of ``buf`` that hold one field."""
-    rows = ROWS[name]
-    key = rows.start if rows.stop - rows.start == 1 else rows
+    key = _KEYS[name]
     return property(lambda s: s.buf[key], lambda s, value: s.buf.__setitem__(key, value))
 
 
@@ -144,23 +144,27 @@ def rhs(state: PhysState, p: PlasmaParams,
     """Tendencies of all six fields; the returned container carries d/dt
     arrays in the field slots and the evaluation time in t.  ``check`` has
     no effect: the half-spectrum layout makes every state real."""
-    return _tendencies(state, p, kind, linear, PhysState._empty(state.grid))
+    return _tendencies(state, state, p, kind, linear, PhysState._empty(state.grid))
 
 
-def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: bool,
-                out: PhysState) -> PhysState:
-    """:func:`rhs` written into every row of ``out``, which must not be ``state``."""
+def _tendencies(state: PhysState, lin: PhysState, p: PlasmaParams, kind: SystemKind,
+                linear: bool, out: PhysState) -> PhysState:
+    """:func:`rhs` written into every row of ``out``, which must be neither
+    ``state`` nor ``lin``.  The quadratic products are formed from ``state``
+    and every linear term from ``lin``: :func:`rhs` and :func:`step` pass
+    the same state twice, and ``lin = PhysState.zero`` leaves exactly the
+    quadratic part."""
     g = state.grid
     eps, T, Cb = p.epsilon, p.T, p.C_b
     electrostatic = kind is SystemKind.euler_poisson
-    E = ep_electric(g, state.n, state.rho) if electrostatic else state.E
+    E = ep_electric(g, lin.n, lin.rho) if electrostatic else lin.E
 
     out.t = state.t
     xi = g.half.xi
     if linear:
-        Je, Ji = state.v, state.u
-        out.v = grad(g, -(T / eps) * state.n) - E / eps
-        out.u = grad(g, -state.rho) + E
+        Je, Ji = lin.v, lin.u
+        out.v = grad(g, -(T / eps) * lin.n) - E / eps
+        out.u = grad(g, -lin.rho) + E
     else:
         # one inverse transform of n, rho, v, u and the generalized-vorticity
         # combinations Y = B - eps curl v, Z = B + curl u (zero on admissible
@@ -186,16 +190,16 @@ def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: boo
         hat = to_half(g, phys)
         hat *= g.half.dealias_mask
         Je = hat[ROWS["v"]]
-        Je += state.v
+        Je += lin.v
         Ji = hat[ROWS["u"]]
-        Ji += state.u
+        Ji += lin.u
         # grad(-(T/eps) n - |v|^2/2) - (E + v x Y)/eps, grad(-rho - |u|^2/2) + E + u x Z
         force_e, force_i = hat[ROWS["E"]], hat[ROWS["B"]]
         force_e += E
         force_e *= -1.0 / eps
         force_i += E
-        np.add(grad(g, -(T / eps) * state.n - 0.5 * hat[0]), force_e, out=out.v)
-        np.add(grad(g, -state.rho - 0.5 * hat[1]), force_i, out=out.u)
+        np.add(grad(g, -(T / eps) * lin.n - 0.5 * hat[0]), force_e, out=out.v)
+        np.add(grad(g, -lin.rho - 0.5 * hat[1]), force_i, out=out.u)
 
     np.multiply(np.sum(xi * Je, axis=0), -1j, out=out.n)  # -div Je
     np.multiply(np.sum(xi * Ji, axis=0), -1j, out=out.rho)
@@ -204,7 +208,7 @@ def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: boo
         out.E = p_long(g, Je - Ji)
     else:
         np.multiply(cross(xi, E), -1j, out=out.B)
-        np.multiply(cross(xi, state.B), 1j * Cb / eps, out=out.E)
+        np.multiply(cross(xi, lin.B), 1j * Cb / eps, out=out.E)
         out.E += Je
         out.E -= Ji
     return out
@@ -233,14 +237,14 @@ def step(state: PhysState, dt: float, p: PlasmaParams,
     # release memory each step: ~3,700 page faults per step at 32^3, not ~1,400)
     stage, k, out = PhysState._empty(g), PhysState._empty(g), PhysState._empty(g, t + dt)
     out.buf[...] = state.buf
-    _tendencies(state, p, kind, linear, k)
+    _tendencies(state, state, p, kind, linear, k)
     for c_stage, c_out in ((dt / 2, dt / 6), (dt / 2, dt / 3), (dt, dt / 3)):
         np.multiply(k.buf, c_stage, out=stage.buf)
         stage.buf += state.buf
         stage.t = t + c_stage
         k.buf *= c_out
         out.buf += k.buf
-        _tendencies(stage, p, kind, linear, k)
+        _tendencies(stage, stage, p, kind, linear, k)
     k.buf *= dt / 6
     out.buf += k.buf
     bad = np.flatnonzero(~np.isfinite(np.sum(out.buf, axis=(1, 2, 3))))
@@ -328,14 +332,12 @@ def local_energy_residual(state: PhysState, tend: PhysState, p: PlasmaParams,
     eps, T, Cb = p.epsilon, p.T, p.C_b
     electrostatic = kind is SystemKind.euler_poisson
 
-    phys_r = lambda c: to_physical(g, c).real  # noqa: E731
-    n, rho = phys_r(state.n), phys_r(state.rho)
-    v, u = phys_r(state.v), phys_r(state.u)
-    E = phys_r(ep_electric(g, state.n, state.rho) if electrostatic else state.E)
-    B = phys_r(state.B)
-    dn, drho = phys_r(tend.n), phys_r(tend.rho)
-    dv, du = phys_r(tend.v), phys_r(tend.u)
-    dE, dB = phys_r(tend.E), phys_r(tend.B)
+    # one batched inverse of each buffer, read by field
+    vals, dvals = to_physical(g, state.buf), to_physical(g, tend.buf)
+    n, rho, v, u, E, B = (vals[_KEYS[f]] for f in FIELDS)
+    dn, drho, dv, du, dE, dB = (dvals[_KEYS[f]] for f in FIELDS)
+    if electrostatic:
+        E = to_physical(g, ep_electric(g, state.n, state.rho))
 
     de = (
         T * n * dn
@@ -355,13 +357,13 @@ def local_energy_residual(state: PhysState, tend: PhysState, p: PlasmaParams,
     flux += (rho + 0.5 * np.sum(u**2, axis=0)) * Ji
     if not electrostatic:
         flux += (Cb / eps) * cross(E, B)
-    residual = de + phys_r(div(g, to_spectral(g, flux)))
+    residual = de + to_physical(g, div(g, to_half(g, flux)))
     if electrostatic:
         # complement of the longitudinal projection, mean current included:
         # the slaved field has no mean dynamics, so the whole mean part of
         # the current does unbalanced (but globally vanishing) work
-        current = to_spectral(g, Je - Ji)
-        residual += np.sum(E * phys_r(current - p_long(g, current)), axis=0)
+        current = to_half(g, Je - Ji)
+        residual += np.sum(E * to_physical(g, current - p_long(g, current)), axis=0)
 
     vol = (2.0 * g.box_half / g.n) ** 3
     return residual, float(np.sqrt(vol * np.sum(residual**2)))

@@ -69,7 +69,6 @@ __all__ = [
     "q_apply",
     "p_long",
     "q2_apply",
-    "dealias",
     "l2_norm",
     "hat_cont",
     "bump",
@@ -304,10 +303,6 @@ def q2_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
     out = f - p_long(grid, f)
     out[..., 0, 0, 0] = 0.0
     return out
-
-
-def dealias(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return coef * grid.tables(coef).dealias_mask
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,31 @@ def test_settable_values_do_not_grow():
     package = sorted((ROOT / "src" / "twofluid").glob("*.py"))
     total = sum(_settable_values(ast.parse(path.read_text())) for path in package)
     assert total <= SETTABLE_VALUES_MAX, total
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement of ``tree`` and never read; a name
+    listed in the module's ``__all__`` counts as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "twofluid").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    found = {path.relative_to(ROOT).as_posix(): unused for path in paths
+             if (unused := _unused_imports(ast.parse(path.read_text(), filename=str(path))))}
+    assert len(paths) >= 20
+    assert not found, found

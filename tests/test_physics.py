@@ -22,6 +22,7 @@ from twofluid.physics import (
     step,
 )
 from twofluid import physics, spectral
+from twofluid.diagonal import nonlinearity_direct
 from twofluid.spectral import (Grid, half_spectrum, hermitize, is_hermitian, l2_norm,
                                random_real_field, random_vector_field, to_half, to_physical)
 
@@ -439,6 +440,13 @@ def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     counts.update(inverse=0, forward=0)
     physics._derivative_sups(s, 4)  # one inverse per multi-index |gamma| <= 4
     assert counts == {"inverse": 35, "forward": 0}
+    counts.update(inverse=0, forward=0)
+    nonlinearity_direct(s, P)  # the products of one rhs
+    assert counts == {"inverse": 1, "forward": 1}
+    tend = rhs(s, P)
+    counts.update(inverse=0, forward=0)
+    local_energy_residual(s, tend, P)  # state, tendencies, flux divergence
+    assert counts == {"inverse": 3, "forward": 1}
 
 
 def test_ep_tracks_slaved_field():
