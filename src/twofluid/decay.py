@@ -1,7 +1,7 @@
 """Linear dispersive decay laboratory.
 
-Exact free evolution of the dispersive unknowns, oscillatory-integral
-evaluation of the one-shell propagator kernels
+Exact free evolution of the dispersive unknowns (`free_evolve`, from module
+diagonal), oscillatory-integral evaluation of the one-shell propagator kernels
 
     K_{k,t}(x) = int e^{i x.xi} e^{i t Lambda(|xi|)} phi_[k-2,k+2](|xi|) dxi,
 
@@ -24,7 +24,7 @@ import numpy as np
 from .dispersion import BRANCHES, _root, jet, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import BETA, Grid, phi_interval
-from .diagonal import DispState, _symbols, from_dispersive, to_dispersive
+from .diagonal import free_evolve, from_dispersive, to_dispersive
 from .physics import PhysState, _derivative_sups, cfl_dt, integrate, random_irrotational
 
 __all__ = [
@@ -88,7 +88,7 @@ class KernelQuery:
 
 
 def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
-                  t: float, xs, points_per_cycle: int = 64) -> np.ndarray:
+                  t: float, xs, points_per_cycle: int) -> np.ndarray:
     """K(x) for each x in xs, by adaptive phase-resolved quadrature.
 
     Nodes are equidistributed in the cumulative cycle count of the fastest
@@ -144,23 +144,24 @@ def kernel_profile(q: KernelQuery, p: PlasmaParams, xs) -> np.ndarray:
                          points_per_cycle=q.points_per_cycle)
 
 
-def stationary_xs(q: KernelQuery, p: PlasmaParams) -> tuple:
-    """(xs, sweep_top): the radial |x| grid covering the stationary sweep
-    |x| = |t| lambda'(s), and the sweep's top radius |t| max lambda'.
+def stationary_xs(q: KernelQuery, p: PlasmaParams) -> np.ndarray:
+    """The radial |x| grid covering the stationary sweep |x| = |t| lambda'(s).
 
-    Stationary-phase radii for s across the shell, padded below and above;
-    the origin is included so the small-time mass bound is also seen.  If
-    lambda'' changes sign inside the shell (the degenerate ion shell), the
-    sweep folds at the group-velocity extremum and the kernel peaks in an
-    Airy window of width (|t| lambda''' / 2)^{1/3} around the fold; that
-    window gets its own cluster of radii, which a grid in s cannot resolve.
+    Stationary-phase radii for s across the shell, padded below; the origin
+    is included so the small-time mass bound is also seen.  The grid stops
+    at the sweep top |t| max lambda': beyond it t lambda(s) - s|x| has no
+    stationary point in the shell, so the kernel is negligible there
+    (non-stationary phase).  If lambda'' changes sign inside the shell (the
+    degenerate ion shell), the sweep folds at the group-velocity extremum
+    and the kernel peaks in an Airy window of width (|t| lambda''' / 2)^{1/3}
+    around the fold; that window gets its own cluster of radii, which a grid
+    in s cannot resolve, and at small |t| it reaches past the sweep top.
     """
     anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), _ANCHORS)
     _, slope, curv = jet(q.branch, anchors, p)
     sweep = abs(q.t) * slope
-    lo, hi = float(sweep.min()), float(sweep.max())
-    pads = np.array([0.0, 0.35 * lo, 0.6 * lo, 1.7 * hi, 3.0 * hi])
-    xs = [pads, sweep]
+    lo = float(sweep.min())
+    xs = [np.array([0.0, 0.35 * lo, 0.6 * lo]), sweep]
 
     flips = np.flatnonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)
     s0 = _root(lambda s: lam_second(q.branch, s, p), anchors[flips], anchors[flips + 1])
@@ -171,38 +172,17 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams) -> tuple:
     xs.append((x0[:, None] + width[:, None] * np.linspace(-8.0, 3.0, 28)).ravel())
 
     out = np.unique(np.concatenate(xs))
-    return out[out >= 0], hi
+    return out[out >= 0]
 
 
 def kernel_sup(q: KernelQuery, p: PlasmaParams) -> float:
-    """sup_x |K_{k,t}(x)| over the stationary-radius grid.
+    """sup_x |K_{k,t}(x)| over the stationary-radius grid, in one quadrature pass.
 
-    The grid is integrated in two tiers: node density scales with the
-    largest x in a batch, so the pads beyond the stationary sweep go into
-    their own (small) batch instead of inflating the sweep's node table.
+    Node density scales with the largest radius, so the grid ends at the
+    sweep top, or at the top of the fold window where that reaches further
+    (see `stationary_xs`); past the sweep the kernel is negligible.
     """
-    xs, sweep_hi = stationary_xs(q, p)
-    best = 0.0
-    for tier in (xs[xs <= 1.05 * sweep_hi], xs[xs > 1.05 * sweep_hi]):
-        if tier.size:
-            best = max(best, float(np.max(np.abs(kernel_profile(q, p, tier)))))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# exact free flow of the dispersive unknowns
-
-
-def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
-    """Solve dU/dt = -i Lambda U exactly for time t (any sign)."""
-    sym = _symbols(d.grid, p)
-    return DispState(
-        d.grid,
-        np.exp(-1j * t * sym.lam_e) * d.U_e,
-        np.exp(-1j * t * sym.lam_i) * d.U_i,
-        np.exp(-1j * t * sym.lam_b) * d.U_b,
-        d.t + t,
-    )
+    return float(np.max(np.abs(kernel_profile(q, p, stationary_xs(q, p)))))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ Lam_i/|xi| is continued through the origin by its finite limit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
@@ -67,6 +67,7 @@ __all__ = [
     "nonlinearity_multiplier",
     "multiplier",
     "dispersive_residual",
+    "free_evolve",
     "profile",
     "hn_norm",
 ]
@@ -133,10 +134,6 @@ class DispState:
         n = grid.n
         return cls(grid, np.zeros((n,) * 3, complex), np.zeros((n,) * 3, complex),
                    np.zeros((3,) + (n,) * 3, complex), t)
-
-    def copy(self) -> "DispState":
-        return replace(self, U_e=self.U_e.copy(), U_i=self.U_i.copy(),
-                       U_b=self.U_b.copy())
 
 
 def _bar(coef: np.ndarray) -> np.ndarray:
@@ -630,16 +627,24 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
     return out
 
 
-def profile(d: DispState, p: PlasmaParams) -> DispState:
-    """V_sigma = e^{+i t Lam_sigma} U_sigma; constant along the free flow."""
+def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
+    """Solve dU/dt = -i Lambda U exactly for time t (any sign)."""
     sym = _symbols(d.grid, p)
     return DispState(
         d.grid,
-        np.exp(1j * d.t * sym.lam_e) * d.U_e,
-        np.exp(1j * d.t * sym.lam_i) * d.U_i,
-        np.exp(1j * d.t * sym.lam_b) * d.U_b,
-        d.t,
+        np.exp(-1j * t * sym.lam_e) * d.U_e,
+        np.exp(-1j * t * sym.lam_i) * d.U_i,
+        np.exp(-1j * t * sym.lam_b) * d.U_b,
+        d.t + t,
     )
+
+
+def profile(d: DispState, p: PlasmaParams) -> DispState:
+    """V_sigma = e^{+i t Lam_sigma} U_sigma, the free flow back to time 0,
+    labelled with d.t; constant along the free flow."""
+    v = free_evolve(d, -d.t, p)
+    v.t = d.t
+    return v
 
 
 def hn_norm(grid: Grid, coef: np.ndarray, order: int = 0) -> float:

@@ -35,12 +35,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import _root, find_R_sigma, jet, lam, lam_prime, lam_prime_inverse, lam_second
+from .dispersion import (BRANCHES, _root, find_R_sigma, jet, lam, lam_prime, lam_prime_inverse,
+                         lam_second)
 from .params import PlasmaParams
 
 D_NUM = 10
 
-BRANCHES = ("i", "e", "b")
 PHASE_SPECIES = ("i+", "i-", "e+", "e-", "b+", "b-")
 
 
@@ -484,9 +484,10 @@ def admissible_cases(pc: PhaseClass, k: int, k1: int, k2: int,
     return tuple(out)
 
 
-def stronglyell_deltas(k1: int, k2: int, D_num: int = D_NUM) -> tuple:
-    """(delta_1, delta_2) thresholds for shell (k1, k2)."""
-    m = max(k1, k2, 0)
+def stronglyell_deltas(k1, k2, D_num: int = D_NUM) -> tuple:
+    """(delta_1, delta_2) thresholds on |Xi| and |Phi| for shells (k1, k2),
+    scalars or arrays."""
+    m = np.maximum(np.maximum(k1, k2), 0)
     return 2.0 ** (-D_num - 4 * m), 2.0 ** (-D_num - m)
 
 
@@ -573,21 +574,12 @@ def case_d_window(pc: PhaseClass, k: int, k1: int, k2: int) -> dict:
     at one value.
     """
     d_lo, d_hi = D_WINDOW
-    out = {}
-    if pc.a:
-        lo = max(2 * max(abs(k), abs(k1), abs(k2)), d_lo)
-        if lo <= d_hi:
-            out["A"] = (lo, d_hi)
-    if pc.b:
-        lo = max(-4 * k, d_lo)
-        hi = min(-3 * min(k1, k2), d_hi)
-        if lo <= hi:
-            out["B"] = (lo, hi)
-    if pc.c:
-        hi = min(-4 * k, d_hi)
-        if d_lo <= hi:
-            out["C"] = (d_lo, hi)
-    return out
+    admitted = {c: [] for c in "ABC"}
+    for D in range(d_lo, d_hi + 1):
+        for c in admissible_cases(pc, k, k1, k2, D):
+            admitted[c].append(D)
+    # each case condition is an interval in D
+    return {c: (ds[0], ds[-1]) for c, ds in admitted.items() if ds}
 
 
 @dataclass
@@ -719,8 +711,8 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
         if not s.size:
             return
         k, k1, k2 = _home(s), _home(z), _home(r)
-        m = np.maximum(np.maximum(k1, k2), 0.0)
-        strict = (aph <= base * 2.0 ** (-m)) & (axi <= base * 2.0 ** (-4.0 * m))
+        d_xi, d_phi = stronglyell_deltas(k1, k2, D_num)
+        strict = (aph <= d_phi) & (axi <= d_xi)
         if strict.any():
             samples[key].append(np.column_stack([
                 k[strict], k1[strict], k2[strict], aph[strict], axi[strict]]))

@@ -49,7 +49,7 @@ def test_radial_kernel_gaussian():
     w = lambda s: np.exp(-s * s / 2.0)  # noqa: E731
     xs = np.array([0.0, 0.5, 1.3, 3.0])
     got = radial_kernel(lambda s: 0.0 * s, lambda s: 0.0 * s, w,
-                        1e-6, 12.0, 1e-30, xs)
+                        1e-6, 12.0, 1e-30, xs, 64)
     want = (2.0 * np.pi) ** 1.5 * np.exp(-xs * xs / 2.0)
     np.testing.assert_allclose(got.real, want, rtol=1e-8)
     np.testing.assert_allclose(got.imag, np.zeros_like(xs), atol=1e-8)
@@ -61,7 +61,7 @@ def test_radial_kernel_quadratic_phase():
     z = 1.0 - 1j * t
     w = lambda s: np.exp(-s * s / 2.0)  # noqa: E731
     xs = np.array([0.7, 2.0])
-    got = radial_kernel(lambda s: s * s / 2.0, lambda s: s, w, 1e-6, 14.0, t, xs)
+    got = radial_kernel(lambda s: s * s / 2.0, lambda s: s, w, 1e-6, 14.0, t, xs, 64)
     want = (2.0 * np.pi / z) ** 1.5 * np.exp(-xs * xs / (2.0 * z))
     np.testing.assert_allclose(got, want, rtol=5e-4)
 
@@ -69,16 +69,16 @@ def test_radial_kernel_quadratic_phase():
 def test_radial_kernel_validation():
     w = lambda s: np.ones_like(s)  # noqa: E731
     with pytest.raises(ValueError):
-        radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 1.0, 2.0, 1.0, [-0.1])
+        radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 1.0, 2.0, 1.0, [-0.1], 64)
     with pytest.raises(ValueError):
-        radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 2.0, 1.0, 1.0, [0.5])
+        radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 2.0, 1.0, 1.0, [0.5], 64)
 
 
 def test_node_cap_refusal():
     w = lambda s: np.ones_like(s)  # noqa: E731
     with pytest.raises(ValueError, match="under-resolved oscillation"):
         radial_kernel(lambda s: 1e9 * s, lambda s: 1e9 * np.ones_like(s), w,
-                      1.0, 2.0, 1.0, [1.0])
+                      1.0, 2.0, 1.0, [1.0], 64)
 
 
 def test_kernel_profile_resolution_consistency():
@@ -92,16 +92,44 @@ def test_kernel_profile_resolution_consistency():
 
 def test_stationary_grid_covers_the_sweep():
     q = KernelQuery("e", 0, 1000.0)
-    xs, top = stationary_xs(q, P)
+    xs = stationary_xs(q, P)
     assert xs[0] == 0.0
     anchors = np.geomspace(2.0**-2.5, 2.0**2.5, 25)
     sweep = 1000.0 * np.abs(decay.lam_prime("e", anchors, P))
-    assert top == pytest.approx(sweep.max(), rel=1e-14)
-    assert xs.max() >= 2.9 * sweep.max()
+    # the grid ends at the sweep top: no stationary point lies beyond it
+    assert xs.max() == pytest.approx(sweep.max(), rel=1e-14)
     assert np.all(np.diff(xs) > 0)
     # the ion shell at the curvature flip gets the Airy cluster
     q_star = KernelQuery("i", 1, 1000.0)
-    assert len(stationary_xs(q_star, P)[0]) > len(xs)
+    assert len(stationary_xs(q_star, P)) > len(xs)
+
+
+def test_kernel_sup_is_one_quadrature_pass(monkeypatch):
+    # one node table per query, over the whole stationary grid
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(len(args[6]))
+        return radial_kernel(*args, **kw)
+
+    monkeypatch.setattr(decay, "radial_kernel", counting)
+    for q in (KernelQuery("e", -1, 100.0), KernelQuery("i", 1, 100.0)):
+        calls.clear()
+        kernel_sup(q, P)
+        assert calls == [len(stationary_xs(q, P))]
+
+
+@pytest.mark.parametrize("branch,k", [("i", -3), ("i", 1), ("e", -1)])
+def test_kernel_is_negligible_beyond_the_sweep(branch, k):
+    # radii past the sweep top, which the stationary grid does not carry: the
+    # phase t lambda(s) - s|x| is stationary nowhere in the shell there.  This
+    # covers the ladder range t >= 1e2 only; at t = 1 the ratio reaches 0.73
+    # (i k=-3).
+    q = KernelQuery(branch, k, 100.0)
+    anchors = np.geomspace(2.0 ** (k - 2.5), 2.0 ** (k + 2.5), 25)
+    top = 100.0 * np.abs(decay.lam_prime(branch, anchors, P)).max()
+    outside = np.abs(kernel_profile(q, P, [1.7 * top, 3.0 * top]))
+    assert outside.max() <= 1e-2 * kernel_sup(q, P)
 
 
 # ---------------------------------------------------------------------------
