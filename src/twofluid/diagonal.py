@@ -30,23 +30,22 @@ Lam_i/|xi| is continued through the origin by its finite limit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import (_KEYS, FIELDS, ROW_FIELDS, PhysState, SystemKind, _tendencies,
+from .physics import (FIELDS, ROW_FIELDS, PhysState, SystemKind, _field, _tendencies,
                       constraints, ep_electric)
 from .spectral import (
     Grid,
     _inv0,
+    _negate_modes,
+    conj_half,
     curl,
     div,
     full_spectrum,
-    half_spectrum,
     inv_modulus,
     is_hermitian,
     l2_norm,
@@ -114,37 +113,30 @@ def species_split(mu: str):
 # state container and radial symbol tables
 
 
-@dataclass
 class DispState:
-    """Dispersive unknowns as spectral coefficients.
+    """The dispersive unknowns at time t, as one buffer in the full layout
+    of module spectral: their coefficients carry no conjugate symmetry.
+    ``buf`` has shape (5, n, n, n); as in a PhysState, ``U_e``, ``U_i`` and
+    ``U_b`` are writable views onto its rows 0, 1 and 2:5, and the
+    constructor copies its three arrays into a new buffer."""
 
-    U_e, U_i are scalar complex fields, U_b a complex vector field; unlike a
-    PhysState the coefficients carry no conjugate symmetry, so they are kept
-    in the full layout of module spectral, (n, n, n) per component.
-    """
+    U_e, U_i, U_b = _field(0), _field(1), _field(slice(2, 5))
 
-    grid: Grid
-    U_e: np.ndarray
-    U_i: np.ndarray
-    U_b: np.ndarray
-    t: float = 0.0
+    def __init__(self, grid: Grid, U_e, U_i, U_b, t: float = 0.0):
+        self.grid, self.t = grid, t
+        self.buf = np.empty((5,) + (grid.n,) * 3, dtype=complex)
+        self.U_e, self.U_i, self.U_b = U_e, U_i, U_b
+
+    @classmethod
+    def _over(cls, grid: Grid, buf: np.ndarray, t: float) -> "DispState":
+        """A state whose buffer is ``buf`` itself, not a copy."""
+        out = cls.__new__(cls)
+        out.grid, out.t, out.buf = grid, t, buf
+        return out
 
     @classmethod
     def zero(cls, grid: Grid, t: float = 0.0) -> "DispState":
-        n = grid.n
-        return cls(grid, np.zeros((n,) * 3, complex), np.zeros((n,) * 3, complex),
-                   np.zeros((3,) + (n,) * 3, complex), t)
-
-
-def _bar(coef: np.ndarray) -> np.ndarray:
-    """Coefficients of the complex-conjugate field: Ubar^(xi) = conj(U^(-xi))."""
-    return np.conj(reflect(coef))
-
-
-def _full_fields(s: PhysState) -> SimpleNamespace:
-    """The six fields of ``s`` in the full layout, by name."""
-    full = full_spectrum(s.grid, s.buf)
-    return SimpleNamespace(**{f: full[key] for f, key in _KEYS.items()})
+        return cls(grid, 0.0, 0.0, 0.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +150,9 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
     B, so it is one-to-one exactly on the constraint manifold; with
     ``check`` a violation of the constraints raises a warning rather than
     an error, and a state that is not real (possible only on the
-    self-mirrored planes of the half layout) raises.  The state is expanded
-    to the full layout on entry.
+    self-mirrored planes of the half layout) raises.  Each unknown is U =
+    P + iM with P and M real: U and P - iM are formed on the half layout,
+    and only they are expanded, into the result's buffer.
     """
     g, t = s.grid, s.t
     if check:
@@ -177,37 +170,44 @@ def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispStat
     sym = _symbols(g, p)
     seps = np.sqrt(p.epsilon)
     R, nrm = sym.R, sym.norm
-    s = _full_fields(s)
 
     h = -inv_modulus(g, div(g, s.v))
     gg = -inv_modulus(g, div(g, s.u))
     le = sym.lam_e * sym.inv  # zero mode dropped
 
-    U_e = 0.5 * nrm * (-seps * le * s.n + R * le * s.rho
-                       - 1j * seps * h + 1j * R * gg)
-    U_i = 0.5 * nrm * (seps * R * sym.qi * s.n + sym.qi * s.rho
-                       + 1j * seps * R * h + 1j * gg)
-    U_b = 0.5 * (sym.lam_b * inv_modulus(g, q_apply(g, s.B))
-                 - 1j * q2_apply(g, s.E))
-    return DispState(g, U_e, U_i, U_b, t)
+    # the terms of P, shared by U = P + iM and P - iM
+    re_e = -seps * le * s.n + R * le * s.rho
+    re_i = seps * R * sym.qi * s.n + sym.qi * s.rho
+    re_b = sym.lam_b * inv_modulus(g, q_apply(g, s.B))
+    E_t = q2_apply(g, s.E)
+
+    def rows(i):  # the rows of U = P + iM at i = 1j, of P - iM at i = -1j
+        return np.stack((0.5 * nrm * (re_e - i * seps * h + i * R * gg),
+                         0.5 * nrm * (re_i + i * seps * R * h + i * gg),
+                         *(0.5 * (re_b - i * E_t))))
+
+    # U(-xi) = conj (P - iM)(xi): the full spectrum of P - iM holds U's tail,
+    # and U's stored half is written over its head
+    d = DispState._over(g, full_spectrum(g, rows(-1j)), t)
+    d.buf[..., : g.n // 2 + 1] = rows(1j)
+    return d
 
 
 def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     """Reconstruct the physical fields; real, with div B = 0 and Gauss law
-    holding by construction.  They are formed in the full layout and their
-    half spectra kept, Nyquist planes zeroed."""
+    holding by construction.  They are built on the half layout from U +
+    Ubar and U - Ubar (`conj_half`, one gather), Nyquist planes zeroed."""
     g = d.grid
     sym = _symbols(g, p)
     R, nrm = sym.R, sym.norm
     ieps = p.epsilon ** -0.5
 
-    bar_e, bar_i = _bar(d.U_e), _bar(d.U_i)
-    S_e, D_e = d.U_e + bar_e, d.U_e - bar_e
-    S_i, D_i = d.U_i + bar_i, d.U_i - bar_i
+    U, bar = d.buf[..., : g.n // 2 + 1], conj_half(g, d.buf)
+    S_e, D_e = U[0] + bar[0], U[0] - bar[0]
+    S_i, D_i = U[1] + bar[1], U[1] - bar[1]
     # U_b enters the fields through its transverse part only; projecting here
     # keeps the reconstruction admissible for arbitrary coefficient input
-    U_b = q2_apply(g, d.U_b)
-    bar_b = _bar(U_b)
+    U_b, bar_b = q2_apply(g, U[2:]), q2_apply(g, bar[2:])
     re_b, im_b = 0.5 * (U_b + bar_b), -0.5j * (U_b - bar_b)
 
     r_le = sym.mod_over_branch("e")
@@ -222,7 +222,9 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     u = riesz(g, gg) - 2.0 * a
     E = ep_electric(g, n, rho) - 2.0 * im_b
     B = 2.0 * curl(g, a)
-    return PhysState(g, *(half_spectrum(g, f) for f in (n, rho, v, u, E, B)), d.t)
+    out = PhysState(g, n, rho, v, u, E, B, d.t)
+    out.buf[:, g.n // 2] = out.buf[:, :, g.n // 2] = out.buf[..., g.n // 2] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,7 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
                        PhysState._empty(s.grid))
     d = to_dispersive(quad, p, check=False)
-    return d.U_e, d.U_i, 0.5 * (d.U_b - _bar(d.U_b))
+    return d.U_e, d.U_i, 0.5 * (d.U_b - np.conj(reflect(d.U_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +342,10 @@ class _Radius:
 
 @lru_cache(maxsize=8)
 def _symbols(grid: Grid, p: PlasmaParams) -> _Radius:
-    """The radial table at the lattice |xi|, filled once, as its readers read
-    all of it; |xi| and its inverse are the grid's own arrays."""
-    t = _Radius(grid.xi_mag, p)
-    t.inv = grid.inv_xi_mag
-    for name in ("lam_e", "lam_i", "lam_b", "qi", "R", "norm"):
-        getattr(t, name)
+    """The radial table at the lattice |xi| in the half layout, read by the
+    dispersive maps; |xi| and its inverse are the grid's own arrays."""
+    t = _Radius(grid.half.xi_mag, p)
+    t.inv = grid.half.inv_xi_mag
     return t
 
 
@@ -525,17 +525,12 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     scale = float(g.xi_min)
     half = n // 2
 
-    tables = {"e+": d.U_e, "e-": _bar(d.U_e), "i+": d.U_i, "i-": _bar(d.U_i)}
-    for a in range(3):
-        tables[f"b+{a + 1}"] = d.U_b[a]
-        tables[f"b-{a + 1}"] = _bar(d.U_b[a])
-    flat = {k: v.reshape(-1) for k, v in tables.items()}
+    # the rows of d.buf, then those of their conjugates, Ubar(xi) = conj U(-xi)
+    coefs = np.concatenate((d.buf, np.conj(reflect(d.buf)))).reshape(10, -1)
+    flat = dict(zip(("e+", "i+", "b+1", "b+2", "b+3", "e-", "i-", "b-1", "b-2", "b-3"), coefs))
     K = g.modes.reshape(3, -1)
     active = {k: np.flatnonzero(v) for k, v in flat.items()}
-
-    N_e = np.zeros(n ** 3, complex)
-    N_i = np.zeros(n ** 3, complex)
-    W_b = np.zeros((3, n ** 3), complex)
+    W = np.zeros((5, n ** 3), complex)  # the sums, rows as in d.buf
 
     for mu, nu in CATALOG_PAIRS:
         zi, hi = active[mu], active[nu]
@@ -556,18 +551,16 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
             prod = flat[mu][zb][:, None] * flat[nu][hi][None, :]
             idx = out_idx.ravel()
             t = _Block(xi, zeta, eta, p)
-            for sigma, N in (("e", N_e), ("i", N_i)):
+            for sigma, N in (("e", W[0]), ("i", W[1])):
                 np.add.at(N, idx, (_row(sigma, mu, nu, t) * prod).ravel())
             core = _row("b", mu, nu, t)
             if core.any():
                 contrib = core * prod
                 for a in range(3):
-                    np.add.at(W_b[a], idx, contrib[a].ravel())
+                    np.add.at(W[2 + a], idx, contrib[a].ravel())
 
-    c = n ** -1.5
-    shape = (n, n, n)
-    N_b = c * q2_apply(g, W_b.reshape((3,) + shape))
-    return c * N_e.reshape(shape), c * N_i.reshape(shape), N_b
+    c, W = n ** -1.5, W.reshape((5, n, n, n))
+    return c * W[0], c * W[1], c * q2_apply(g, W[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -592,51 +585,45 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
 
     g = traj[0].grid
     sym = _symbols(g, p)
+    # the three Lam_sigma in the full layout; real and even, so full spectra
+    lam = full_spectrum(g, np.stack((sym.lam_e, sym.lam_i, sym.lam_b)))
     states = [to_dispersive(s, p, check=False) for s in traj]
 
     # the stencil only resolves phases that rotate slowly between snapshots
-    for branch, U0 in (("e", states[0].U_e), ("i", states[0].U_i),
-                       ("b", states[0].U_b)):
-        mag = np.abs(U0)
-        top = mag.max()
+    mag = np.abs(states[0].buf)
+    for branch, lam_s, m in zip(("e", "i", "b"), lam, (mag[0], mag[1], mag[2:].max(axis=0))):
+        top = m.max()
         if top == 0.0:
             continue
-        live = mag > 1e-14 * top
-        if U0.ndim == 4:
-            live = live.any(axis=0)
-        omega = float(np.max(getattr(sym, f"lam_{branch}")[live]))
+        omega = float(np.max(lam_s[m > 1e-14 * top]))
         if omega * abs(dt) > 1.0:
             warnings.warn(
                 f"branch {branch}: fastest retained mode turns {omega * abs(dt):.2f} "
                 "radians per snapshot; the 4th-order stencil needs finer sampling",
                 RuntimeWarning, stacklevel=2)
 
-    out = {"t": times[2:-2], "e": [], "i": [], "b": []}
+    res = {"e": [], "i": [], "b": []}
     for k in range(2, len(traj) - 2):
-        if include_nonlinearity:
-            N_e, N_i, N_b = nonlinearity_direct(traj[k], p)
-        else:
-            N_e = N_i = N_b = 0.0
-        for branch, N in (("e", N_e), ("i", N_i), ("b", N_b)):
-            U = [getattr(states[k + j], f"U_{branch}") for j in (-2, -1, 0, 1, 2)]
-            Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
-            res = Udot + 1j * getattr(sym, f"lam_{branch}") * U[2] - N
-            out[branch].append(l2_norm(g, res))
-    for branch in ("e", "i", "b"):
-        out[branch] = np.array(out[branch])
-    return out
+        U = [states[k + j].buf for j in (-2, -1, 0, 1, 2)]
+        Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
+        N = nonlinearity_direct(traj[k], p) if include_nonlinearity else (0.0,) * 3
+        for branch, rows, lam_s, N_s in zip(("e", "i", "b"), (0, 1, slice(2, 5)), lam, N):
+            res[branch].append(l2_norm(g, Udot[rows] + 1j * lam_s * U[2][rows] - N_s))
+    return {"t": times[2:-2], **{b: np.array(v) for b, v in res.items()}}
 
 
 def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
     """Solve dU/dt = -i Lambda U exactly for time t (any sign)."""
-    sym = _symbols(d.grid, p)
-    return DispState(
-        d.grid,
-        np.exp(-1j * t * sym.lam_e) * d.U_e,
-        np.exp(-1j * t * sym.lam_i) * d.U_i,
-        np.exp(-1j * t * sym.lam_b) * d.U_b,
-        d.t + t,
-    )
+    g, sym = d.grid, _symbols(d.grid, p)
+    h = g.n // 2
+    out = DispState._over(g, np.empty_like(d.buf), d.t + t)
+    ph = out.buf[:3]  # the phases e^{-i t Lam} of e, i, b, then their products
+    # formed on the half layout: Lam is even in xi, so the tail is the plain mirror
+    ph[..., : h + 1] = np.exp(np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), -1j * t))
+    ph[..., h + 1:] = _negate_modes(ph[..., h - 1:0:-1], (-3, -2))
+    np.multiply(ph[2], d.buf[3:], out=out.buf[3:])
+    ph *= d.buf[:3]
+    return out
 
 
 def profile(d: DispState, p: PlasmaParams) -> DispState:

@@ -88,9 +88,8 @@ class SystemKind(enum.Enum):
     euler_poisson = "ep"
 
 
-def _field(name: str) -> property:
-    """A writable view onto the rows of ``buf`` that hold one field."""
-    key = _KEYS[name]
+def _field(key) -> property:
+    """A writable view onto the rows ``key`` of ``buf`` that hold one field."""
     return property(lambda s: s.buf[key], lambda s, value: s.buf.__setitem__(key, value))
 
 
@@ -107,11 +106,11 @@ class PhysState:
     (n, n, n//2 + 1) and ``v``, ``u``, ``E``, ``B`` (3, n, n, n//2 + 1) are
     views onto those rows; assigning to one (``s.n = arr``, ``s.B[:] = 0``)
     writes into ``buf``.  The constructor copies its six half-layout arrays,
-    real or complex, into a new buffer.  The dispersive unknowns are not
-    real, so module diagonal keeps them in the full layout instead.
+    real or complex, into a new buffer.  ``diagonal.DispState`` keeps the
+    dispersive unknowns, which are not real, in a full-layout buffer alike.
     """
 
-    n, rho, v, u, E, B = (_field(f) for f in FIELDS)
+    n, rho, v, u, E, B = (_field(_KEYS[f]) for f in FIELDS)
 
     def __init__(self, grid: Grid, n, rho, v, u, E, B, t: float = 0.0):
         self.grid, self.t, self.buf = grid, t, _buffer(grid)

@@ -11,8 +11,8 @@ Conventions
   last axis:
 
   - the full layout, (n, n, n) for scalars and (3, n, n, n) for vectors,
-    holds any complex field; the dispersive unknowns live here, since their
-    coefficients carry no conjugate symmetry;
+    holds any complex field; the dispersive unknowns live here (one
+    (5, n, n, n) buffer), as their coefficients carry no conjugate symmetry;
   - the half layout, (n, n, n//2 + 1) per component, is the ``rfftn``
     half-spectrum of a real field: the entries with negative last-axis
     modes are the conjugates of their mirrors and are not stored.  The
@@ -23,7 +23,8 @@ Conventions
   zero: the odd symbol i xi of grad and curl maps their real content to
   imaginary content, which no real field has there.  ``to_half`` and the
   half branch of ``to_physical`` are the real transform pair;
-  ``full_spectrum`` and ``half_spectrum`` convert between the layouts.
+  ``full_spectrum`` and ``half_spectrum`` convert between the layouts, and
+  ``conj_half`` gives the half of a full-layout field's conjugate.
   Every multiplier below reads its wavevector table in the layout of its
   argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
   entry with its Hermitian multiplicity.
@@ -58,6 +59,7 @@ __all__ = [
     "full_spectrum",
     "half_spectrum",
     "reflect",
+    "conj_half",
     "hermitize",
     "is_hermitian",
     "cross",
@@ -216,6 +218,14 @@ def _negate_modes(coef: np.ndarray, axes: tuple) -> np.ndarray:
 def reflect(coef: np.ndarray) -> np.ndarray:
     """coef evaluated at -xi (index reversal respecting FFT layout)."""
     return _negate_modes(coef, (-3, -2, -1))
+
+
+def conj_half(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """conj c(-xi) on the half layout for full-layout c, the half of the
+    conjugate field: ``np.conj(reflect(coef))[..., :n//2 + 1]`` in one gather."""
+    neg = -np.arange(grid.n) % grid.n
+    out = coef[..., neg[:, None, None], neg[None, :, None], neg[: grid.n // 2 + 1]]
+    return np.conjugate(out, out=out)
 
 
 def hermitize(coef: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twofluid import physics
+from twofluid import diagonal, physics, spectral
 from twofluid.diagonal import (
     CATALOG_PAIRS,
     DispState,
@@ -18,7 +18,7 @@ from twofluid.diagonal import (
     species_split,
     to_dispersive,
 )
-from twofluid.dispersion import coupling, lam
+from twofluid.dispersion import coupling, lam, q_i
 from twofluid.params import PlasmaParams
 from twofluid.spectral import Grid, is_hermitian, l2_norm, q2_apply, reflect
 
@@ -78,6 +78,78 @@ def test_round_trip_on_constraint_states():
             scale = max(l2_norm(G32, a), 1e-300)
             assert l2_norm(G32, a - b) / scale < 1e-11, name
     assert back.t == s.t
+
+
+def test_disp_rows_are_views_onto_the_buffer():
+    d = _random_disp(G16)
+    assert d.buf.shape == (5, 16, 16, 16) and d.buf.dtype == complex
+    for f, key in zip(("U_e", "U_i", "U_b"), (0, 1, slice(2, 5))):
+        arr = getattr(d, f)
+        assert np.shares_memory(arr, d.buf), f
+        assert arr.shape == d.buf[key].shape and np.array_equal(arr, d.buf[key]), f
+    buf = d.buf
+    d.U_b[1] = 3.0 - 1.0j
+    assert np.all(buf[3] == 3.0 - 1.0j)
+    arr = np.full((16,) * 3, 2.0 + 1.0j)
+    d.U_i = arr
+    np.testing.assert_array_equal(buf[1], arr)
+    arr[0, 0, 0] = 0.0  # the buffer holds a copy
+    assert buf[1, 0, 0, 0] == 2.0 + 1.0j and d.buf is buf
+    z = DispState.zero(G16, t=0.5)
+    assert z.buf.shape == (5, 16, 16, 16) and not z.buf.any() and z.t == 0.5
+    z.U_e[1, 2, 3] = 1.0
+    z.U_b = np.ones((3, 16, 16, 16))
+    assert z.buf[0, 1, 2, 3] == 1.0 and np.all(z.buf[2:] == 1.0)
+
+
+def test_to_dispersive_matches_the_module_formulas_on_one_mode():
+    # an admissible state holding one mode k and its conjugate -k; on the
+    # default box xi = k, and the formulas of the module docstring give U there
+    g, k = G16, (1, 2, 3)
+    rng = np.random.default_rng(5)
+    seed = {}
+    for key, lead in (("n", ()), ("rho", ()), ("v_pot", ()), ("u_pot", ()),
+                      ("E_t", (3,)), ("b_seed", (3,))):
+        c = np.zeros(lead + (g.n,) * 3, complex)
+        c[(...,) + k] = rng.normal(size=lead) + 1j * rng.normal(size=lead)
+        seed[key] = 1e-3 * c
+    s = physics.make_irrotational(g, P, seed)
+    d = to_dispersive(s, P)
+
+    xi = np.array(k, float)
+    r = np.sqrt(xi @ xi)
+    R, seps = coupling(r, P), np.sqrt(P.epsilon)
+    lam_e, lam_b, qi = lam("e", r, P), lam("b", r, P), q_i(r, P)
+    for sign in (1, -1):  # the stored mode and the tail entry at -xi
+        at = lambda f: f[(...,) + k] if sign > 0 else np.conj(f[(...,) + k])  # noqa: E731
+        x = sign * xi
+        n_, rho_, v_, u_, E_, B_ = (at(getattr(s, f)) for f in physics.FIELDS)
+        h, gg = -1j * (x @ v_) / r, -1j * (x @ u_) / r
+        c = 1.0 / (2.0 * np.sqrt(1.0 + R ** 2))
+        U_e = c * (-seps * lam_e / r * n_ + R * lam_e / r * rho_ - 1j * seps * h + 1j * R * gg)
+        U_i = c * (seps * R * qi * n_ + qi * rho_ + 1j * seps * R * h + 1j * gg)
+        QB = 1j * np.cross(x, B_) / r
+        Q2E = E_ - x * (x @ E_) / r ** 2
+        U_b = 0.5 * (lam_b / r * QB - 1j * Q2E)
+        idx = tuple(sign * np.array(k) % g.n)
+        for name, want in (("U_e", U_e), ("U_i", U_i), ("U_b", U_b)):
+            got = getattr(d, name)[(...,) + idx]
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (sign, name)
+    mask = np.ones((g.n,) * 3, bool)
+    mask[k] = mask[tuple(-np.array(k) % g.n)] = False
+    assert not d.buf[:, mask].any()
+
+
+def test_from_dispersive_needs_no_full_reflection(monkeypatch):
+    d = _random_disp(G16, seed=13)
+    want = from_dispersive(d, P)
+
+    def boom(coef):
+        raise AssertionError("full-layout reflect called")
+
+    monkeypatch.setattr(spectral, "reflect", boom)
+    monkeypatch.setattr(diagonal, "reflect", boom)
+    np.testing.assert_array_equal(from_dispersive(d, P).buf, want.buf)
 
 
 def test_to_from_recovers_projected_part():

@@ -7,6 +7,7 @@ from twofluid.spectral import (
     Grid,
     b_norms,
     bump,
+    conj_half,
     full_spectrum,
     grad,
     half_spectrum,
@@ -87,6 +88,19 @@ def test_reflect_is_mode_negation():
         plus = tuple(m % G.n)
         minus = tuple((-m) % G.n)
         assert r[plus] == c[minus]
+
+
+def test_conj_half_is_the_cut_conjugate_mirror():
+    # one gather over every leading axis, bit for bit the full-layout route
+    for n in (8, 16):
+        g = Grid(n)
+        for lead in ((), (3,), (5,)):
+            shape = lead + (n,) * 3
+            c = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+            got, want = conj_half(g, c), np.conj(reflect(c))[..., : n // 2 + 1]
+            assert got.shape == lead + (n, n, n // 2 + 1)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def test_hermitize_and_reality():
