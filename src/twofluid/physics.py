@@ -7,8 +7,9 @@ and the rescaled fields E, B on a periodic box.  They are real, and a
 half-spectrum of each: one complex buffer of shape (14, n, n, n//2 + 1) with
 the fields as views onto its rows (``ROWS``).  The layout makes the fields
 real, so nothing checks it; its Nyquist planes are zero and stay zero (see
-module spectral).  One batched transform reaches every row, and an RK4
-stage combines whole states in one operation.  Quadratic products are
+module spectral).  Each :func:`rhs` makes one batched transform each way,
+an RK4 stage combines whole states in one operation, and the monitors read
+``spectral.derivatives`` one field at a time.  Quadratic products are
 formed in physical space and dealiased by the grid's 2/3 mask.  Runs to
 later sample times go through :func:`integrate`, the one stepping loop.
 
@@ -27,7 +28,6 @@ discretization exactly rather than to O(dt^4):
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 
 import numpy as np
@@ -37,6 +37,7 @@ from .spectral import (
     Grid,
     cross,
     curl,
+    derivatives,
     div,
     grad,
     half_spectrum,
@@ -277,44 +278,25 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
 # energies and monitors
 
 
-def _multi_indices(order: int):
-    for total in range(order + 1):
-        for a, b in itertools.product(range(total + 1), repeat=2):
-            if a + b <= total:
-                yield (a, b, total - a - b)
-
-
-def _derivative_symbols(grid: Grid, order: int):
-    """The symbols (i xi)^gamma of D^gamma for every |gamma| <= order, in
-    the half layout; each is the outer product of one factor per axis."""
-    ixi = 1j * grid.half.xi
-    ix, iy, iz = ixi[0][:, :1, :1], ixi[1][:1, :, :1], ixi[2][:1, :1, :]
-    for gamma in _multi_indices(order):
-        yield ix ** gamma[0] * iy ** gamma[1] * iz ** gamma[2]
-
-
 def energy(state: PhysState, p: PlasmaParams, order: int = 0) -> float:
     """Weighted energy: sum over |gamma| <= order of the integrals of
     T|D^g n|^2 + eps(1+n)|D^g v|^2 + |D^g rho|^2 + (1+rho)|D^g u|^2
-    + |D^g E|^2 + (C_b/eps)|D^g B|^2."""
-    if not 0 <= order <= ENERGY_ORDER_MAX:
-        raise ValueError(f"order must lie in [0, {ENERGY_ORDER_MAX}]")
+    + |D^g E|^2 + (C_b/eps)|D^g B|^2, summed in physical space by field."""
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 0 <= order <= ENERGY_ORDER_MAX):
+        raise ValueError(f"order must be an integer in [0, {ENERGY_ORDER_MAX}], got {order!r}")
     g = state.grid
-    vol = (2.0 * g.box_half / g.n) ** 3
-    n_p, rho_p = to_physical(g, state.buf[0:2])
+    weight = {"n": p.T, "rho": 1.0, "E": 1.0, "B": p.C_b / p.epsilon}
     total = 0.0
-    for sym in _derivative_symbols(g, order):
-        total += (
-            p.T * l2_norm(g, sym * state.n) ** 2
-            + l2_norm(g, sym * state.rho) ** 2
-            + l2_norm(g, sym * state.E) ** 2
-            + (p.C_b / p.epsilon) * l2_norm(g, sym * state.B) ** 2
-        )
-        # v and u are the adjacent rows 2:8, one transform for both
-        dvu = to_physical(g, sym * state.buf[2:8])
-        total += vol * p.epsilon * float(np.sum((1.0 + n_p) * np.sum(dvu[:3] ** 2, axis=0)))
-        total += vol * float(np.sum((1.0 + rho_p) * np.sum(dvu[3:] ** 2, axis=0)))
-    return total
+    for f in FIELDS:
+        for k, vals in enumerate(derivatives(g, state.buf[ROWS[f]], order)):
+            total += float(np.sum(weight[f] * np.sum(vals**2, axis=0)))
+            # gamma = 0 comes first: the values of n and rho weight v and u
+            if k == 0 and f == "n":
+                weight["v"] = p.epsilon * (1.0 + vals[0])
+            elif k == 0 and f == "rho":
+                weight["u"] = 1.0 + vals[0]
+    return (2.0 * g.box_half / g.n) ** 3 * total
 
 
 def local_energy_residual(state: PhysState, tend: PhysState, p: PlasmaParams,
@@ -456,15 +438,13 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
 
 
 def _derivative_sups(state: PhysState, order: int) -> np.ndarray:
-    """sup over the box of |D^gamma c|: one row per |gamma| <= order, in
-    `_multi_indices` order (row 0 is gamma = 0), one column per row c of buf;
-    one batched transform per gamma."""
-    g = state.grid
-    out = []
-    for sym in _derivative_symbols(g, order):
-        vals = to_physical(g, sym * state.buf)
-        out.append(np.maximum(vals.max(axis=(1, 2, 3)), -vals.min(axis=(1, 2, 3))))
-    return np.array(out)
+    """sup over the box of |D^gamma c|: one row per |gamma| <= order, in the
+    lexicographic order of `spectral.derivatives` (row 0 is gamma = 0), one
+    column per row c of buf; the engine walks one field at a time."""
+    return np.concatenate([
+        [np.maximum(vals.max(axis=(1, 2, 3)), -vals.min(axis=(1, 2, 3)))
+         for vals in derivatives(state.grid, state.buf[ROWS[f]], order)]
+        for f in FIELDS], axis=1)
 
 
 def gronwall_quantities(state: PhysState) -> dict:

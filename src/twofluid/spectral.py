@@ -22,9 +22,11 @@ Conventions
   a non-real field, and the Nyquist planes (index n/2 on any axis) are kept
   zero: the odd symbol i xi of grad and curl maps their real content to
   imaginary content, which no real field has there.  ``to_half`` and the
-  half branch of ``to_physical`` are the real transform pair;
+  half branch of ``to_physical`` are the real transform pair, ``derivatives``
+  yields every D^gamma of a half-layout field up to an order,
   ``full_spectrum`` and ``half_spectrum`` convert between the layouts, and
-  ``conj_half`` gives the half of a full-layout field's conjugate.
+  ``conj_half`` gives the half of a full-layout field's conjugate.  No other
+  module calls a transform library.
   Every multiplier below reads its wavevector table in the layout of its
   argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
   entry with its Hermitian multiplicity.
@@ -56,6 +58,7 @@ __all__ = [
     "to_spectral",
     "to_physical",
     "to_half",
+    "derivatives",
     "full_spectrum",
     "half_spectrum",
     "reflect",
@@ -191,6 +194,22 @@ def to_physical(grid: Grid, coef: np.ndarray) -> np.ndarray:
 def to_half(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half-layout coefficients of real values; leading axes batched."""
     return sfft.rfftn(values, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
+
+
+def derivatives(grid: Grid, coef: np.ndarray, order: int):
+    """Yield the values of D^gamma of the rows of the half-layout ``coef`` for
+    |gamma| <= order, gamma = (a, b, c) in lexicographic order (0 first), by a
+    depth-first tree of one-axis passes: ``ifft`` along x per a, along y per
+    (a, b), ``irfft`` along z per gamma.  Only fresh products are overwritten."""
+    ixi = 1j * grid.half.xi
+    kx, ky, kz = ixi[0][:, :1, :1], ixi[1][:1, :, :1], ixi[2][:1, :1, :]
+    opts = dict(norm="ortho", workers=_FFT_WORKERS)
+    for a in range(order + 1):
+        cx = sfft.ifft(coef * kx**a if a else coef, axis=-3, overwrite_x=a > 0, **opts)
+        for b in range(order + 1 - a):
+            cy = sfft.ifft(cx * ky**b if b else cx, axis=-2, overwrite_x=b > 0, **opts)
+            for c in range(order + 1 - a - b):
+                yield sfft.irfft(cy * kz**c if c else cy, grid.n, -1, overwrite_x=c > 0, **opts)
 
 
 def _is_half(grid: Grid, coef: np.ndarray) -> bool:

@@ -113,3 +113,33 @@ def test_no_unused_imports():
              if (unused := _unused_imports(ast.parse(path.read_text(), filename=str(path))))}
     assert len(paths) >= 20
     assert not found, found
+
+
+_FFT_MODULES = {"scipy.fft", "scipy.fftpack", "numpy.fft"}
+
+
+def _fft_imports(tree):
+    """The lines of ``tree`` that import ``scipy.fft``, ``scipy.fftpack`` or
+    ``numpy.fft``, whole or in part, or reach one as ``np.fft``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
+        else:
+            continue
+        if any(".".join(name.split(".")[:2]) in _FFT_MODULES for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_spectral_imports_a_transform_library():
+    # the transform policy (norm, workers, layouts) lives in module spectral
+    package = sorted((ROOT / "src" / "twofluid").glob("*.py"))
+    found = {path.name: lines for path in package
+             if (lines := _fft_imports(ast.parse(path.read_text(), filename=str(path))))}
+    assert len(package) >= 10
+    assert set(found) == {"spectral.py"}, found

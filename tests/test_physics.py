@@ -417,10 +417,12 @@ def test_nyquist_planes_stay_zero(kind):
 
 
 def _count_transforms(monkeypatch):
-    """Count the inverse and forward transforms of module spectral."""
-    counts = {"inverse": 0, "forward": 0}
+    """Count the three-axis inverse and forward transforms of module spectral
+    and its one-axis passes."""
+    counts = {"inverse": 0, "forward": 0, "axis": 0}
     for name, way in (("irfftn", "inverse"), ("ifftn", "inverse"),
-                      ("rfftn", "forward"), ("fftn", "forward")):
+                      ("rfftn", "forward"), ("fftn", "forward"),
+                      ("ifft", "axis"), ("irfft", "axis")):
         def counted(*args, _fn=getattr(spectral.sfft, name), _way=way, **kw):
             counts[_way] += 1
             return _fn(*args, **kw)
@@ -433,20 +435,33 @@ def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
     counts = _count_transforms(monkeypatch)
     rhs(s, P)
-    assert counts == {"inverse": 1, "forward": 1}
+    assert counts == {"inverse": 1, "forward": 1, "axis": 0}
     counts.update(inverse=0, forward=0)
     step(s, 0.5 * cfl_dt(g, P), P)
-    assert counts == {"inverse": 4, "forward": 4}
+    assert counts == {"inverse": 4, "forward": 4, "axis": 0}
     counts.update(inverse=0, forward=0)
-    physics._derivative_sups(s, 4)  # one inverse per multi-index |gamma| <= 4
-    assert counts == {"inverse": 35, "forward": 0}
-    counts.update(inverse=0, forward=0)
+    # per field, one x pass per a, one y pass per (a, b), one z pass per
+    # |gamma| <= 4: 5 + 15 + 35
+    physics._derivative_sups(s, 4)
+    assert counts == {"inverse": 0, "forward": 0, "axis": 6 * 55}
+    counts.update(axis=0)
     nonlinearity_direct(s, P)  # the products of one rhs
-    assert counts == {"inverse": 1, "forward": 1}
+    assert counts == {"inverse": 1, "forward": 1, "axis": 0}
     tend = rhs(s, P)
     counts.update(inverse=0, forward=0)
     local_energy_residual(s, tend, P)  # state, tendencies, flux divergence
-    assert counts == {"inverse": 3, "forward": 1}
+    assert counts == {"inverse": 3, "forward": 1, "axis": 0}
+
+
+def test_monitors_leave_the_state_unchanged():
+    # the engine transforms in place only products it has formed itself
+    g = Grid(16)
+    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
+    before = s.buf.copy()
+    energy(s, P, 2)
+    physics._derivative_sups(s, 4)
+    gronwall_quantities(s)
+    assert np.array_equal(s.buf, before)
 
 
 def test_ep_tracks_slaved_field():
@@ -468,10 +483,10 @@ def test_energy_zero_and_validation():
     g = Grid(16)
     s = PhysState.zero(g)
     assert energy(s, P, 0) == 0.0
-    with pytest.raises(ValueError):
-        energy(s, P, 9)
-    with pytest.raises(ValueError):
-        energy(s, P, -1)
+    assert energy(s, P, np.int64(2)) == 0.0
+    for order in (9, -1, 1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            energy(s, P, order)
 
 
 def test_energy_order0_quadratic_limit():
@@ -518,20 +533,23 @@ def test_gronwall_quantities_keys():
 
 
 def test_batched_monitors_match_row_by_row_reference():
-    # the batched half-layout monitors against one full-layout transform per
-    # row and multi-index, the form they replace
+    # the monitors against one full-layout three-axis transform per row and
+    # multi-index, with gamma = (a, b, c) in the engine's lexicographic order
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
     full = spectral.full_spectrum(g, s.buf)
     ixi = 1j * g.xi
-    syms = [ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in physics._multi_indices(4)]
+    gammas = [(a, b, c) for a in range(5) for b in range(5 - a) for c in range(5 - a - b)]
+    syms = [ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in gammas]
     table = [[np.max(np.abs(to_physical(g, sym * row).real)) for row in full] for sym in syms]
     np.testing.assert_allclose(physics._derivative_sups(s, 4), table, rtol=1e-12, atol=0)
 
     vol = (2.0 * g.box_half / g.n) ** 3
     n_p, rho_p = to_physical(g, full[0]).real, to_physical(g, full[1]).real
     ref = 0.0
-    for sym in syms[:10]:  # |gamma| <= 2
+    for gamma, sym in zip(gammas, syms):
+        if sum(gamma) > 2:
+            continue
         sq = np.sum(np.abs(sym * full) ** 2, axis=(1, 2, 3))
         ref += vol * (P.T * sq[0] + sq[1] + np.sum(sq[8:11]) + P.C_b / P.epsilon * np.sum(sq[11:14]))
         dv, du = (to_physical(g, sym * full[r]).real for r in (slice(2, 5), slice(5, 8)))
