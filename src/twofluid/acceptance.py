@@ -290,7 +290,11 @@ def _energy_bound():
 
 
 def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), one printed line each."""
+    """Run the selected criteria (all by default), one printed line each;
+    unknown criterion numbers raise before any criterion runs."""
+    unknown = set(numbers or ()) - {fn.number for fn in _RUNNERS}
+    if unknown:
+        raise ValueError(f"no criterion numbered {sorted(unknown)}")
     results = []
     for fn in _RUNNERS:
         if numbers is not None and fn.number not in numbers:

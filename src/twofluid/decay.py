@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import BRANCHES, _root, jet, lam, lam_prime, lam_second
+from .dispersion import BRANCHES, find_r_star, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import BETA, Grid, phi_interval
 from .diagonal import free_evolve, from_dispersive, to_dispersive
@@ -153,24 +153,24 @@ def stationary_xs(q: KernelQuery, p: PlasmaParams) -> np.ndarray:
     stationary point in the shell.  There, at 1.7 and 3 times the top, |K|
     is at most 7.1e-4 of the supremum for |t| >= 1e2, but up to 0.73 of it
     near |t| = 1 (i, k = -3).  If lambda'' changes sign inside the shell (the
-    degenerate ion shell), the sweep folds at the group-velocity extremum
-    and the kernel peaks in an Airy window of width (|t| lambda''' / 2)^{1/3}
-    around the fold; that window gets its own cluster of radii, which a grid
-    in s cannot resolve, and at small |t| it reaches past the sweep top.
+    degenerate ion shell, at r_* of `dispersion.find_r_star`), the sweep
+    folds at the group-velocity extremum and the kernel peaks in an Airy
+    window of width (|t| lambda''' / 2)^{1/3} around the fold; that window
+    gets its own cluster of radii, which a grid in s cannot resolve, and at
+    small |t| it reaches past the sweep top.
     """
     anchors = np.geomspace(2.0 ** (q.k - 2.5), 2.0 ** (q.k + 2.5), _ANCHORS)
-    _, slope, curv = jet(q.branch, anchors, p)
-    sweep = abs(q.t) * slope
+    sweep = abs(q.t) * lam_prime(q.branch, anchors, p)
     lo = float(sweep.min())
     xs = [np.array([0.0, 0.35 * lo, 0.6 * lo]), sweep]
 
-    flips = np.flatnonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)
-    s0 = _root(lambda s: lam_second(q.branch, s, p), anchors[flips], anchors[flips + 1])
-    h = 1e-4 * s0
-    third = (lam_second(q.branch, s0 + h, p) - lam_second(q.branch, s0 - h, p)) / (2 * h)
-    width = (abs(q.t) * np.abs(third) / 2.0) ** (1.0 / 3.0)
-    x0 = abs(q.t) * lam_prime(q.branch, s0, p)
-    xs.append((x0[:, None] + width[:, None] * np.linspace(-8.0, 3.0, 28)).ravel())
+    # of the three branches only lambda_i'' changes sign, once, at r_*
+    if q.branch == "i" and anchors[0] < (s0 := find_r_star(p)) < anchors[-1]:
+        h = 1e-4 * s0
+        third = (lam_second("i", s0 + h, p) - lam_second("i", s0 - h, p)) / (2 * h)
+        width = (abs(q.t) * abs(third) / 2.0) ** (1.0 / 3.0)
+        x0 = abs(q.t) * lam_prime("i", s0, p)
+        xs.append(x0 + width * np.linspace(-8.0, 3.0, 28))
 
     out = np.unique(np.concatenate(xs))
     return out[out >= 0]

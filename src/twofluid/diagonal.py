@@ -30,7 +30,7 @@ Lam_i/|xi| is continued through the origin by its finite limit.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -290,50 +290,21 @@ _B_ROW_SIGNS = {
 
 
 class _Radius:
-    """Radial symbols at the radii ``r``: the lattice |xi| (see `_symbols`) or
-    one of |xi|, |zeta|, |eta| over a block of catalog points.  Each symbol is
-    evaluated on first use and kept, so the table holds only what its readers
-    read."""
+    """Radial symbols at the radii ``r``: the lattice |xi| in the half layout
+    (see `_symbols`), or one of |xi|, |zeta|, |eta| over a tile of catalog
+    points.  Every symbol is evaluated once, when the table is built: qi is
+    Lam_i/r, regular through the origin."""
 
     def __init__(self, r: np.ndarray, p: PlasmaParams):
-        self.r = r
-        self._p = p
-
-    @cached_property
-    def inv(self):
-        return _inv0(self.r)
-
-    @cached_property
-    def R(self):
-        return coupling(self.r, self._p)
-
-    @cached_property
-    def norm(self):
-        return 1.0 / np.sqrt(1.0 + self.R ** 2)
-
-    @cached_property
-    def qi(self):
-        """Lam_i/r, regular through the origin."""
-        return q_i(self.r, self._p)
-
-    @cached_property
-    def lam_e(self):
-        return lam("e", self.r, self._p)
-
-    @cached_property
-    def lam_i(self):
-        return lam("i", self.r, self._p)
-
-    @cached_property
-    def lam_b(self):
-        return lam("b", self.r, self._p)
+        self.r, self.inv, self.R = r, _inv0(r), coupling(r, p)
+        self.norm = 1.0 / np.sqrt(1.0 + self.R ** 2)
+        self.qi = q_i(r, p)
+        self.lam_e, self.lam_i, self.lam_b = (lam(b, r, p) for b in ("e", "i", "b"))
 
     def out_over_mod(self, sigma: str):
         """Lam_sigma(r)/r for sigma in {e, i}, factored for the ion branch and
-        0 at the origin otherwise; not kept, as each row reads it once."""
-        if sigma == "i":
-            return q_i(self.r, self._p)
-        return lam(sigma, self.r, self._p) * _inv0(self.r)
+        0 at the origin otherwise."""
+        return self.qi if sigma == "i" else self.lam_e * self.inv
 
     def mod_over_branch(self, branch: str):
         """r/Lam_branch(r); regular everywhere on both acoustic branches."""
@@ -343,19 +314,21 @@ class _Radius:
 @lru_cache(maxsize=8)
 def _symbols(grid: Grid, p: PlasmaParams) -> _Radius:
     """The radial table at the lattice |xi| in the half layout, read by the
-    dispersive maps; |xi| and its inverse are the grid's own arrays."""
-    t = _Radius(grid.half.xi_mag, p)
-    t.inv = grid.half.inv_xi_mag
-    return t
+    dispersive maps."""
+    return _Radius(grid.half.xi_mag, p)
 
 
 class _Block:
-    """Catalog points (xi, zeta, eta), shapes (3, ...), with the radial table
-    at each of the three; one per block, shared by the e, i and b rows."""
+    """Catalog points (xi, zeta, eta), shapes (3, ...) broadcasting against
+    each other, with the radial table at each of the three and the dot
+    products xe = xi.eta, xz = xi.zeta and ze = zeta.eta.  The convolution
+    builds one per tile, and every row of every catalog pair reads it."""
 
     def __init__(self, xi, zeta, eta, p: PlasmaParams):
         self.xi, self.zeta, self.eta, self.p = xi, zeta, eta, p
         self.x, self.z, self.e = (_Radius(np.sqrt(np.sum(v * v, 0)), p) for v in (xi, zeta, eta))
+        self.xe, self.xz, self.ze = (np.sum(a * b, 0)
+                                     for a, b in ((xi, eta), (xi, zeta), (zeta, eta)))
 
 
 def _eval_acoustic(sigma, mu, nu, t: _Block):
@@ -383,9 +356,9 @@ def _eval_acoustic(sigma, mu, nu, t: _Block):
     T = 1j * num / np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2) * (1 + Re ** 2))
 
     lo = x.out_over_mod(sigma)
-    A = 0.5 * lo * np.sum(t.xi * t.eta, 0) * e.inv * z.mod_over_branch(s1)
-    B = 0.5 * lo * np.sum(t.xi * t.zeta, 0) * z.inv * e.mod_over_branch(s2)
-    C = 0.5 * x.r * np.sum(t.zeta * t.eta, 0) * z.inv * e.inv
+    A = 0.5 * lo * t.xe * e.inv * z.mod_over_branch(s1)
+    B = 0.5 * lo * t.xz * z.inv * e.mod_over_branch(s2)
+    C = 0.5 * x.r * t.ze * z.inv * e.inv
 
     rel = "same" if s1 == s2 else "cross"
     cA, cB, cC = _ACOUSTIC_SIGNS[sigma, rel, i1, i2]
@@ -506,58 +479,54 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     return complex(out[0]) if scalar_in else out
 
 
-# catalog points per block of the convolution (rows of zeta times the eta support)
-_CONV_BLOCK = 1 << 21
+# catalog points per tile of the convolution (rows of zeta times the joint
+# support); with its five accumulators, radial tables and dot products a
+# full tile peaks near 200 MiB
+_CONV_BLOCK = 1 << 19
 
 
 def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     """(N_e, N_i, N_b) as the literal lattice convolution against the catalog.
 
-    For every catalog pair the sum runs over the product of the supports of
-    the two inputs, scattering each contribution to the wrapped output mode
-    xi = zeta + eta; the convolution constant for the unitary transform pair
-    on n^3 points is c = n^{-3/2}.  Cost grows with the square of the input
-    support, which is what makes this the verification route rather than
-    the production one.
+    The sum runs over every (zeta, eta) in the square of the joint support
+    of the ten species rows, walked in tiles of whole zeta rows: each tile
+    builds one `_Block` (the wrapped output mode xi = zeta + eta, the
+    radial tables and the dot products), accumulates every catalog pair's
+    e, i and b rows on it, and scatters the five sums once.  A species that
+    vanishes at a point of the joint support adds zero there.  The
+    convolution constant for the unitary transform pair on n^3 points is
+    c = n^{-3/2}.  Cost grows with the square of the support, which is what
+    makes this the verification route rather than the production one.
     """
     g = d.grid
     n = g.n
     scale = float(g.xi_min)
     half = n // 2
 
-    # the rows of d.buf, then those of their conjugates, Ubar(xi) = conj U(-xi)
+    # the rows of d.buf, then those of their conjugates, Ubar(xi) = conj U(-xi),
+    # on their joint support
     coefs = np.concatenate((d.buf, np.conj(reflect(d.buf)))).reshape(10, -1)
-    flat = dict(zip(("e+", "i+", "b+1", "b+2", "b+3", "e-", "i-", "b-1", "b-2", "b-3"), coefs))
-    K = g.modes.reshape(3, -1)
-    active = {k: np.flatnonzero(v) for k, v in flat.items()}
+    sup = np.flatnonzero(coefs.any(axis=0))
+    K = g.modes.reshape(3, -1)[:, sup]
+    flat = dict(zip(("e+", "i+", "b+1", "b+2", "b+3", "e-", "i-", "b-1", "b-2", "b-3"),
+                    coefs[:, sup]))
     W = np.zeros((5, n ** 3), complex)  # the sums, rows as in d.buf
 
-    for mu, nu in CATALOG_PAIRS:
-        zi, hi = active[mu], active[nu]
-        if zi.size == 0 or hi.size == 0:
-            continue
-        rows = max(1, _CONV_BLOCK // max(hi.size, 1))
-        for lo in range(0, zi.size, rows):
-            zb = zi[lo:lo + rows]
-            kz = K[:, zb][:, :, None]
-            kh = K[:, hi][:, None, :]
-            ks = kz + kh
-            out_idx = ((ks[0] % n) * n + ks[1] % n) * n + ks[2] % n
-            # output mode folded back into the band, as the circular
-            # convolution of the physical-space product demands
-            xi = ((ks + half) % n - half) * scale
-            zeta = kz * scale
-            eta = kh * scale
-            prod = flat[mu][zb][:, None] * flat[nu][hi][None, :]
-            idx = out_idx.ravel()
-            t = _Block(xi, zeta, eta, p)
-            for sigma, N in (("e", W[0]), ("i", W[1])):
-                np.add.at(N, idx, (_row(sigma, mu, nu, t) * prod).ravel())
-            core = _row("b", mu, nu, t)
-            if core.any():
-                contrib = core * prod
-                for a in range(3):
-                    np.add.at(W[2 + a], idx, contrib[a].ravel())
+    rows = max(1, _CONV_BLOCK // max(sup.size, 1))
+    for lo in range(0, sup.size, rows):
+        kz = K[:, lo:lo + rows, None]
+        ks = kz + K[:, None, :]
+        idx = ((ks[0] % n) * n + ks[1] % n) * n + ks[2] % n
+        # output mode folded back into the band, as the circular
+        # convolution of the physical-space product demands
+        t = _Block(((ks + half) % n - half) * scale, kz * scale, K[:, None, :] * scale, p)
+        acc = np.zeros((5,) + idx.shape, complex)
+        for mu, nu in CATALOG_PAIRS:
+            prod = flat[mu][lo:lo + rows, None] * flat[nu][None, :]
+            acc[0] += _row("e", mu, nu, t) * prod
+            acc[1] += _row("i", mu, nu, t) * prod
+            acc[2:] += _row("b", mu, nu, t) * prod
+        np.add.at(W, (slice(None), idx.ravel()), acc.reshape(5, -1))
 
     c, W = n ** -1.5, W.reshape((5, n, n, n))
     return c * W[0], c * W[1], c * q2_apply(g, W[2:])

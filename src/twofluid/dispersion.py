@@ -33,6 +33,8 @@ precision by :func:`verify_identities`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.optimize.elementwise import bracket_root, find_root
 
@@ -291,13 +293,15 @@ def find_r_star(p: PlasmaParams) -> float:
     return root
 
 
+@lru_cache(maxsize=32)
 def find_R_sigma(branch: str, p: PlasmaParams) -> float:
     """Radius where the e (or b) branch moves at the maximal ion speed.
 
     R_sigma = lam_prime_inverse(sigma, lambda_i'(0)), the root of
     lambda_sigma'(R) = sqrt((1+T)/(1+eps)); it equals t^{sigma i}(0) of
-    `resonance.t_func`.  These radii are where slow-ion output interacts
-    resonantly with a fast branch; they scale like sqrt(eps).
+    `resonance.t_func`, and the resonance geometry reads that edge from here.
+    These radii are where slow-ion output interacts resonantly with a fast
+    branch; they scale like sqrt(eps).  Solved once per (branch, p).
     """
     if branch not in ("e", "b"):
         raise ValueError(f"R_sigma is defined for branches 'e' and 'b', got {branch!r}")

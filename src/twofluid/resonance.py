@@ -31,7 +31,6 @@ partition census take D_num to report case assignment as a function of it.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -222,6 +221,8 @@ def t_func(pair: str, r, p: PlasmaParams):
     t^{ee}(r) = r, and otherwise lambda'_e(t^{ei}(r)) = lambda'_i(r),
     lambda'_b(t^{bi}(r)) = lambda'_i(r), lambda'_b(t^{be}(r)) = lambda'_e(r):
     t^{sigma_1 sigma_2} = lam_prime_inverse(sigma_1, lambda'_{sigma_2}(r)).
+    At the origin t^{sigma i}(0) = R_sigma (`dispersion.find_R_sigma`) and
+    t^{ee}(0) = t^{be}(0) = 0, since lambda_e'(0) = 0.
     """
     r = np.asarray(r, dtype=float)
     if pair == "ee":
@@ -251,12 +252,6 @@ def _pair_of(spec: PhaseSpec) -> str:
     return pair
 
 
-@lru_cache(maxsize=32)
-def _t0(pair: str, p: PlasmaParams) -> float:
-    """t^{pair}(0), the edge of the matching; solved once per (pair, p)."""
-    return float(t_func(pair, 0.0, p))
-
-
 def t_tilde(spec: PhaseSpec, r, p: PlasmaParams):
     """The signed combination r + iota_1 iota_2 t^{sigma_1 sigma_2}(r)."""
     return np.asarray(r, dtype=float) + spec.iota1 * spec.iota2 * t_func(_pair_of(spec), r, p)
@@ -266,7 +261,7 @@ def r_munu(spec: PhaseSpec, s, p: PlasmaParams):
     """Inverse of t_tilde; increasing from 0 on [iota_1 iota_2 t(0), infinity)."""
     s = np.asarray(s, dtype=float)
     pair = _pair_of(spec)
-    s0 = spec.iota1 * spec.iota2 * _t0(pair, p)
+    s0 = spec.iota1 * spec.iota2 * (find_R_sigma(pair[0], p) if pair[1] == "i" else 0.0)
     if np.any(s < s0 - 1e-12):
         raise ValueError(f"s below the domain of r^{{mu,nu}} (edge {s0:.6g})")
     if pair == "ee":
@@ -295,7 +290,8 @@ def _ordered_rep(spec: PhaseSpec) -> PhaseSpec:
 
 def _interval(spec: PhaseSpec, p: PlasmaParams):
     """I^{sigma;mu,nu}, the radii where the resonant curve exists."""
-    t0 = _t0(_pair_of(spec), p)
+    pair = _pair_of(spec)
+    t0 = find_R_sigma(pair[0], p) if pair[1] == "i" else 0.0
     if spec == _DEFP2:
         return 0.0, t0
     return t0, np.inf

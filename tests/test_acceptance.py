@@ -17,6 +17,24 @@ def test_fast_criterion_passes(number):
     assert res.ok, res.line()
 
 
+def test_unknown_criterion_numbers_raise(monkeypatch):
+    # a selection naming no criterion must not pass vacuously, nor run the
+    # criteria it does name
+    ran = []
+
+    def stub():
+        ran.append(1)
+        return True, "ran"
+
+    stub.number, stub.crit_name, stub.budget = 1, "stub", 1.0
+    monkeypatch.setattr(acceptance, "_RUNNERS", [stub])
+    with pytest.raises(ValueError, match=r"\[11, 12\]"):
+        acceptance.run(numbers=(1, 11, 12), stream=None)
+    assert ran == []
+    (res,) = acceptance.run(numbers=(1,), stream=None)
+    assert res.ok and ran == [1]
+
+
 def test_partition_detail_reports_counts(monkeypatch):
     # criterion [7] at a coarse grid: only the shape of its detail line is
     # checked here, not whether the coarse census passes

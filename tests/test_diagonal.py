@@ -254,41 +254,83 @@ def test_direct_and_multiplier_routes_agree():
         assert rel < 1e-9, f"{name}: {rel:.3e}"
 
 
-def test_multiplier_route_matches_handmade_convolution():
-    # two modes in U_e only; every surviving term reconstructed one by one
-    n = G16.n
-    d = DispState.zero(G16)
-    k1, k2 = (1, 0, 1), (0, 2, -1)
-    d.U_e[k1] = 0.3 - 0.7j
-    d.U_e[k2] = -0.2 + 0.4j
+def _hand_convolution(d):
+    """(N_e, N_i, N_b) of ``d`` summed one mode pair at a time against
+    `multiplier`, and the catalog pairs that contributed."""
+    n, K = d.grid.n, d.grid.modes
+    tables = {mu: {} for mu in SPECIES}
+    for row, mu in enumerate(("e", "i", "b1", "b2", "b3")):
+        plus, minus = (mu[0] + sign + mu[1:] for sign in "+-")
+        for idx in zip(*np.nonzero(d.buf[row])):
+            k = tuple(K[(slice(None),) + idx])
+            tables[plus][k] = d.buf[row][idx]
+            tables[minus][tuple(-np.array(k))] = np.conj(d.buf[row][idx])
 
-    tables = {"e+": {}, "e-": {}}
-    for k, z in ((k1, d.U_e[k1]), (k2, d.U_e[k2])):
-        kv = np.array(k)
-        tables["e+"][tuple(kv)] = z
-        tables["e-"][tuple(-kv)] = np.conj(z)
-
-    hand = {"e": np.zeros((n,) * 3, complex), "i": np.zeros((n,) * 3, complex),
-            "b": np.zeros((3,) + (n,) * 3, complex)}
+    hand = [np.zeros((n,) * 3, complex), np.zeros((n,) * 3, complex),
+            np.zeros((3,) + (n,) * 3, complex)]
+    used = set()
     c = n ** -1.5
-    for mu, nu in (("e+", "e+"), ("e+", "e-"), ("e-", "e-")):
+    for mu, nu in CATALOG_PAIRS:
         for kz, wz in tables[mu].items():
             for kh, wh in tables[nu].items():
-                xi = np.array(kz, float) + np.array(kh, float)
-                idx = tuple((np.array(kz) + np.array(kh)) % n)
+                xi = np.add(kz, kh).astype(float)
+                idx = tuple(np.add(kz, kh) % n)
                 eta = np.array(kh, float)
-                for sigma in ("e", "i"):
-                    hand[sigma][idx] += c * wz * wh * multiplier(
-                        sigma, mu, nu, xi, eta, P)
-                hand["b"][(slice(None),) + idx] += c * wz * wh * multiplier(
-                    "b", mu, nu, xi, eta, P)
+                for N, sigma in zip(hand, "eib"):
+                    m = multiplier(sigma, mu, nu, xi, eta, P)
+                    N[(...,) + idx] += c * wz * wh * m
+                    if np.any(m != 0):
+                        used.add((mu[0], nu[0]))
+    return hand, used
 
-    N_e, N_i, N_b = nonlinearity_multiplier(d, P)
-    assert np.allclose(N_e, hand["e"], atol=1e-15)
-    assert np.allclose(N_i, hand["i"], atol=1e-15)
-    assert np.allclose(N_b, hand["b"], atol=1e-15)
+
+@pytest.mark.parametrize("modes,kinds", [
+    # two modes in U_e only
+    ({0: [((1, 0, 1), 0.3 - 0.7j), ((0, 2, -1), -0.2 + 0.4j)]}, {("e", "e")}),
+    # U_e, U_i and the first U_b component at different wavevectors: the joint
+    # support holds points where two of the three species vanish
+    ({0: [((1, 0, 1), 0.3 - 0.7j)], 1: [((0, 2, -1), -0.2 + 0.4j)],
+      2: [((-1, 1, 0), 0.5 + 0.1j)]},
+     {("e", "e"), ("i", "i"), ("b", "b"), ("e", "i"), ("e", "b"), ("i", "b")}),
+], ids=["e_only", "differing_supports"])
+def test_multiplier_route_matches_handmade_convolution(modes, kinds):
+    # every surviving term reconstructed one by one
+    d = DispState.zero(G16)
+    for row, entries in modes.items():
+        for k, z in entries:
+            d.buf[row][k] = z
+    hand, used = _hand_convolution(d)
+    assert used == kinds
+
+    route = nonlinearity_multiplier(d, P)
+    for N, want in zip(route, hand):
+        assert np.allclose(N, want, atol=1e-15)
     # acoustic input feeds every output branch
-    assert l2_norm(G16, N_i) > 0 and l2_norm(G16, N_b) > 0
+    assert all(l2_norm(G16, N) > 0 for N in route)
+
+
+def test_multiplier_builds_one_block_per_tile(monkeypatch):
+    # the geometry and radial tables of a tile serve every catalog pair
+    d = _random_disp(G16, seed=4)
+    support = np.count_nonzero(np.concatenate((d.buf, np.conj(reflect(d.buf)))).any(axis=0))
+    whole = nonlinearity_multiplier(d, P)
+
+    built = []
+
+    class Counting(diagonal._Block):
+        def __init__(self, *args):
+            built.append(args[0].shape)
+            super().__init__(*args)
+
+    rows = 16
+    monkeypatch.setattr(diagonal, "_Block", Counting)
+    monkeypatch.setattr(diagonal, "_CONV_BLOCK", rows * support)
+    tiled = nonlinearity_multiplier(d, P)
+    assert len(built) == -(-support // rows) > 1
+    assert sum(shape[1] for shape in built) == support
+    # the tiles visit the point pairs in the same order as one whole tile
+    for a, b in zip(tiled, whole):
+        assert np.array_equal(a, b)
 
 
 def test_single_species_isolation():

@@ -143,3 +143,43 @@ def test_only_spectral_imports_a_transform_library():
              if (lines := _fft_imports(ast.parse(path.read_text(), filename=str(path))))}
     assert len(package) >= 10
     assert set(found) == {"spectral.py"}, found
+
+
+
+def _name_of(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded_caches(tree):
+    """The lines of ``tree`` that reach ``functools.cache``, or use an
+    ``lru_cache`` without passing a ``maxsize`` other than None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+            found.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a bare @lru_cache passes no maxsize
+            found += [d.lineno for d in node.decorator_list if _name_of(d) == "lru_cache"]
+        elif isinstance(node, ast.Call) and _name_of(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if size is None or (isinstance(size, ast.Constant) and size.value is None):
+                found.append(node.lineno)
+    return found
+
+
+def test_every_cache_has_a_size_limit():
+    package = sorted((ROOT / "src" / "twofluid").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in package}
+    found = {name: lines for name, tree in trees.items() if (lines := _unbounded_caches(tree))}
+    assert not found, found
+    # the guard sees the package's caches, and rejects each unbounded form
+    assert sum(_name_of(n.func) == "lru_cache" for tree in trees.values()
+               for n in ast.walk(tree) if isinstance(n, ast.Call)) >= 2
+    for bad in ("@lru_cache\ndef f(): pass", "@functools.lru_cache(maxsize=None)\ndef f(): pass",
+                "@lru_cache(None)\ndef f(): pass", "from functools import cache",
+                "@functools.cache\ndef f(): pass", "g = lru_cache()(f)"):
+        assert _unbounded_caches(ast.parse(bad)) == [1], bad
+    assert _unbounded_caches(ast.parse("@lru_cache(maxsize=8)\ndef f(): pass")) == []
