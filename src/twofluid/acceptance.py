@@ -290,8 +290,11 @@ def _energy_bound():
 
 
 def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), one printed line each;
-    unknown criterion numbers raise before any criterion runs."""
+    """Run the selected criteria (all by default), one printed line each; an
+    empty selection and unknown criterion numbers raise before any criterion
+    runs."""
+    if numbers is not None and not numbers:
+        raise ValueError("the selection names no criterion")
     unknown = set(numbers or ()) - {fn.number for fn in _RUNNERS}
     if unknown:
         raise ValueError(f"no criterion numbered {sorted(unknown)}")

@@ -21,6 +21,9 @@ multiplier catalog.  The routes share the radial symbol tables and the
 change of variables, nothing else: route one forms the products of
 physics.rhs, route two those of the catalog's symbols, so their agreement
 exercises every entry of the catalog and every quadratic term of the solver.
+The catalog is evaluated one pair at a time: one function per pair class
+forms the factors a pair's rows share once and yields only the rows that do
+not vanish by construction, 140 of the 61 x 5 row components.
 
 Zero-mode conventions follow module spectral: symbols carrying a 1/|xi|
 that does not cancel drop the xi = 0 mode (mean-zero perturbations), while
@@ -253,39 +256,25 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
 # ---------------------------------------------------------------------------
 # nonlinearity, route two: the explicit multiplier catalog
 
-# Coefficients of the three geometry kernels
+# Signs (cA, cB, cC) of an acoustic pair's electron row on the three
+# geometry kernels
 #   A = Lam_out(xi) |zeta| (xi.eta)   / (2 |xi| |eta| Lam_1(zeta)),
 #   B = Lam_out(xi) |eta|  (xi.zeta)  / (2 |xi| |zeta| Lam_2(eta)),
 #   C = |xi| (zeta.eta) / (2 |zeta| |eta|),
-# for the acoustic-acoustic entries, keyed by (output, same/cross, signs).
-_ACOUSTIC_SIGNS = {
-    ("e", "same", "+", "+"): (1.0, 0.0, 0.5),
-    ("e", "same", "+", "-"): (-1.0, 1.0, -1.0),
-    ("e", "same", "-", "-"): (-1.0, 0.0, 0.5),
-    ("e", "cross", "+", "+"): (-1.0, -1.0, -1.0),
-    ("e", "cross", "+", "-"): (1.0, -1.0, 1.0),
-    ("e", "cross", "-", "+"): (-1.0, 1.0, 1.0),
-    ("e", "cross", "-", "-"): (1.0, 1.0, -1.0),
-    ("i", "same", "+", "+"): (-1.0, 0.0, -0.5),
-    ("i", "same", "+", "-"): (1.0, -1.0, 1.0),
-    ("i", "same", "-", "-"): (1.0, 0.0, -0.5),
-    ("i", "cross", "+", "+"): (1.0, 1.0, 1.0),
-    ("i", "cross", "+", "-"): (-1.0, 1.0, -1.0),
-    ("i", "cross", "-", "+"): (1.0, -1.0, -1.0),
-    ("i", "cross", "-", "-"): (-1.0, -1.0, 1.0),
-}
-
-# Magnetosonic-output rows, acoustic-acoustic inputs: coefficients of
+# keyed by (same/cross species, sign of mu, sign of nu).  Two identities give
+# the pair's other rows from the same entry: the ion row's signs are their
+# negatives, and the b row's coefficients of
 #   P  = (|zeta|/Lam_1(zeta)) eta_beta  / |eta|,
-#   P' = (|eta| /Lam_2(eta))  zeta_beta / |zeta|.
-_B_ROW_SIGNS = {
-    ("same", "+", "+"): (0.5, 0.0),
-    ("same", "+", "-"): (-0.5, 0.5),
-    ("same", "-", "-"): (-0.5, 0.0),
-    ("cross", "+", "+"): (0.5, 0.5),
-    ("cross", "+", "-"): (-0.5, 0.5),
-    ("cross", "-", "+"): (0.5, -0.5),
-    ("cross", "-", "-"): (-0.5, -0.5),
+#   P' = (|eta| /Lam_2(eta))  zeta_beta / |zeta|
+# are +(cA, cB)/2 for a same-species pair and -(cA, cB)/2 for a cross pair.
+_SIGNS = {
+    ("same", "+", "+"): (1.0, 0.0, 0.5),
+    ("same", "+", "-"): (-1.0, 1.0, -1.0),
+    ("same", "-", "-"): (-1.0, 0.0, 0.5),
+    ("cross", "+", "+"): (-1.0, -1.0, -1.0),
+    ("cross", "+", "-"): (1.0, -1.0, 1.0),
+    ("cross", "-", "+"): (-1.0, 1.0, 1.0),
+    ("cross", "-", "-"): (1.0, 1.0, -1.0),
 }
 
 
@@ -331,125 +320,79 @@ class _Block:
                                      for a, b in ((xi, eta), (xi, zeta), (zeta, eta)))
 
 
-def _eval_acoustic(sigma, mu, nu, t: _Block):
-    """m_{sigma;mu,nu} for sigma in {e,i} and both inputs acoustic."""
+def _acoustic_rows(mu, nu, t: _Block):
+    """The b vector, the e row and the i row of a pair of acoustic inputs."""
     s1, i1, _ = species_split(mu)
     s2, i2, _ = species_split(nu)
     x, z, e = t.x, t.z, t.e
     Rx, Rz, Re = x.R, z.R, e.R
-    seps = t.p.epsilon ** -0.5
-
-    if sigma == "e":
-        if s1 == s2 == "e":
-            num = seps - Rx * Rz * Re
-        elif s1 == s2 == "i":
-            num = seps * Rz * Re - Rx
-        else:
-            num = seps * Re + Rx * Rz
+    eps = t.p.epsilon
+    seps = eps ** -0.5
+    if s1 == s2 == "e":
+        num_e, num_i, num_b = seps - Rx * Rz * Re, seps * Rx + Rz * Re, -1.0 / eps + Rz * Re
+    elif s1 == s2 == "i":
+        num_e, num_i, num_b = seps * Rz * Re - Rx, seps * Rx * Rz * Re + 1.0, 1.0 - Rz * Re / eps
     else:
-        if s1 == s2 == "e":
-            num = seps * Rx + Rz * Re
-        elif s1 == s2 == "i":
-            num = seps * Rx * Rz * Re + 1.0
-        else:
-            num = seps * Rx * Re - Rz
-    T = 1j * num / np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2) * (1 + Re ** 2))
+        num_e, num_i, num_b = seps * Re + Rx * Rz, seps * Rx * Re - Rz, Re / eps + Rz
 
-    lo = x.out_over_mod(sigma)
-    A = 0.5 * lo * t.xe * e.inv * z.mod_over_branch(s1)
-    B = 0.5 * lo * t.xz * z.inv * e.mod_over_branch(s2)
-    C = 0.5 * x.r * t.ze * z.inv * e.inv
+    cA, cB, cC = _SIGNS["same" if s1 == s2 else "cross", i1, i2]
+    N = z.norm * e.norm
+    pe = z.mod_over_branch(s1) * e.inv  # the radial factors of A and P
+    pz = e.mod_over_branch(s2) * z.inv  # and of B and P'
+    b = cA * pe * t.eta + cB * pz * t.zeta
+    b *= (0.5 if s1 == s2 else -0.5) * num_b * N
+    yield slice(2, 5), 1j * b
+    del b  # the largest temporary goes before the e and i factors are formed
+    AB = 0.5 * (cA * t.xe * pe + cB * t.xz * pz)  # cA A + cB B over Lam_out(xi)/|xi|
+    C = (0.5 * cC) * x.r * t.ze * z.inv * e.inv
+    xN = x.norm * N
+    yield 0, 1j * (num_e * xN * (x.out_over_mod("e") * AB + C))
+    yield 1, -1j * (num_i * xN * (x.out_over_mod("i") * AB + C))
 
-    rel = "same" if s1 == s2 else "cross"
-    cA, cB, cC = _ACOUSTIC_SIGNS[sigma, rel, i1, i2]
-    return T * (cA * A + cB * B + cC * C)
 
-
-def _eval_single_b(sigma, mu, nu, t: _Block):
-    """m_{sigma;mu,nu} for sigma in {e,i}, mu acoustic, nu magnetosonic."""
+def _mixed_rows(mu, nu, t: _Block):
+    """The e row, the i row and the b component of nu for an acoustic mu and
+    a magnetosonic nu."""
     s1, i1, _ = species_split(mu)
-    _, _, a2 = species_split(nu)
+    _, _, a = species_split(nu)
     x, z = t.x, t.z
     Rx, Rz = x.R, z.R
     eps = t.p.epsilon
-
-    if sigma == "e":
-        num = (-1.0 / eps + Rx * Rz) if s1 == "e" else (Rz / eps + Rx)
+    if s1 == "e":
+        num_e, num_i, num_b = -1.0 / eps + Rx * Rz, Rx / eps + Rz, eps ** -1.5 - Rz
     else:
-        num = (Rx / eps + Rz) if s1 == "e" else -(Rx * Rz / eps - 1.0)
-    T = 1j * num / (np.sqrt((1 + Rx ** 2) * (1 + Rz ** 2)) * t.e.lam_b)
+        num_e, num_i, num_b = Rz / eps + Rx, 1.0 - Rx * Rz / eps, -(eps ** -1.5 * Rz + 1.0)
 
-    G = (0.5 * x.out_over_mod(sigma) * t.xi[a2] * z.mod_over_branch(s1)
-         + (1.0 if i1 == "+" else -1.0) * 0.5 * x.r * t.zeta[a2] * z.inv)
-    return T * G
+    f = z.norm / t.e.lam_b
+    pz = z.mod_over_branch(s1)
+    A = 0.5 * t.xi[a] * pz  # the geometry term that Lam_out(xi)/|xi| multiplies
+    C = (0.5 if i1 == "+" else -0.5) * x.r * t.zeta[a] * z.inv
+    xf = x.norm * f
+    yield 0, 1j * (num_e * xf * (x.out_over_mod("e") * A + C))
+    yield 1, 1j * (num_i * xf * (x.out_over_mod("i") * A + C))
+    yield 2 + a, 0.5j * (num_b * pz * f)
 
 
-def _eval_double_b(sigma, mu, nu, t: _Block):
-    """m_{sigma;mu,nu} for sigma in {e,i} and both inputs magnetosonic."""
+def _bb_rows(mu, nu, t: _Block):
+    """The e and i rows of a pair of magnetosonic inputs: diagonal in the
+    components, doubled for opposite signs, and no source of U_b."""
     _, i1, a1 = species_split(mu)
     _, i2, a2 = species_split(nu)
-    rx = t.x.r
-    if a1 != a2:  # diagonal in the component indices
-        return np.zeros(rx.shape, complex)
-    Rx = t.x.R
-    e32 = t.p.epsilon ** -1.5
-    S = (1j * (e32 - Rx) if sigma == "e" else -1j * (e32 * Rx + 1.0))
-    m = S / np.sqrt(1 + Rx ** 2) * rx / (4.0 * t.z.lam_b * t.e.lam_b)
-    return 2.0 * m if i1 != i2 else m
+    if a1 == a2:
+        x = t.x
+        e32 = t.p.epsilon ** -1.5
+        w = x.norm * x.r / ((4.0 if i1 == i2 else 2.0) * t.z.lam_b * t.e.lam_b)
+        yield 0, 1j * ((e32 - x.R) * w)
+        yield 1, -1j * ((e32 * x.R + 1.0) * w)
 
 
-def _eval_b_core(mu, nu, t: _Block):
-    """Magnetosonic-output row before the transverse projection.
-
-    Returns the vector c with m_{b,alpha;mu,nu} = Q^2_{alpha beta}(xi) c_beta.
-    """
-    s1, i1, a1 = species_split(mu)
-    s2, i2, a2 = species_split(nu)
-    z, e = t.z, t.e
-    eps = t.p.epsilon
-    shape = (3,) + np.broadcast_shapes(z.r.shape, e.r.shape)
-
-    if s1 == "b" and s2 == "b":
-        return np.zeros(shape, complex)  # no such source in the U_b equation
-
-    Rz = z.R
-    if s2 == "b":
-        e32 = eps ** -1.5
-        if s1 == "e":
-            s = 1j * (e32 - Rz) * z.mod_over_branch("e")
-        else:
-            s = -1j * (e32 * Rz + 1.0) * z.mod_over_branch("i")
-        s = s / (2.0 * np.sqrt(1 + Rz ** 2) * e.lam_b)
-        out = np.zeros(shape, complex)
-        out[a2] = s
-        return out
-
-    Re = e.R
-    if s1 == s2 == "e":
-        num = -1.0 / eps + Rz * Re
-    elif s1 == s2 == "i":
-        num = -Rz * Re / eps + 1.0
-    else:
-        num = Re / eps + Rz
-    tau = 1j * num / np.sqrt((1 + Rz ** 2) * (1 + Re ** 2))
-
-    P = z.mod_over_branch(s1) * t.eta * e.inv
-    Pp = e.mod_over_branch(s2) * t.zeta * z.inv
-    rel = "same" if s1 == s2 else "cross"
-    cP, cPp = _B_ROW_SIGNS[rel, i1, i2]
-    return tau * (cP * P + cPp * Pp)
-
-
-def _row(sigma: str, mu: str, nu: str, t: _Block):
-    """Catalog row sigma of the pair (mu, nu) on a block; for sigma = "b" the
-    vector before the transverse projection (see :func:`_eval_b_core`)."""
-    if sigma == "b":
-        return _eval_b_core(mu, nu, t)
-    if mu[0] == "b" and nu[0] == "b":
-        return _eval_double_b(sigma, mu, nu, t)
-    if nu[0] == "b":
-        return _eval_single_b(sigma, mu, nu, t)
-    return _eval_acoustic(sigma, mu, nu, t)
+def _pair_rows(mu: str, nu: str, t: _Block):
+    """The nonzero catalog rows of the pair (mu, nu) on a block, as (row of a
+    DispState buffer, values), b before the transverse projection.  Each
+    values array is new, so the caller may scale it in place."""
+    if nu[0] != "b":
+        return _acoustic_rows(mu, nu, t)
+    return _bb_rows(mu, nu, t) if mu[0] == "b" else _mixed_rows(mu, nu, t)
 
 
 def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
@@ -470,18 +413,23 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     scalar_in = xi.ndim == 1
     if scalar_in:
         xi, eta = xi[:, None], eta[:, None]
-    out = _row(sigma, mu, nu, _Block(xi, xi - eta, eta, p))
+    t = _Block(xi, xi - eta, eta, p)
+    out = np.zeros((5,) + t.z.r.shape, complex)  # rows as in a DispState buffer
+    for row, vals in _pair_rows(mu, nu, t):
+        out[row] += vals
     if sigma == "b":
+        b = out[2:]
         rx2 = np.sum(xi * xi, 0)
-        out = out - xi * (np.sum(xi * out, 0) * _inv0(rx2))
-        out[:, rx2 == 0] = 0.0
-        return out[:, 0] if scalar_in else out
+        b = b - xi * (np.sum(xi * b, 0) * _inv0(rx2))
+        b[:, rx2 == 0] = 0.0
+        return b[:, 0] if scalar_in else b
+    out = out[0 if sigma == "e" else 1]
     return complex(out[0]) if scalar_in else out
 
 
 # catalog points per tile of the convolution (rows of zeta times the joint
-# support); with its five accumulators, radial tables and dot products a
-# full tile peaks near 200 MiB
+# support); with its five accumulators, radial tables, dot products and the
+# shared factors of one pair, a full tile peaks near 180 MiB
 _CONV_BLOCK = 1 << 19
 
 
@@ -491,12 +439,13 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     The sum runs over every (zeta, eta) in the square of the joint support
     of the ten species rows, walked in tiles of whole zeta rows: each tile
     builds one `_Block` (the wrapped output mode xi = zeta + eta, the
-    radial tables and the dot products), accumulates every catalog pair's
-    e, i and b rows on it, and scatters the five sums once.  A species that
-    vanishes at a point of the joint support adds zero there.  The
-    convolution constant for the unitary transform pair on n^3 points is
-    c = n^{-3/2}.  Cost grows with the square of the support, which is what
-    makes this the verification route rather than the production one.
+    radial tables and the dot products), evaluates each catalog pair once
+    on it, adds the pair's nonzero rows times its coefficient product into
+    five sums, and scatters them once.  A species that vanishes at a point
+    of the joint support adds zero there.  The convolution constant for the
+    unitary transform pair on n^3 points is c = n^{-3/2}.  Cost grows with
+    the square of the support, which is what makes this the verification
+    route rather than the production one.
     """
     g = d.grid
     n = g.n
@@ -518,14 +467,20 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
         ks = kz + K[:, None, :]
         idx = ((ks[0] % n) * n + ks[1] % n) * n + ks[2] % n
         # output mode folded back into the band, as the circular
-        # convolution of the physical-space product demands
-        t = _Block(((ks + half) % n - half) * scale, kz * scale, K[:, None, :] * scale, p)
+        # convolution of the physical-space product demands; in place, and
+        # released once the block holds xi, which lowers the peak RSS
+        ks += half
+        ks %= n
+        ks -= half
+        t = _Block(ks * scale, kz * scale, K[:, None, :] * scale, p)
+        del ks
         acc = np.zeros((5,) + idx.shape, complex)
         for mu, nu in CATALOG_PAIRS:
             prod = flat[mu][lo:lo + rows, None] * flat[nu][None, :]
-            acc[0] += _row("e", mu, nu, t) * prod
-            acc[1] += _row("i", mu, nu, t) * prod
-            acc[2:] += _row("b", mu, nu, t) * prod
+            for row, vals in _pair_rows(mu, nu, t):
+                vals *= prod
+                acc[row] += vals
+                del vals  # before the next row is formed, which sets the peak
         np.add.at(W, (slice(None), idx.ravel()), acc.reshape(5, -1))
 
     c, W = n ** -1.5, W.reshape((5, n, n, n))

@@ -30,6 +30,8 @@ def test_unknown_criterion_numbers_raise(monkeypatch):
     monkeypatch.setattr(acceptance, "_RUNNERS", [stub])
     with pytest.raises(ValueError, match=r"\[11, 12\]"):
         acceptance.run(numbers=(1, 11, 12), stream=None)
+    with pytest.raises(ValueError, match="no criterion"):
+        acceptance.run(numbers=(), stream=None)
     assert ran == []
     (res,) = acceptance.run(numbers=(1,), stream=None)
     assert res.ok and ran == [1]
@@ -50,6 +52,21 @@ def test_partition_detail_reports_counts(monkeypatch):
     assert "home triples" in res.detail
     assert "elliptic hits" in res.detail
     assert "{" not in res.detail and "raised" not in res.detail
+
+
+def test_catalog_criterion_runs_on_small_supports(monkeypatch):
+    # criterion [4]'s runner end to end on states with kmax = 1, in about a
+    # second; its accuracy at kmax = 4 is left to a full acceptance run
+    full = acceptance.random_irrotational
+
+    def small(g, p, rng, **kw):
+        kw.update(kmax=1)
+        return full(g, p, rng, **kw)
+
+    monkeypatch.setattr(acceptance, "random_irrotational", small)
+    (res,) = acceptance.run(numbers=(4,), stream=None)
+    assert res.ok, res.line()
+    assert "10 states" in res.detail
 
 
 def test_refine_seed_keeps_continuum_values():

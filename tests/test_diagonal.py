@@ -322,12 +322,25 @@ def test_multiplier_builds_one_block_per_tile(monkeypatch):
             built.append(args[0].shape)
             super().__init__(*args)
 
+    evaluated = []  # (tile, pair) of every catalog evaluation
+    pair_rows = diagonal._pair_rows
+
+    def counting_rows(mu, nu, t):
+        evaluated.append((len(built), (mu, nu)))
+        return pair_rows(mu, nu, t)
+
     rows = 16
     monkeypatch.setattr(diagonal, "_Block", Counting)
+    monkeypatch.setattr(diagonal, "_pair_rows", counting_rows)
     monkeypatch.setattr(diagonal, "_CONV_BLOCK", rows * support)
     tiled = nonlinearity_multiplier(d, P)
     assert len(built) == -(-support // rows) > 1
     assert sum(shape[1] for shape in built) == support
+    # each tile evaluates each catalog pair once, all three of its output
+    # rows together: 61 evaluations per tile (one per output would be 183)
+    for tile in range(1, len(built) + 1):
+        assert [pair for k, pair in evaluated if k == tile] == list(CATALOG_PAIRS)
+    assert len(evaluated) == 61 * len(built)
     # the tiles visit the point pairs in the same order as one whole tile
     for a, b in zip(tiled, whole):
         assert np.array_equal(a, b)
@@ -347,6 +360,51 @@ def test_single_species_isolation():
 
 
 # -- the catalog itself ----------------------------------------------------------
+
+
+def _row_components(row):
+    """The DispState buffer rows that a yielded catalog row covers."""
+    return np.atleast_1d(np.arange(5)[row]).tolist()
+
+
+def _generic_block(seed=41):
+    rng = _rng(seed)
+    xi, eta = rng.normal(size=(2, 3, 64))
+    return xi, eta, diagonal._Block(xi, xi - eta, eta, P)
+
+
+@pytest.mark.parametrize("mu,nu", CATALOG_PAIRS, ids=[f"{m},{n}" for m, n in CATALOG_PAIRS])
+def test_catalog_pair_yields_exactly_its_nonzero_rows(mu, nu):
+    xi, eta, t = _generic_block()
+    got = list(diagonal._pair_rows(mu, nu, t))
+    s1, _, a1 = species_split(mu)
+    s2, _, a2 = species_split(nu)
+    if s2 != "b":
+        want = [[0], [1], [2, 3, 4]]  # acoustic: e, i and the whole b vector
+    elif s1 != "b":
+        want = [[0], [1], [2 + a2]]  # mixed: e, i and the component of nu
+    else:
+        want = [[0], [1]] if a1 == a2 else []  # magnetosonic: diagonal, no b
+    assert sorted(_row_components(row) for row, _ in got) == want
+    for _, vals in got:
+        assert np.all(vals != 0)
+    # every output the pair does not yield is exactly zero
+    covered = {c for row, _ in got for c in _row_components(row)}
+    for sigma, comps in (("e", {0}), ("i", {1}), ("b", {2, 3, 4})):
+        if not comps & covered:
+            assert not np.any(multiplier(sigma, mu, nu, xi, eta, P))
+
+
+def test_catalog_yields_140_of_305_row_components():
+    # 61 pairs times five components, less the 165 that vanish by construction:
+    # the two b components off nu's in each of the 24 mixed pairs, the b
+    # vector of all 27 magnetosonic pairs, and their e and i rows off the
+    # diagonal (18 pairs)
+    _, _, t = _generic_block()
+    total = sum(len(_row_components(row))
+                for mu, nu in CATALOG_PAIRS for row, _ in diagonal._pair_rows(mu, nu, t))
+    assert 61 * 5 - total == 24 * 2 + 27 * 3 + 18 * 2
+    assert total == 140
 
 
 def test_catalog_pair_census():
