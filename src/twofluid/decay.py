@@ -11,7 +11,8 @@ computed on the continuum via the radial reduction
     K(x) = (4 pi / |x|) int_0^inf s sin(s|x|) w(s) e^{i t lambda(s)} ds,
 
 never on the periodic grid: decay rates are a continuum phenomenon the box
-would pollute with recurrences.
+would pollute with recurrences.  The s integral is a uniform trapezoid rule,
+one real matrix product per block of nodes for all radii (`radial_kernel`).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class KernelQuery:
     """One propagator kernel: branch, dyadic shell, time, radial resolution.
 
     ``points_per_cycle`` is the number of quadrature nodes per oscillation of
-    the total radial phase t*lambda(s) +- s|x| across the shell; 64 is the
-    floor below which the quadrature is not trusted.
+    the total radial phase t*lambda(s) +- s|x| where it turns fastest on the
+    shell; 64 is the floor below which the quadrature is not trusted.
     """
 
     branch: str
@@ -89,51 +90,54 @@ class KernelQuery:
 
 def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
                   t: float, xs, points_per_cycle: int) -> np.ndarray:
-    """K(x) for each x in xs, by adaptive phase-resolved quadrature.
+    """K(x) for each x in xs, by the trapezoid rule on a uniform s grid.
 
-    Nodes are equidistributed in the cumulative cycle count of the fastest
-    phase component |t| lambda'(s) + max(xs), so every requested x sees at
-    least ``points_per_cycle`` nodes per oscillation.  The node table is
-    built and consumed in chunks; nothing of size O(nodes) is materialized.
+    The step resolves |t| lambda'(s) + max(xs), at its largest on [a, b], with
+    ``points_per_cycle`` nodes per cycle.  For s_m = a + (j B + l) h, B = isqrt(n),
+    sin(x s_m) = sin(x c_j) cos(x l h) + cos(x c_j) sin(x l h) with c_j = a + j B h,
+    so the sums over l for all radii are one real matrix product of the (2 J, B)
+    integrand block with [cos(x l h) | sin(x l h)]; the sum over j is elementwise.
+    Blocks hold at most ``_CHUNK`` nodes; x = 0 takes the limit sum g s.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
-    if not b > a > 0:
-        raise ValueError("support must satisfy 0 < a < b")
+    if not (math.isfinite(t) and math.isfinite(b) and b > a > 0):
+        raise ValueError(f"need finite t and 0 < a < b < inf, got t={t!r}, a={a!r}, b={b!r}")
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs >= 0)):
+        raise ValueError(f"xs must hold at least one radius, all finite and >= 0, got {xs!r}")
 
-    pre = np.linspace(a, b, 4097)
-    rate = (abs(t) * np.abs(lam_prime_fn(pre)) + float(xs.max())) / (2.0 * np.pi)
-    cyc = np.concatenate([[0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(pre))])
-    total = float(cyc[-1])
-    n = max(int(points_per_cycle * total) + 1, _MIN_NODES)
-    if n > NODE_CAP:
+    speed = float(np.max(np.abs(lam_prime_fn(np.linspace(a, b, 4097)))))
+    cycles = (abs(t) * speed + float(xs.max())) / (2.0 * np.pi) * (b - a)
+    if points_per_cycle * cycles + 1 > NODE_CAP:
         raise ValueError(
-            f"under-resolved oscillation: {n} nodes needed for "
-            f"{total:.3g} cycles at {points_per_cycle}/cycle (cap {NODE_CAP})")
+            f"under-resolved oscillation: {points_per_cycle * cycles + 1:.3g} nodes needed "
+            f"for {cycles:.3g} cycles at {points_per_cycle}/cycle (cap {NODE_CAP})")
+    n = max(int(points_per_cycle * cycles) + 1, _MIN_NODES)
+    width = math.isqrt(n)
+    n = -(-n // width) * width  # whole rows; stays below the next square, so NODE_CAP holds
 
-    du = total / (n - 1)
-    out = np.zeros(len(xs), dtype=complex)
-    small = xs < 1e-12 * b  # sin(sx)/x -> s limit
-    i0 = 0
-    while i0 < n - 1:
-        i1 = min(i0 + _CHUNK, n - 1)
-        u = np.arange(i0, i1 + 1) * du
-        s = np.interp(u, cyc, pre)
-        # trapezoid weights local to the chunk; chunks share one endpoint
-        w = np.empty_like(s)
-        ds = np.diff(s)
-        w[0] = ds[0] / 2.0
-        w[-1] = ds[-1] / 2.0
-        w[1:-1] = (ds[1:] + ds[:-1]) / 2.0
-        g = w * s * weight_fn(s) * np.exp(1j * t * lam_fn(s))
-        gr, gi = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
-        for j, x in enumerate(xs):
-            sn = s if small[j] else np.sin(x * s)
-            out[j] += np.dot(sn, gr) + 1j * np.dot(sn, gi)
-        i0 = i1
-    scale = np.where(small, 4.0 * np.pi, 4.0 * np.pi / np.where(small, 1.0, xs))
-    return scale * out
+    h = (b - a) / (n - 1)
+    fine = np.outer(np.arange(width) * h, xs)
+    fine = np.concatenate([np.cos(fine), np.sin(fine)], axis=1)
+    sums, limit = np.zeros((2, len(xs))), np.zeros(2)  # sum g sin(x s) and sum g s
+    step = _CHUNK // width * width
+    for m0 in range(0, n, step):
+        m = np.arange(m0, min(m0 + step, n))
+        s = a + m * h
+        amp = s * weight_fn(s)
+        amp[(m == 0) | (m == n - 1)] /= 2.0
+        phase = t * lam_fn(s)
+        g = np.empty((2, len(m)))  # real and imaginary parts of the integrand
+        np.cos(phase, out=g[0])
+        np.sin(phase, out=g[1])
+        g *= amp
+        limit += g @ s
+        rows = len(m) // width
+        part = (g.reshape(2 * rows, width) @ fine).reshape(2, rows, 2, len(xs))
+        coarse = np.outer(a + (m0 + width * np.arange(rows)) * h, xs)
+        sums += np.sum(part[:, :, 0] * np.sin(coarse) + part[:, :, 1] * np.cos(coarse), axis=1)
+    small = xs < 1e-12 * b
+    out = np.where(small, limit[0] + 1j * limit[1], sums[0] + 1j * sums[1])
+    return 4.0 * np.pi * h * out / np.where(small, 1.0, xs)
 
 
 def kernel_profile(q: KernelQuery, p: PlasmaParams, xs) -> np.ndarray:

@@ -360,20 +360,16 @@ _SUPP = 8.0 / 5.0
 _FLAT = 5.0 / 4.0
 
 
-def _sigma(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def bump(x) -> np.ndarray:
-    """Even C^inf profile: 1 on [-5/4, 5/4], supported in (-8/5, 8/5)."""
+    """Even C^inf profile: 1 on [-5/4, 5/4], supported in (-8/5, 8/5); its
+    exponential smoothstep is formed on the transition band only."""
     x = np.abs(np.asarray(x, dtype=float))
-    t = (_SUPP - x) / (_SUPP - _FLAT)
-    s = _sigma(t)
-    return s / (s + _sigma(1.0 - t))
+    out = np.where(x <= _FLAT, 1.0, np.where(x >= _SUPP, 0.0, np.nan))
+    band = (x > _FLAT) & (x < _SUPP)
+    t = (_SUPP - x[band]) / (_SUPP - _FLAT)
+    s = np.exp(-1.0 / t)
+    out[band] = s / (s + np.exp(-1.0 / (1.0 - t)))
+    return out
 
 
 def phi_low(x, m: int) -> np.ndarray:

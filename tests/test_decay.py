@@ -63,7 +63,15 @@ def test_radial_kernel_quadratic_phase():
     xs = np.array([0.7, 2.0])
     got = radial_kernel(lambda s: s * s / 2.0, lambda s: s, w, 1e-6, 14.0, t, xs, 64)
     want = (2.0 * np.pi / z) ** 1.5 * np.exp(-xs * xs / (2.0 * z))
-    np.testing.assert_allclose(got, want, rtol=5e-4)
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_radial_kernel_trapezoid_end_weights():
+    # a weight that does not vanish at the ends: K(0) = 4 pi int_1^2 s^2 ds,
+    # which the half-weighted end nodes give to O(h^2) and full ones to O(h)
+    one = lambda s: np.ones_like(s)  # noqa: E731
+    got = radial_kernel(lambda s: 0 * s, lambda s: 0 * s, one, 1.0, 2.0, 1.0, [0.0], 64)
+    assert got[0] == pytest.approx(4.0 * np.pi * 7.0 / 3.0, rel=1e-7)
 
 
 def test_radial_kernel_validation():
@@ -72,6 +80,23 @@ def test_radial_kernel_validation():
         radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 1.0, 2.0, 1.0, [-0.1], 64)
     with pytest.raises(ValueError):
         radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, 2.0, 1.0, 1.0, [0.5], 64)
+
+
+@pytest.mark.parametrize("a,b,t,xs,match", [
+    # an empty xs once raised "zero-size array to reduction operation"
+    (1.0, 2.0, 1.0, [], "xs must hold at least one radius"),
+    # NaN once raised "cannot convert float NaN to integer", inf an OverflowError
+    (1.0, 2.0, 1.0, [0.5, np.nan], "all finite"),
+    (1.0, 2.0, 1.0, [np.inf], "all finite"),
+    (1.0, 2.0, np.nan, [0.5], "need finite t"),
+    (1.0, 2.0, np.inf, [0.5], "need finite t"),
+    (np.nan, 2.0, 1.0, [0.5], "0 < a < b < inf"),
+    (1.0, np.inf, 1.0, [0.5], "0 < a < b < inf"),
+])
+def test_radial_kernel_rejects_nonfinite_and_empty_input(a, b, t, xs, match):
+    w = lambda s: np.ones_like(s)  # noqa: E731
+    with pytest.raises(ValueError, match=match):
+        radial_kernel(lambda s: 0 * s, lambda s: 0 * s, w, a, b, t, xs, 64)
 
 
 def test_node_cap_refusal():
@@ -87,7 +112,18 @@ def test_kernel_profile_resolution_consistency():
     a = kernel_profile(KernelQuery("i", 0, 50.0), P, [x])[0]
     b = kernel_profile(KernelQuery("i", 0, 50.0, points_per_cycle=128), P, [x])[0]
     assert abs(a - b) <= 5e-3 * abs(a)
-    assert abs(a - b) <= 1e-6 * abs(a)  # in practice far tighter than the contract
+    assert abs(a - b) <= 1e-10 * abs(a)  # in practice far tighter than the contract
+
+
+@pytest.mark.parametrize("branch,k", [("e", -1), ("i", 1)])
+def test_kernel_profile_converged_over_the_stationary_grid(branch, k):
+    # the trapezoid rule on a uniform grid is spectrally accurate for the
+    # smooth cutoff: doubling the node density moves no radius of the grid
+    q = KernelQuery(branch, k, 100.0)
+    xs = stationary_xs(q, P)
+    a = kernel_profile(q, P, xs)
+    b = kernel_profile(KernelQuery(branch, k, 100.0, points_per_cycle=128), P, xs)
+    assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_stationary_grid_covers_the_sweep():

@@ -231,6 +231,29 @@ def test_bump_profile():
     np.testing.assert_array_equal(bump(-x), b)
 
 
+def _bump_closed(x):
+    # s(t) / (s(t) + s(1 - t)), s(t) = e^{-1/t} for t > 0 and 0 otherwise,
+    # t = (8/5 - |x|) / (8/5 - 5/4)
+    t = (8.0 / 5.0 - np.abs(x)) / (8.0 / 5.0 - 5.0 / 4.0)
+
+    def s(u):
+        return np.exp(-1.0 / np.where(u > 0, u, 1.0)) * (u > 0)
+
+    return s(t) / (s(t) + s(1.0 - t))
+
+
+def test_bump_matches_the_closed_formula():
+    # a dense grid holding both band edges and their inner neighbours
+    x = np.concatenate([np.linspace(-3.0, 3.0, 200_001),
+                        [1.25, 1.6, -1.25, -1.6, np.nextafter(1.25, 2.0), np.nextafter(1.6, 0.0)]])
+    np.testing.assert_array_equal(bump(x), _bump_closed(x))
+    for v in (0.0, 1.25, 1.3, 1.6, 2.0):
+        got = bump(v)
+        assert np.ndim(got) == 0
+        assert np.array_equal(got, _bump_closed(np.float64(v)))
+    assert np.isnan(bump(np.nan))
+
+
 def test_phi_interval_telescopes():
     x = np.linspace(0.0, 40.0, 500)
     total = sum(phi_shell(x, k) for k in range(-2, 6))
