@@ -57,6 +57,10 @@ _TRIPLES = (
     (5e-4, 10.0, 100.0),
     (1e-3, 100.0, 600.0),
 )
+# run sizes, which tests patch small; [9]'s sample times are (first, last, count)
+CONSTRAINT_N, CONSTRAINT_STEPS = 32, 1000
+DECAY_TIMES = (1e2, 1e4, 8)
+ENERGY_N, ENERGY_STEPS = 16, 60
 
 
 @dataclass
@@ -140,10 +144,10 @@ def _constraint_propagation():
     # RK4 commutes with the linear constraint algebra on the grid, so the
     # residuals stay at assembly roundoff and the dt-halving ratio carries
     # no signal; a drift at the constructor floor passes outright
-    g = Grid(32)
+    g = Grid(CONSTRAINT_N)
     rng = np.random.default_rng(117)
     s0 = random_irrotational(g, P, rng, amplitude=1e-3, kmax=4)
-    steps, dt, floor = 1000, 1e-3, 1e-12
+    steps, dt, floor = CONSTRAINT_STEPS, 1e-3, 1e-12
     drift = {}
     for half in (1, 2):
         *_, s = integrate(s0, [steps * dt], dt / half, P)
@@ -236,7 +240,7 @@ def _resonant_curves():
 
 @_criterion(9, "kernel decay exponents", 600.0)
 def _decay_exponents():
-    ts = np.geomspace(1e2, 1e4, 8)
+    ts = np.geomspace(*DECAY_TIMES)
     ladders = (
         ("e k=0", "e", 0, -1.6, -1.4),
         ("b k=0", "b", 0, -1.6, -1.4),
@@ -251,7 +255,7 @@ def _decay_exponents():
         ok = ok and good
         parts.append(f"{label}: {ex:+.4f} {'ok' if good else f'FAIL [{lo:+.2f},{hi:+.2f}]'}")
     ks = np.arange(-7, -1)
-    sups = np.array([kernel_sup(KernelQuery("i", int(k), 1e4), P) for k in ks])
+    sups = np.array([kernel_sup(KernelQuery("i", int(k), ts[-1]), P) for k in ks])
     slope = float(np.polyfit(ks, np.log2(sups), 1)[0])
     good = 0.4 <= slope <= 0.6
     ok = ok and good
@@ -272,7 +276,7 @@ def _refine_seed(coef: np.ndarray, coarse: Grid, n_to: int) -> np.ndarray:
 
 @_criterion(10, "energy growth bound", 600.0)
 def _energy_bound():
-    gc, gf = Grid(16), Grid(32)
+    gc, gf = Grid(ENERGY_N), Grid(2 * ENERGY_N)
     seed_c = _random_seed(gc, np.random.default_rng(42), 0.05, 2, True)
     seed_f = {k: _refine_seed(v, gc, gf.n) for k, v in seed_c.items()}
 
@@ -282,11 +286,11 @@ def _energy_bound():
         return list(integrate(make_irrotational(g, P, seed), times, dt, P))
 
     # fine dt is exactly half the coarse dt, so sample times coincide
-    c_const, _ = gronwall_constant(run_grid(gc, seed_c, 60, 4), P, order=2)
-    f_const, _ = gronwall_constant(run_grid(gf, seed_f, 120, 8), P, order=2)
+    c_const, _ = gronwall_constant(run_grid(gc, seed_c, ENERGY_STEPS, 4), P, order=2)
+    f_const, _ = gronwall_constant(run_grid(gf, seed_f, 2 * ENERGY_STEPS, 8), P, order=2)
     rel = abs(f_const - c_const) / c_const
     ok = np.isfinite(c_const) and c_const > 0 and rel <= 0.2
-    return ok, f"fitted constant {c_const:.4f} (16^3) vs {f_const:.4f} (32^3), drift {rel:.1%} (tol 20%)"
+    return ok, f"fitted constant {c_const:.4f} ({gc.n}^3) vs {f_const:.4f} ({gf.n}^3), drift {rel:.1%} (tol 20%)"
 
 
 def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:

@@ -282,13 +282,15 @@ class _Radius:
     """Radial symbols at the radii ``r``: the lattice |xi| in the half layout
     (see `_symbols`), or one of |xi|, |zeta|, |eta| over a tile of catalog
     points.  Every symbol is evaluated once, when the table is built: qi is
-    Lam_i/r, regular through the origin."""
+    Lam_i/r, regular through the origin, and lam_<b> is Lam_b for each b in
+    ``branches``."""
 
-    def __init__(self, r: np.ndarray, p: PlasmaParams):
+    def __init__(self, r: np.ndarray, p: PlasmaParams, branches: str):
         self.r, self.inv, self.R = r, _inv0(r), coupling(r, p)
         self.norm = 1.0 / np.sqrt(1.0 + self.R ** 2)
         self.qi = q_i(r, p)
-        self.lam_e, self.lam_i, self.lam_b = (lam(b, r, p) for b in ("e", "i", "b"))
+        for b in branches:
+            setattr(self, f"lam_{b}", lam(b, r, p))
 
     def out_over_mod(self, sigma: str):
         """Lam_sigma(r)/r for sigma in {e, i}, factored for the ion branch and
@@ -304,7 +306,7 @@ class _Radius:
 def _symbols(grid: Grid, p: PlasmaParams) -> _Radius:
     """The radial table at the lattice |xi| in the half layout, read by the
     dispersive maps."""
-    return _Radius(grid.half.xi_mag, p)
+    return _Radius(grid.half.xi_mag, p, "eib")
 
 
 class _Block:
@@ -315,7 +317,9 @@ class _Block:
 
     def __init__(self, xi, zeta, eta, p: PlasmaParams):
         self.xi, self.zeta, self.eta, self.p = xi, zeta, eta, p
-        self.x, self.z, self.e = (_Radius(np.sqrt(np.sum(v * v, 0)), p) for v in (xi, zeta, eta))
+        # no catalog row reads lam_i, nor lam_b at xi
+        self.x, self.z, self.e = (_Radius(np.sqrt(np.sum(v * v, 0)), p, b)
+                                  for v, b in ((xi, "e"), (zeta, "eb"), (eta, "eb")))
         self.xe, self.xz, self.ze = (np.sum(a * b, 0)
                                      for a, b in ((xi, eta), (xi, zeta), (zeta, eta)))
 

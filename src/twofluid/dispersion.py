@@ -54,19 +54,19 @@ def _check_branch(branch: str) -> str:
 
 
 def _prep(r, p: PlasmaParams):
-    """Common subexpressions; preserves the floating dtype of ``r``."""
+    """r, r^2, eps, T and the floating dtype of ``r``, which is preserved."""
     r = np.asarray(r)
     dtype = np.result_type(r.dtype, np.float64)
     r = r.astype(dtype, copy=False)
-    eps = dtype.type(p.epsilon)
-    T = dtype.type(p.T)
-    one = dtype.type(1.0)
-    r2 = r * r
-    u = (one - eps) + (T - eps) * r2
-    # s = sqrt(u^2 + 4 eps), rewritten so that s(0) = 1 + eps exactly and no
-    # cancellation occurs anywhere on r >= 0
-    s = np.sqrt((one + eps) ** 2 + (T - eps) * r2 * (2 * (one - eps) + (T - eps) * r2))
-    return r, r2, u, s, eps, T, dtype
+    return r, r * r, dtype.type(p.epsilon), dtype.type(p.T), dtype
+
+
+def _u(r2, eps, T):
+    return (1 - eps) + (T - eps) * r2
+
+
+def _s(r2, eps, T):  # sqrt(u^2 + 4 eps) with s(0) = 1 + eps exactly and no cancellation
+    return np.sqrt((1 + eps) ** 2 + (T - eps) * r2 * (2 * (1 - eps) + (T - eps) * r2))
 
 
 # -- branch values -------------------------------------------------------------
@@ -93,13 +93,13 @@ def _q_i_jet(r, r2, u, s, eps, T, M, order: int) -> tuple:
 def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
     """(lambda, lambda', lambda'')[:order + 1] of one branch, vectorized over r >= 0.
 
-    The one place the branch formulas live: the common subexpressions are
-    formed once and only the requested orders are evaluated.
+    The one place the branch formulas live: each common subexpression is
+    formed once, and only for the branch and the orders that read it.
     """
     _check_branch(branch)
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
+    r, r2, eps, T, dtype = _prep(r, p)
     if branch == "b":
         C_b = dtype.type(p.C_b)
         lb = np.sqrt((1 + eps + C_b * r2) / eps)
@@ -109,6 +109,8 @@ def jet(branch: str, r, p: PlasmaParams, order: int = 2) -> tuple:
         if order == 2:
             out.append(C_b * (1 + eps) / (eps**2 * lb**3))
         return tuple(out)
+    s = _s(r2, eps, T)
+    u = _u(r2, eps, T) if order else None
     M = _m_of_r(r2, s, eps, T)
     if branch == "e":
         le = np.sqrt(M / eps)
@@ -198,7 +200,7 @@ def lam_prime_inverse(branch: str, v, p: PlasmaParams):
 
 def h_eps(r, p: PlasmaParams) -> tuple:
     """(H, H', H'') of H_eps(r) = sqrt((1 + T r^2)/eps), the uncoupled electron branch."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
+    r, r2, eps, T, dtype = _prep(r, p)
     h = np.sqrt((1 + T * r2) / eps)
     return h, T * r / (eps * h), T / (eps**2 * h**3)
 
@@ -209,8 +211,8 @@ def coupling(r, p: PlasmaParams):
     R takes values in (0, sqrt(eps)], with R(0) = sqrt(eps):
     lambda_e^2 - H_eps^2 = R/sqrt(eps) and H_eps^2 - lambda_i^2 = 1/(R sqrt(eps)).
     """
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return 2 * np.sqrt(eps) / (u + s)
+    r, r2, eps, T, dtype = _prep(r, p)
+    return 2 * np.sqrt(eps) / (_u(r2, eps, T) + _s(r2, eps, T))
 
 
 def q_i(r, p: PlasmaParams):
@@ -218,12 +220,14 @@ def q_i(r, p: PlasmaParams):
 
     Decreasing from q_i(0) to 1; in particular r <= lambda_i(r) <= q_i(0) r.
     """
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return _q_i_jet(r, r2, u, s, eps, T, _m_of_r(r2, s, eps, T), 0)[0]
+    r, r2, eps, T, dtype = _prep(r, p)
+    s = _s(r2, eps, T)
+    return _q_i_jet(r, r2, None, s, eps, T, _m_of_r(r2, s, eps, T), 0)[0]
 
 
 def q_i_prime(r, p: PlasmaParams):
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
+    r, r2, eps, T, dtype = _prep(r, p)
+    u, s = _u(r2, eps, T), _s(r2, eps, T)
     return _q_i_jet(r, r2, u, s, eps, T, _m_of_r(r2, s, eps, T), 1)[1]
 
 
@@ -233,8 +237,8 @@ def q_i_prime(r, p: PlasmaParams):
 
 def gap_e_i(r, p: PlasmaParams):
     """lambda_e^2 - lambda_i^2 = s/eps > 0 (difference of the two roots)."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return s / eps
+    r, r2, eps, T, dtype = _prep(r, p)
+    return _s(r2, eps, T) / eps
 
 
 def gap_b_e(r, p: PlasmaParams):
@@ -247,16 +251,16 @@ def gap_b_e(r, p: PlasmaParams):
         = r^2/(2 eps) * [ (2 C_b - T - eps)
                           - (T-eps)(2(1-eps) + (T-eps) r^2)/(s + 1 + eps) ].
     """
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
+    r, r2, eps, T, dtype = _prep(r, p)
     C_b = dtype.type(p.C_b)
-    bracket = (2 * C_b - T - eps) - (T - eps) * (2 * (1 - eps) + (T - eps) * r2) / (s + 1 + eps)
+    bracket = (2 * C_b - T - eps) - (T - eps) * (2 * (1 - eps) + (T - eps) * r2) / (_s(r2, eps, T) + 1 + eps)
     return r2 * bracket / (2 * eps)
 
 
 def qi_margin(r, p: PlasmaParams):
     """A - M = (u + 2T - s)/2 >= 0, the exact margin behind q_i >= 1."""
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return (u + 2 * T - s) / 2
+    r, r2, eps, T, dtype = _prep(r, p)
+    return (_u(r2, eps, T) + 2 * T - _s(r2, eps, T)) / 2
 
 
 def _lambda_i_radical(r, p: PlasmaParams):
@@ -266,8 +270,8 @@ def _lambda_i_radical(r, p: PlasmaParams):
     equal terms); kept to cross-check the production factored form away
     from the origin.
     """
-    r, r2, u, s, eps, T, dtype = _prep(r, p)
-    return np.sqrt(((1 + eps) + (T + eps) * r2 - s) / (2 * eps))
+    r, r2, eps, T, dtype = _prep(r, p)
+    return np.sqrt(((1 + eps) + (T + eps) * r2 - _s(r2, eps, T)) / (2 * eps))
 
 
 # -- distinguished radii -------------------------------------------------------

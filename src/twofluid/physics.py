@@ -19,10 +19,10 @@ discretization exactly rather than to O(dt^4):
 * the dealiased currents (n+1)v and (rho+1)u are shared between the density
   equations and the Ampere law, so div E - (rho - n) is a stagewise invariant
   of the scheme (div curl vanishes identically on the lattice);
-* the advection terms are evaluated in rotational form, v.grad v =
-  grad|v|^2/2 - v x curl v, folded with the magnetic force into a single
-  cross product against B - eps curl v (resp. B + curl u), so generalized
-  irrotationality is preserved through every RK4 stage by bilinearity.
+* the solver is the system on the constraint manifold Y = B - eps curl v
+  = 0, Z = B + curl u = 0, where the rotational-form products v x Y and
+  u x Z vanish and are dropped; Y and Z are then conserved term by term, as
+  the curl of v's tendency is -curl E/eps and B's tendency is -curl E.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ ENERGY_ORDER_MAX = 8
 CFL_SAFETY = 0.5
 #: a sample time counts as reached once the state is this close to it
 TIME_TOL = 1e-12
+#: |Y| / (|B| + eps ||xi| v|) and |Z| / (|B| + ||xi| u|) on the manifold: at
+#: most 16 roundings of relative size 2^-53 in those terms, at assembly and here
+MANIFOLD_RTOL = 16 * 2.0**-53
 #: the sup-norms of `gronwall_quantities`, in summation order; "grad_x" is sup |grad x|
 _GRONWALL_KEYS = ("grad_n", "v", "grad_v", "grad_rho", "u", "grad_u", "grad_E", "B", "grad_B")
 
@@ -143,7 +146,9 @@ def rhs(state: PhysState, p: PlasmaParams,
         linear: bool = False, check: bool = True) -> PhysState:
     """Tendencies of all six fields; the returned container carries d/dt
     arrays in the field slots and the evaluation time in t.  ``check`` has
-    no effect: the half-spectrum layout makes every state real."""
+    no effect: the half-spectrum layout makes every state real.  Nonlinear
+    tendencies need a state on the constraint manifold, Y = Z = 0 (B read as
+    0 for the electrostatic kind), and lack v x Y/eps and u x Z off it."""
     return _tendencies(state, state, p, kind, linear, PhysState._empty(state.grid))
 
 
@@ -160,57 +165,31 @@ def _tendencies(state: PhysState, lin: PhysState, p: PlasmaParams, kind: SystemK
     E = ep_electric(g, lin.n, lin.rho) if electrostatic else lin.E
 
     out.t = state.t
-    xi = g.half.xi
-    if linear:
-        Je, Ji = lin.v, lin.u
-        out.v = grad(g, -(T / eps) * lin.n) - E / eps
-        out.u = grad(g, -lin.rho) + E
-    else:
-        # one inverse transform of n, rho, v, u and the generalized-vorticity
-        # combinations Y = B - eps curl v, Z = B + curl u (zero on admissible
-        # data) in the rows of E, B; out's buffer is the scratch, as out is
-        # written only after the transform
-        src = out.buf
-        src[:8] = state.buf[:8]  # n, rho, v, u
-        np.multiply(cross(xi, state.v), -1j * eps, out=src[ROWS["E"]])
-        np.multiply(cross(xi, state.u), 1j, out=src[ROWS["B"]])
-        if not electrostatic:
-            src[ROWS["E"]] += state.B
-            src[ROWS["B"]] += state.B
-        phys = to_physical(g, src)
-        # the fourteen products overwrite their factors' rows: |v|^2, |u|^2,
-        # n v, rho u, v x Y, u x Z; then one forward transform, dealiased
-        n_p, rho_p, v_p, u_p = phys[0], phys[1], phys[ROWS["v"]], phys[ROWS["u"]]
-        phys[ROWS["E"]] = cross(v_p, phys[ROWS["E"]])
-        phys[ROWS["B"]] = cross(u_p, phys[ROWS["B"]])
+    # the currents (1 + n) v, (1 + rho) u and the potentials whose gradients
+    # push the electrons and the ions, -(T/eps) n - |v|^2/2 and -rho - |u|^2/2
+    Je, Ji, pot_e, pot_i = lin.v, lin.u, -(T / eps) * lin.n, -lin.rho
+    if not linear:
+        # n, rho, v, u in one inverse transform; |v|^2, |u|^2, n v, rho u over
+        # their factors' rows in one forward transform, dealiased
+        phys = to_physical(g, state.buf[:8])
+        v_p, u_p = phys[ROWS["v"]], phys[ROWS["u"]]
         v2, u2 = np.sum(v_p**2, axis=0), np.sum(u_p**2, axis=0)
-        v_p *= n_p
-        u_p *= rho_p
+        v_p *= phys[0]
+        u_p *= phys[1]
         phys[0], phys[1] = v2, u2
         hat = to_half(g, phys)
         hat *= g.half.dealias_mask
-        Je = hat[ROWS["v"]]
-        Je += lin.v
-        Ji = hat[ROWS["u"]]
-        Ji += lin.u
-        # grad(-(T/eps) n - |v|^2/2) - (E + v x Y)/eps, grad(-rho - |u|^2/2) + E + u x Z
-        force_e, force_i = hat[ROWS["E"]], hat[ROWS["B"]]
-        force_e += E
-        force_e *= -1.0 / eps
-        force_i += E
-        np.add(grad(g, -(T / eps) * lin.n - 0.5 * hat[0]), force_e, out=out.v)
-        np.add(grad(g, -lin.rho - 0.5 * hat[1]), force_i, out=out.u)
-
-    np.multiply(np.sum(xi * Je, axis=0), -1j, out=out.n)  # -div Je
-    np.multiply(np.sum(xi * Ji, axis=0), -1j, out=out.rho)
+        hat[2:8] += lin.buf[2:8]
+        Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
+        pot_e -= 0.5 * hat[0]
+        pot_i -= 0.5 * hat[1]
+    np.subtract(grad(g, pot_e), E / eps, out=out.v)
+    np.add(grad(g, pot_i), E, out=out.u)
+    out.n, out.rho = -div(g, Je), -div(g, Ji)
     if electrostatic:
-        out.B = 0.0
-        out.E = p_long(g, Je - Ji)
+        out.B, out.E = 0.0, p_long(g, Je - Ji)
     else:
-        np.multiply(cross(xi, E), -1j, out=out.B)
-        np.multiply(cross(xi, lin.B), 1j * Cb / eps, out=out.E)
-        out.E += Je
-        out.E -= Ji
+        out.B, out.E = -curl(g, E), (Cb / eps) * curl(g, lin.B) + Je - Ji
     return out
 
 
@@ -224,7 +203,8 @@ def step(state: PhysState, dt: float, p: PlasmaParams,
          kind: SystemKind = SystemKind.euler_maxwell,
          linear: bool = False, check: bool = True) -> PhysState:
     """One classical RK4 step.  Negative dt integrates backward (the system
-    is time-reversible).  ``check`` has no effect, as in :func:`rhs`."""
+    is time-reversible).  ``check`` has no effect, and a nonlinear step
+    needs a state on the constraint manifold, as in :func:`rhs`."""
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if abs(dt) > cfl_dt(state.grid, p):
@@ -259,7 +239,8 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
     """Yield the state at each of the nondecreasing ``times`` (all >= state.t),
     stepping by min(dt, target - t) until t is within ``TIME_TOL`` of each;
     a time equal to ``state.t`` yields ``state`` itself.  The one stepping
-    loop.  Invalid input raises on the first ``next``."""
+    loop.  Invalid input raises on the first ``next``, a nonlinear start off
+    the constraint manifold (see :func:`rhs`) included."""
     times = np.asarray(times, dtype=float)
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -267,6 +248,12 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
         raise ValueError("times must be a finite nondecreasing 1d sequence")
     if times.size and times[0] < state.t:
         raise ValueError(f"times start at {times[0]:.6g}, before the state's t = {state.t:.6g}")
+    if not linear:
+        g, B = state.grid, 0 * state.B if kind is SystemKind.euler_poisson else state.B
+        for name, c, vel in (("Y", -p.epsilon, state.v), ("Z", 1.0, state.u)):
+            size = l2_norm(g, B) + abs(c) * l2_norm(g, g.half.xi_mag * vel)
+            if l2_norm(g, B + c * curl(g, vel)) > MANIFOLD_RTOL * size:
+                raise ValueError(f"the start state is off the constraint manifold: {name} != 0")
     cur = state
     for target in times:
         while cur.t < target - TIME_TOL:

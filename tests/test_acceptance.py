@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from twofluid.physics import _random_seed
 from twofluid.spectral import Grid, to_physical
 
 # the criteria that finish within seconds; [4], [5], [7], [9] and [10] run
-# for minutes and are left to a full acceptance run
+# for minutes, so tier-1 runs them at small sizes below and leaves their
+# results to a full acceptance run
 FAST = (1, 2, 3, 6, 8)
 
 
@@ -67,6 +70,37 @@ def test_catalog_criterion_runs_on_small_supports(monkeypatch):
     (res,) = acceptance.run(numbers=(4,), stream=None)
     assert res.ok, res.line()
     assert "10 states" in res.detail
+
+
+_NUM = r"[+-]?\d\.\d+e[+-]\d+"
+_EXPONENT = r"[+-]\d\.\d{4} (ok|FAIL \[[+-]\d\.\d\d,[+-]\d\.\d\d\])"
+
+
+@pytest.mark.parametrize("number,sizes,shape", [
+    pytest.param(
+        5, {"CONSTRAINT_N": 8, "CONSTRAINT_STEPS": 5},
+        rf"max residual {_NUM} \(dt\) / {_NUM} \(dt/2\), (roundoff floor|ratio \d+\.\d)",
+        id="5"),
+    pytest.param(  # decay_fit needs eight samples; early times are cheap
+        9, {"DECAY_TIMES": (1.0, 10.0, 8)},
+        rf"e k=0: {_EXPONENT}; b k=0: {_EXPONENT}; i k=-3: {_EXPONENT}; "
+        rf"i k=1 \(inflection shell\): {_EXPONENT}; i shell slope: {_EXPONENT}",
+        id="9"),
+    pytest.param(
+        10, {"ENERGY_N": 8, "ENERGY_STEPS": 8},
+        r"fitted constant \d+\.\d{4} \(8\^3\) vs \d+\.\d{4} \(16\^3\), "
+        r"drift \d+\.\d% \(tol 20%\)",
+        id="10"),
+])
+def test_long_criterion_runs_at_a_small_size(monkeypatch, number, sizes, shape):
+    # the runner end to end at a small size, through the whole RK4 loop for
+    # [5] and [10]; only the shape of the detail line is checked, not whether
+    # the small run lands in the criterion's window
+    for name, value in sizes.items():
+        monkeypatch.setattr(acceptance, name, value)
+    (res,) = acceptance.run(numbers=(number,), stream=None)
+    assert res.number == number
+    assert re.fullmatch(shape, res.detail), res.line()
 
 
 def test_refine_seed_keeps_continuum_values():

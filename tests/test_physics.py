@@ -23,8 +23,9 @@ from twofluid.physics import (
 )
 from twofluid import physics, spectral
 from twofluid.diagonal import nonlinearity_direct
-from twofluid.spectral import (Grid, half_spectrum, hermitize, is_hermitian, l2_norm,
-                               random_real_field, random_vector_field, to_half, to_physical)
+from twofluid.spectral import (Grid, cross, curl, div, grad, half_spectrum, hermitize,
+                               is_hermitian, l2_norm, p_long, random_real_field,
+                               random_vector_field, to_half, to_physical)
 
 P = PlasmaParams(1e-3, 1.0, 6.0)
 EM = SystemKind.euler_maxwell
@@ -376,12 +377,78 @@ def test_make_irrotational_rejects_malformed_seeds():
         make_irrotational(g, P, {"n": f, "t": np.nan})
 
 
-def test_corrupted_B_detected():
+def _corrupted_B_state():
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
     s.B = s.B + 1e-3 * half_spectrum(g, random_vector_field(g, _rng(), kmax=2))
-    res = constraints(s, P)
+    return s
+
+
+def test_corrupted_B_detected():
+    res = constraints(_corrupted_B_state(), P)
     assert res["div_B"] > 1e-6 or res["girr_e"] > 1e-6
+
+
+def _rotational_form(s, kind):
+    """The full tendencies, advection in rotational form: v.grad v =
+    grad|v|^2/2 - v x curl v, folded with the magnetic force into v x Y with
+    Y = B - eps curl v, and u x Z with Z = B + curl u (B read as 0 for the
+    electrostatic kind).  ``rhs`` is this system with v x Y and u x Z
+    dropped, exact on the constraint manifold, where Y = Z = 0."""
+    g, eps = s.grid, P.epsilon
+    B = 0 * s.B if kind is EP else s.B
+    E = ep_electric(g, s.n, s.rho) if kind is EP else s.E
+    n, rho, v, u, Y, Z = (to_physical(g, f) for f in (
+        s.n, s.rho, s.v, s.u, B - eps * curl(g, s.v), B + curl(g, s.u)))
+
+    def product(vals):  # dealiased, as in the solver
+        return g.half.dealias_mask * to_half(g, vals)
+
+    Je, Ji = s.v + product(n * v), s.u + product(rho * u)
+    dv = grad(g, -(P.T / eps) * s.n - 0.5 * product(np.sum(v**2, 0))) \
+        - (E + product(cross(v, Y))) / eps
+    du = grad(g, -s.rho - 0.5 * product(np.sum(u**2, 0))) + E + product(cross(u, Z))
+    if kind is EP:
+        dE, dB = p_long(g, Je - Ji), 0.0
+    else:
+        dE, dB = (P.C_b / eps) * curl(g, s.B) + Je - Ji, -curl(g, E)
+    return PhysState(g, -div(g, Je), -div(g, Ji), dv, du, dE, dB, s.t)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 0.5])
+@pytest.mark.parametrize("kind", [EM, EP])
+def test_rhs_is_the_rotational_form_on_the_manifold(kind, amplitude):
+    # admissible data for the electrostatic kind is potential flow: B is not read
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=amplitude, rotational=(kind is EM))
+    ref = _rotational_form(s, kind)
+    assert _diff(rhs(s, P, kind=kind), ref) <= 1e-15 * _norm(ref)
+
+
+def test_rhs_leaves_the_rotational_form_off_the_manifold():
+    # the comparison above can fail: on the corrupted state v x Y is O(1e-5)
+    s = _corrupted_B_state()
+    ref = _rotational_form(s, EM)
+    assert _diff(rhs(s, P), ref) >= 1e-6 * _norm(ref)
+
+
+@pytest.mark.parametrize("kind", [EM, EP])
+def test_integrate_rejects_a_nonlinear_start_off_the_manifold(kind):
+    # the electrostatic kind reads B as 0, so the rotational v and u of this
+    # state put it off the manifold too; linear runs are checked for neither
+    s = _corrupted_B_state()
+    with pytest.raises(ValueError, match="constraint manifold"):
+        next(integrate(s, [1e-3], 1e-3, P, kind=kind))
+    (out,) = integrate(s, [1e-3], 1e-3, P, kind=kind, linear=True)
+    assert out.t == pytest.approx(1e-3)
+
+
+def test_integrate_accepts_every_assembled_state():
+    for n, kmax, amplitude in ((8, None, 0.5), (16, 4, 1e-3), (16, None, 1e3), (32, 4, 1e-3)):
+        for kind in (EM, EP):
+            s = random_irrotational(Grid(n), P, _rng(), amplitude=amplitude, kmax=kmax,
+                                    rotational=(kind is EM))
+            (out,) = integrate(s, [1e-4], 1e-4, P, kind=kind)
+            assert out.t == pytest.approx(1e-4)
 
 
 @pytest.mark.parametrize("kind", [EM, EP])
@@ -395,8 +462,9 @@ def test_constraints_preserved_through_stepping(kind):
         s = step(s, dt, P, kind=kind, check=False)
     res = constraints(s, P)
     for name, val in res.items():
-        # the spec's convergence allowance is 10 * dt^4 * steps; the product
-        # reuse and rotational-form advection keep the drift at roundoff
+        # the spec's convergence allowance is 10 * dt^4 * steps; the shared
+        # currents keep Gauss's law, and the tendencies of v, u and B keep Y
+        # and Z, term by term, so the drift is roundoff
         assert val <= 1e-12, (name, val)
         assert val <= 10 * dt**4 * 50
 
@@ -418,28 +486,36 @@ def test_nyquist_planes_stay_zero(kind):
 
 def _count_transforms(monkeypatch):
     """Count the three-axis inverse and forward transforms of module spectral
-    and its one-axis passes."""
-    counts = {"inverse": 0, "forward": 0, "axis": 0}
+    and its one-axis passes, and list the three-axis ones as (way, rows)."""
+    counts, batches = {"inverse": 0, "forward": 0, "axis": 0}, []
     for name, way in (("irfftn", "inverse"), ("ifftn", "inverse"),
                       ("rfftn", "forward"), ("fftn", "forward"),
                       ("ifft", "axis"), ("irfft", "axis")):
-        def counted(*args, _fn=getattr(spectral.sfft, name), _way=way, **kw):
+        def counted(x, *args, _fn=getattr(spectral.sfft, name), _way=way, **kw):
             counts[_way] += 1
-            return _fn(*args, **kw)
+            if _way != "axis":
+                batches.append((_way, len(x) if np.ndim(x) == 4 else 1))
+            return _fn(x, *args, **kw)
         monkeypatch.setattr(spectral.sfft, name, counted)
-    return counts
+    return counts, batches
 
 
 def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
-    counts = _count_transforms(monkeypatch)
+    counts, batches = _count_transforms(monkeypatch)
+    # n, rho, v, u in one batch; |v|^2, |u|^2, n v, rho u in the other
+    one_rhs = [("inverse", 8), ("forward", 8)]
     rhs(s, P)
     assert counts == {"inverse": 1, "forward": 1, "axis": 0}
+    assert batches == one_rhs
     counts.update(inverse=0, forward=0)
+    batches.clear()
     step(s, 0.5 * cfl_dt(g, P), P)
     assert counts == {"inverse": 4, "forward": 4, "axis": 0}
+    assert batches == 4 * one_rhs
     counts.update(inverse=0, forward=0)
+    batches.clear()
     # per field, one x pass per a, one y pass per (a, b), one z pass per
     # |gamma| <= 4: 5 + 15 + 35
     physics._derivative_sups(s, 4)
@@ -447,6 +523,7 @@ def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     counts.update(axis=0)
     nonlinearity_direct(s, P)  # the products of one rhs
     assert counts == {"inverse": 1, "forward": 1, "axis": 0}
+    assert batches == one_rhs
     tend = rhs(s, P)
     counts.update(inverse=0, forward=0)
     local_energy_residual(s, tend, P)  # state, tendencies, flux divergence
