@@ -444,15 +444,32 @@ def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# brute-force shell scans
+# shell scans, one sweep row at a time
 #
-# scan_near_resonant and verify_case_partition run one sweep, _sweep:
-# a generator over blocks of |xi| that yields, per block, the three radii
-# |xi|, |eta|, |xi - eta| on the rotation-reduced (s, rho, theta) grid, with
-# shape (block, n_rho, n_theta) where they vary, the cosine between xi - eta
-# and eta, and lambda and lambda' of every branch at each radius.
-# _phase_on_plane turns a table into (Phi, |Xi|^2) for any phase and _home
-# bins radii into dyadic shells; each caller keeps its own reduction.
+# scan_near_resonant and verify_case_partition run one sweep, _sweep: a
+# generator over blocks of |xi| on the rotation-reduced grid xi = s zhat,
+# eta = rho (sin theta, 0, cos theta).  A row is one (s, rho) pair with theta
+# running over [0, pi]; each block carries |xi - eta| and lambda at it of
+# each branch a scanned phase reads there, with shape (block, n_rho,
+# n_theta), and lambda, lambda' of every branch at s and rho.
+#
+# Along a row |xi - eta|^2 = (s^2 + rho^2) - (2 s rho) cos theta, and every
+# operation in it rounds monotonically, so the computed |xi - eta| does not
+# decrease while the computed cos theta does not increase (checked once per
+# sweep).  Where the computed lambda_{sigma_1} table does not decrease either
+# (checked per row and branch, and shared by the 21 phases reading that
+# branch), Phi = (lambda_sigma(s) - iota_1 lambda_{sigma_1}) - iota_2
+# lambda_{sigma_2}(rho) is a monotone function of that table alone, and
+# rounding keeps it monotone: the computed Phi at the two ends of the row
+# bound every computed Phi on it.  So _row_search reads the ends, keeps the
+# rows whose range meets [-bound, bound] (there {|Phi| <= bound} is one
+# contiguous theta run) and forms Phi on those rows only; |Xi|^2, lambda' at
+# |xi - eta| and the cosine follow on the run's samples (_xi2).  A row whose
+# table decreases anywhere is always kept and evaluated in full.  Every kept
+# value comes from the same expression, in the same order, as a pass over the
+# whole block would use, so the samples are bit-identical to that pass.
+#
+# _home bins radii into dyadic shells; each caller keeps its own reduction.
 
 
 @dataclass(frozen=True)
@@ -493,38 +510,105 @@ def _home(x):
 
 
 def _sweep(p: PlasmaParams, s_shells: tuple, rho_shells: tuple,
-           resolution: tuple, block: int):
+           resolution: tuple, block: int, branches):
     """Tables of the sweep over xi = s zhat, eta = rho (sin theta, 0, cos theta),
     one per block of s; s and rho span the dyadic shells s_shells = (lo, hi)
-    and rho_shells padded by 4 octaves, theta spans [0, pi]."""
-    n_s, n_r, n_t = resolution
+    and rho_shells padded by 4 octaves, theta spans [0, pi] in n_theta points.
+
+    ``resolution`` = (n_s, n_rho, n_theta), three integers >= 2.  lambda at
+    |xi - eta| is tabulated for ``branches`` only, and ``mono`` flags, per
+    such branch, the rows along which the computed |xi - eta| and the lambda
+    table at it do not decrease.
+    """
+    res = tuple(resolution) if isinstance(resolution, (tuple, list)) else ()
+    if len(res) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in res):
+        raise ValueError(f"resolution must be three integers >= 2, got {resolution!r}")
+    n_s, n_r, n_t = res
     s_all = np.geomspace(2.0 ** (s_shells[0] - 4), 2.0 ** (s_shells[1] + 4), n_s)
     rho = np.geomspace(2.0 ** (rho_shells[0] - 4), 2.0 ** (rho_shells[1] + 4), n_r)
     theta = np.linspace(0.0, np.pi, n_t)
+    ct = np.cos(theta)
+    ct_falls = bool(np.all(ct[1:] <= ct[:-1]))
     rh = rho[None, :, None]
-    ct = np.cos(theta)[None, None, :]
     jet_r = {br: jet(br, rho, p, 1) for br in BRANCHES}
     for i0 in range(0, n_s, block):
         sb = s_all[i0:i0 + block]
         st = sb[:, None, None]
         zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosb = (st * ct - rh) / zm
-        yield {"s": sb, "rho": rho, "theta": theta, "zm": zm, "cosb": cosb,
-               "lam_s": {br: lam(br, sb, p) for br in BRANCHES},
-               "jet_r": jet_r, "jet_z": {br: jet(br, zm, p, 1) for br in BRANCHES}}
+        lam_z = {br: lam(br, zm, p) for br in branches}
+        yield {"s": sb, "rho": rho, "theta": theta, "ct": ct, "zm": zm,
+               "lam_s": {br: lam(br, sb, p) for br in BRANCHES}, "jet_r": jet_r, "lam_z": lam_z,
+               "mono": {br: ct_falls & np.all(lz[..., 1:] >= lz[..., :-1], axis=-1)
+                        for br, lz in lam_z.items()}}
 
 
-def _phase_on_plane(spec: PhaseSpec, t: dict):
-    """(Phi, |Xi|^2) over a sweep table."""
-    i1, i2 = spec.iota1, spec.iota2
-    lam_z, a = t["jet_z"][spec.branch1]
-    lam_r, b = t["jet_r"][spec.branch2]
-    Phi = t["lam_s"][spec.sigma][:, None, None] - i1 * lam_z - i2 * lam_r[None, :, None]
-    b = b[None, :, None]
-    with np.errstate(invalid="ignore"):
-        Xi2 = a * a + b * b - (2.0 * i1 * i2) * a * b * t["cosb"]
-    return Phi, Xi2
+def _phase(spec: PhaseSpec, ls, lz, lr):
+    """Phi from lambda_sigma(s), lambda_{sigma_1}(|xi - eta|) and lambda_{sigma_2}(rho).
+
+    Every sweep value of Phi is formed here, in this one order.
+    """
+    return ls - spec.iota1 * lz - spec.iota2 * lr
+
+
+def _inputs(spec: PhaseSpec, t: dict) -> tuple:
+    """(ls, lz, lr) of a phase on sweep table t; ls and lr are views with one
+    entry per row, a last axis of length 1."""
+    lz = t["lam_z"][spec.branch1]
+    shape = lz.shape[:-1] + (1,)
+    return (np.broadcast_to(t["lam_s"][spec.sigma][:, None, None], shape), lz,
+            np.broadcast_to(t["jet_r"][spec.branch2][0][None, :, None], shape))
+
+
+def _row_search(spec: PhaseSpec, ls, lz, lr, mono, bound: float) -> tuple:
+    """The rows that can hold a sample with |Phi| <= bound, and Phi along them.
+
+    lz holds lambda_{sigma_1} along each row (theta on the last axis), ls and
+    lr one value per row (a last axis of length 1), and ``mono`` flags the
+    rows where lz does not decrease.  On such a row the computed Phi is
+    monotone, so the row is kept only if the range between its two end
+    values meets [-bound, bound]; a row that is not monotone is always kept.
+    Returns (row indices, Phi on those rows, Phi at both ends of every row).
+    """
+    ends = _phase(spec, ls, lz[..., [0, -1]], lr)
+    lo, hi = ends.min(axis=-1), ends.max(axis=-1)
+    rows = np.nonzero(~mono | ((lo <= bound) & (hi >= -bound)))
+    return rows, _phase(spec, ls[rows], lz[rows], lr[rows]), ends
+
+
+def _xi2(spec: PhaseSpec, t: dict, p: PlasmaParams, ii, jj, kk):
+    """|Xi|^2 at the sweep points (ii, jj, kk) of table t."""
+    zm = t["zm"][ii, jj, kk]
+    a = lam_prime(spec.branch1, zm, p)
+    b = t["jet_r"][spec.branch2][1][jj]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosb = (t["s"][ii] * t["ct"][kk] - t["rho"][jj]) / zm
+        return a * a + b * b - (2.0 * spec.iota1 * spec.iota2) * a * b * cosb
+
+
+def _elliptic_floor(spec: PhaseSpec, t: dict, wr, w_ends, rows, aphi, ends,
+                    floor: float) -> float:
+    """min(floor, min |Phi| w over table t) with w = max(|xi - eta|, rho, 1).
+
+    wr = max(rho, 1) per rho and w_ends = w at both ends of every row;
+    ``rows``, ``aphi`` and ``ends`` come from _row_search.  |Phi| is exact on
+    those rows.  Every other row is monotone with |Phi| above the search
+    bound, so its least |Phi| sits at an end, and as rounding is monotone
+    fl(min |Phi| max(rho, 1)) bounds every product on the row from below.
+    The floor is seeded with the products at both ends of every row, and
+    only the rows whose bound does not exceed it are evaluated in full.
+    """
+    zm = t["zm"]
+    floor = min(floor, np.min(aphi * np.maximum(zm[rows], wr[rows[1]][:, None]), initial=np.inf))
+    aend = np.abs(ends)
+    floor = min(floor, np.min(aend * w_ends))
+    bound = aend.min(axis=-1) * wr
+    bound[rows] = np.inf
+    rest = np.nonzero(bound <= floor)
+    if rest[0].size:
+        ls, lz, lr = _inputs(spec, t)
+        aphi = np.abs(_phase(spec, ls[rest], lz[rest], lr[rest]))
+        floor = min(floor, np.min(aphi * np.maximum(zm[rest], wr[rest[1]][:, None])))
+    return float(floor)
 
 
 def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
@@ -534,23 +618,28 @@ def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
 
     The scan is exhaustive over the rotation-reduced grid: radial xi times
     radial eta (both geometric) times the polar angle, with the xi - eta
-    shell enforced as a filter.
+    shell enforced as a filter.  Rows are searched for |Phi| <= delta2 first
+    (_row_search); the shell filter and |Xi| are applied on what is found.
     """
     cases = admissible_cases(classify(spec), k, k1, k2, D_NUM)
     out = []
-    for t in _sweep(p, (k, k), (k2, k2), resolution, block=64):
-        Phi, Xi2 = _phase_on_plane(spec, t)
-        with np.errstate(invalid="ignore"):
-            mask = ((t["zm"] >= 2.0 ** (k1 - 4)) & (t["zm"] <= 2.0 ** (k1 + 4))
-                    & (np.abs(Phi) <= delta2) & (Xi2 <= delta1 * delta1))
-        costh, sinth = np.cos(t["theta"]), np.sin(t["theta"])
-        for ii, jj, kk in np.argwhere(mask):
-            s, r = t["s"][ii], t["rho"][jj]
+    for t in _sweep(p, (k, k), (k2, k2), resolution, block=64, branches=(spec.branch1,)):
+        rows, Phi, _ = _row_search(spec, *_inputs(spec, t), t["mono"][spec.branch1], delta2)
+        r, kk = np.nonzero(np.abs(Phi) <= delta2)
+        ii, jj = rows[0][r], rows[1][r]
+        zm = t["zm"][ii, jj, kk]
+        shell = (zm >= 2.0 ** (k1 - 4)) & (zm <= 2.0 ** (k1 + 4))
+        r, ii, jj, kk = r[shell], ii[shell], jj[shell], kk[shell]
+        Xi2 = _xi2(spec, t, p, ii, jj, kk)
+        hit = Xi2 <= delta1 * delta1
+        sinth = np.sin(t["theta"])
+        for n, i, j, m, x2 in zip(r[hit], ii[hit], jj[hit], kk[hit], Xi2[hit]):
+            s, rr = t["s"][i], t["rho"][j]
             out.append(ResonanceSample(
                 xi=np.array([0.0, 0.0, s]),
-                eta=np.array([r * sinth[kk], 0.0, r * costh[kk]]),
-                phi_abs=float(abs(Phi[ii, jj, kk])),
-                xi_abs=float(np.sqrt(max(Xi2[ii, jj, kk], 0.0))),
+                eta=np.array([rr * sinth[m], 0.0, rr * t["ct"][m]]),
+                phi_abs=float(abs(Phi[n, m])),
+                xi_abs=float(np.sqrt(max(x2, 0.0))),
                 k=k, k1=k1, k2=k2, cases=cases))
     return out
 
@@ -680,15 +769,26 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
                           refine: bool = True) -> PartitionReport:
     """Exhaustive near-resonance census, binned by home dyadic shells.
 
-    One global rotation-reduced grid is scanned for every phase at once;
-    each sample passing the shell-weighted thresholds is charged to the
-    dyadic shell of each of its three radii.  With refine on, exact-geometry
-    probes are added so detection does not depend on the grid straddling the
-    thin gradient-matched regions.  Sell and nonresonant phases must come
-    back empty.  For the rest, every nonempty home triple inside the scanned
-    box is checked against the case conditions at this D_num; failures are
-    listed together with the cutoff window that admits them, and triples no
-    cutoff admits land in `unresolved`.  Samples pass at |Phi|, |Xi| <= 2^-D_num.
+    One global rotation-reduced grid is scanned for every phase, one sweep
+    row (|xi|, |eta| fixed) at a time: rounding is monotone, so the computed
+    Phi is monotone along a row whose computed lambda table does not
+    decrease, and Phi is formed only on rows whose range between the end
+    values meets [-2^-D_num, 2^-D_num], |Xi| only on the samples found there.
+    A row whose table decreases is evaluated in full, so every value kept is
+    bit-identical to a pass over every grid point.  Each sample with |Phi|,
+    |Xi| <= 2^-D_num that passes the shell-weighted thresholds is charged to
+    the dyadic shell of each of its three radii.  ``elliptic_floor`` is
+    min |Phi| max(|xi - eta|, |eta|, 1), the pointwise analogue of the
+    2^{max(k1, k2, 0)} shell weight (_elliptic_floor).
+
+    With refine on, exact-geometry probes are added so detection does not
+    depend on the grid straddling the thin gradient-matched regions.  Sell
+    and nonresonant phases must come back empty.  For the rest, every
+    nonempty home triple inside the scanned box is checked against the case
+    conditions at this D_num; failures are listed together with the cutoff
+    window that admits them, and triples no cutoff admits land in
+    `unresolved`.  ``resolution`` = (n_s, n_rho, n_theta) must be three
+    integers >= 2.
     """
     specs = tuple(specs) if specs is not None else ALL_PHASES
     shells = tuple(shells)
@@ -713,22 +813,25 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
             samples[key].append(np.column_stack([
                 k[strict], k1[strict], k2[strict], aph[strict], axi[strict]]))
 
-    # the block size bounds the memory of the sweep tables and their masks
-    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=16):
-        # pointwise analogue of the 2^{max(k1,k2,0)} shell weight
-        w = np.maximum(t["zm"], np.maximum(t["rho"][None, :, None], 1.0))
+    # the block size bounds the memory of the sweep tables
+    for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=16,
+                    branches={sp.branch1 for sp in specs}):
+        wr = np.maximum(t["rho"], 1.0)
+        w_ends = np.maximum(t["zm"][..., [0, -1]], wr[:, None])
         for sp in specs:
-            Phi, Xi2 = _phase_on_plane(sp, t)
+            rows, Phi, ends = _row_search(sp, *_inputs(sp, t), t["mono"][sp.branch1], base)
             aphi = np.abs(Phi)
-            floor = float(np.nanmin(aphi * w))
-            report.elliptic_floor[sp.key] = min(report.elliptic_floor[sp.key], floor)
-            with np.errstate(invalid="ignore"):
-                mask = (aphi <= base) & (Xi2 <= base * base)
-            if not mask.any():
+            report.elliptic_floor[sp.key] = _elliptic_floor(
+                sp, t, wr, w_ends, rows, aphi, ends, report.elliptic_floor[sp.key])
+            r, kk = np.nonzero(aphi <= base)
+            if not r.size:
                 continue
-            ii, jj, kk = np.nonzero(mask)
+            ii, jj = rows[0][r], rows[1][r]
+            Xi2 = _xi2(sp, t, p, ii, jj, kk)
+            hit = Xi2 <= base * base
+            r, ii, jj, kk, Xi2 = r[hit], ii[hit], jj[hit], kk[hit], Xi2[hit]
             keep(sp.key, t["s"][ii], t["zm"][ii, jj, kk], t["rho"][jj],
-                 aphi[ii, jj, kk], np.sqrt(np.maximum(Xi2[ii, jj, kk], 0.0)))
+                 aphi[r, kk], np.sqrt(np.maximum(Xi2, 0.0)))
 
     if refine:
         for sp in specs:

@@ -591,3 +591,157 @@ def test_partition_report_in_box():
     assert not rep.in_box((-9, 0, 0))
     assert not rep.in_box((0, 5, 0))
     assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the row engine against the full-array reduction it replaced
+
+
+def _full_array_tables(s_shells, rho_shells, resolution):
+    # every grid point of the sweep at once, as the scan formed it before its
+    # rows were searched: (s, rho, theta, |xi - eta|, cosine between xi - eta and eta)
+    n_s, n_r, n_t = resolution
+    s = np.geomspace(2.0 ** (s_shells[0] - 4), 2.0 ** (s_shells[1] + 4), n_s)
+    rho = np.geomspace(2.0 ** (rho_shells[0] - 4), 2.0 ** (rho_shells[1] + 4), n_r)
+    theta = np.linspace(0.0, np.pi, n_t)
+    st, rh, ct = s[:, None, None], rho[None, :, None], np.cos(theta)[None, None, :]
+    zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosb = (st * ct - rh) / zm
+    return s, rho, theta, zm, cosb
+
+
+def _full_array_phase(sp, s, rho, zm, cosb):
+    # (Phi, |Xi|^2) of one phase at every grid point
+    lam_z, a = disp.jet(sp.branch1, zm, P, 1)
+    lam_r, b = disp.jet(sp.branch2, rho, P, 1)
+    Phi = (disp.lam(sp.sigma, s, P)[:, None, None] - sp.iota1 * lam_z
+           - sp.iota2 * lam_r[None, :, None])
+    b = b[None, :, None]
+    with np.errstate(invalid="ignore"):
+        Xi2 = a * a + b * b - (2.0 * sp.iota1 * sp.iota2) * a * b * cosb
+    return Phi, Xi2
+
+
+def _full_array_census(shells, resolution, D_num=10):
+    # (hits, elliptic floors, violations, unresolved) of verify_case_partition
+    # with refine on, every phase reduced over the whole grid
+    kmin, kmax = min(shells), max(shells)
+    base = 2.0 ** -D_num
+    s, rho, _, zm, cosb = _full_array_tables((kmin, kmax), (kmin, kmax), resolution)
+    w = np.maximum(zm, np.maximum(rho[None, :, None], 1.0))
+    box = rs.PartitionReport(D_num, tuple(shells), resolution)
+    hits, floors, violations, unresolved = {}, {}, [], []
+    for sp in ALL_PHASES:
+        Phi, Xi2 = _full_array_phase(sp, s, rho, zm, cosb)
+        aphi = np.abs(Phi)
+        floors[sp.key] = float(np.nanmin(aphi * w))
+        with np.errstate(invalid="ignore"):
+            mask = (aphi <= base) & (Xi2 <= base * base)
+        ii, jj, _ = np.nonzero(mask)
+        cols = [(s[ii], zm[mask], rho[jj], aphi[mask], np.sqrt(np.maximum(Xi2[mask], 0.0)))]
+        cls = classify(sp)
+        if cls.resonant:
+            xiv, etav = rs._on_manifold_probes(sp, P, base)
+            cols.append((rs._norm3(xiv), rs._norm3(xiv - etav), rs._norm3(etav),
+                         np.abs(phi(sp, xiv, etav, P)), rs._norm3(rs.xi(sp, xiv, etav, P))))
+        sz, zz, rr, aph, axi = (np.concatenate(c) for c in zip(*cols))
+        good = (sz > 0) & (zz > 0) & (rr > 0) & np.isfinite(aph) & np.isfinite(axi)
+        k, k1, k2 = (np.floor(np.log2(x[good])) for x in (sz, zz, rr))
+        d_xi, d_phi = stronglyell_deltas(k1, k2, D_num)
+        strict = (aph[good] <= d_phi) & (axi[good] <= d_xi)
+        table = {}
+        for tr, a, x in zip(zip(k[strict].astype(int).tolist(), k1[strict].astype(int).tolist(),
+                                k2[strict].astype(int).tolist()),
+                            aph[good][strict], axi[good][strict]):
+            n, ma, mx = table.get(tr, (0, np.inf, np.inf))
+            table[tr] = (n + 1, min(ma, a), min(mx, x))
+        hits[sp.key] = {tr: [n, float(a), float(x)] for tr, (n, a, x) in table.items()}
+        if cls.sell or cls.nr:
+            continue
+        for triple in sorted(hits[sp.key]):
+            if box.in_box(triple) and not admissible_cases(cls, *triple, D_num=D_num):
+                wins = case_d_window(cls, *triple)
+                violations.append((sp.key, triple, wins))
+                if not wins:
+                    unresolved.append((sp.key, triple))
+    return hits, floors, violations, unresolved
+
+
+def test_row_engine_census_is_bit_identical_to_the_full_array_pass():
+    shells, res = range(-3, 3), (48, 24, 12)
+    rep = verify_case_partition(P, shells=shells, resolution=res, refine=True)
+    hits, floors, violations, unresolved = _full_array_census(shells, res)
+    assert sum(v[0] for table in hits.values() for v in table.values()) > 100
+    assert rep.hits == hits
+    assert rep.elliptic_floor == floors
+    assert all(type(f) is float for f in rep.elliptic_floor.values())
+    assert rep.violations == violations
+    assert rep.unresolved == unresolved
+
+
+@pytest.mark.parametrize("key, delta", [("i;i+,i+", (2.0**-10, 2.0**-10)),
+                                        ("e;e+,e+", stronglyell_deltas(-5, -5))])
+def test_row_engine_scan_is_bit_identical_to_the_full_array_pass(key, delta):
+    (k, k1, k2), res, (d1, d2) = (-4, -5, -5), (128, 128, 64), delta
+    sp = _parse(key)
+    s, rho, theta, zm, cosb = _full_array_tables((k, k), (k2, k2), res)
+    Phi, Xi2 = _full_array_phase(sp, s, rho, zm, cosb)
+    with np.errstate(invalid="ignore"):
+        mask = ((zm >= 2.0 ** (k1 - 4)) & (zm <= 2.0 ** (k1 + 4))
+                & (np.abs(Phi) <= d2) & (Xi2 <= d1 * d1))
+    want = [(s[i], rho[j] * np.sin(theta[m]), rho[j] * np.cos(theta[m]),
+             float(abs(Phi[i, j, m])), float(np.sqrt(max(Xi2[i, j, m], 0.0))))
+            for i, j, m in np.argwhere(mask)]
+    got = scan_near_resonant(sp, k, k1, k2, d1, d2, P, resolution=res)
+    assert [(g.xi[2], g.eta[0], g.eta[2], g.phi_abs, g.xi_abs) for g in got] == want
+    assert all(g.xi[:2].tolist() == [0.0, 0.0] and g.eta[1] == 0.0 for g in got)
+
+
+# nondecreasing rows with ties and flat stretches: increments drawn from a
+# short list that repeats zero, as lambda_b is flat near r = 0
+_steps = st.sampled_from([0.0, 0.0, 0.0, 2.0**-12, 0.125, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), idx=st.integers(0, 62), n_rows=st.integers(1, 5),
+       n_t=st.integers(2, 20), bound=st.sampled_from([2.0**-10, 0.25, 1.0]))
+def test_row_search_finds_the_brute_force_run(data, idx, n_rows, n_t, bound):
+    sp = ALL_PHASES[idx]
+    lz = np.array([np.cumsum(data.draw(st.lists(_steps, min_size=n_t, max_size=n_t)))
+                   for _ in range(n_rows)])
+    near = st.floats(-4.0, 8.0).map(lambda x: round(x * 8.0) / 8.0)  # lands on bounds exactly
+    ls = np.array(data.draw(st.lists(near, min_size=n_rows, max_size=n_rows)))[:, None]
+    lr = np.array(data.draw(st.lists(near, min_size=n_rows, max_size=n_rows)))[:, None]
+    # some rows reversed on purpose: those decrease and must be evaluated in full
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    lz[flip] = lz[flip, ::-1]
+    mono = np.all(lz[:, 1:] >= lz[:, :-1], axis=-1)
+
+    rows, Phi, ends = rs._row_search(sp, ls, lz, lr, mono, bound)
+    full = ls - sp.iota1 * lz - sp.iota2 * lr
+    found = np.zeros(full.shape, dtype=bool)
+    found[rows] = np.abs(Phi) <= bound
+    assert np.array_equal(found, np.abs(full) <= bound)
+    assert np.array_equal(Phi, full[rows])
+    assert np.array_equal(ends, full[:, [0, -1]])
+    assert set(np.flatnonzero(~mono)) <= set(rows[0].tolist())
+
+
+def test_row_search_falls_back_on_a_decreasing_row():
+    # Phi = 5, 0, 5 along the row: both ends are far above the bound, so only
+    # full evaluation finds the middle sample
+    sp = _parse("i;i+,i+")
+    ls, lz, lr = np.array([[5.0]]), np.array([[0.0, 5.0, 0.0]]), np.array([[0.0]])
+    rows, Phi, _ = rs._row_search(sp, ls, lz, lr, np.array([False]), 2.0**-10)
+    assert rows[0].tolist() == [0] and Phi.tolist() == [[5.0, 0.0, 5.0]]
+    rows, _, _ = rs._row_search(sp, ls, lz, lr, np.array([True]), 2.0**-10)
+    assert rows[0].size == 0
+
+
+@pytest.mark.parametrize("resolution", [(8, 4, 1), (8, 4, 0), (8.5, 4, 4), 8.5, (8, 4)])
+def test_sweep_rejects_a_bad_resolution(resolution):
+    with pytest.raises(ValueError, match="three integers >= 2"):
+        verify_case_partition(P, shells=range(-1, 1), resolution=resolution, refine=False)
+    with pytest.raises(ValueError, match="three integers >= 2"):
+        scan_near_resonant(_parse("i;i+,i+"), 0, 0, 0, 1.0, 1.0, P, resolution=resolution)
