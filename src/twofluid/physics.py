@@ -9,7 +9,8 @@ the fields as views onto its rows (``ROWS``).  The layout makes the fields
 real, so nothing checks it; its Nyquist planes are zero and stay zero (see
 module spectral).  Each :func:`rhs` makes one batched transform each way,
 an RK4 stage combines whole states in one operation, and the monitors read
-``spectral.derivatives`` one field at a time.  Quadratic products are
+``spectral.derivatives``, matrix products over each field's support, one
+field at a time.  Quadratic products are
 formed in physical space and dealiased by the grid's 2/3 mask.  Runs to
 later sample times go through :func:`integrate`, the one stepping loop.
 

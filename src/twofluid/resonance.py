@@ -845,8 +845,17 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
         if not samples[sp.key]:
             continue
         rows = np.concatenate(samples[sp.key])
-        triples, inv = np.unique(rows[:, :3].astype(int), axis=0, return_inverse=True)
-        counts = np.bincount(inv, minlength=len(triples))
+        # one key per home triple, offset to start at 0: key order is
+        # lexicographic order, so the occupied keys come out sorted
+        homes = rows[:, :3].astype(int)
+        lo = homes.min(axis=0)
+        span = homes.max(axis=0) - lo + 1
+        key = np.ravel_multi_index((homes - lo).T, span)
+        counts = np.bincount(key, minlength=np.prod(span))
+        occupied = np.flatnonzero(counts)
+        inv = np.cumsum(counts > 0)[key] - 1
+        triples = np.column_stack(np.unravel_index(occupied, span)) + lo
+        counts = counts[occupied]
         min_phi = np.full(len(triples), np.inf)
         min_xi = np.full(len(triples), np.inf)
         np.minimum.at(min_phi, inv, rows[:, 3])

@@ -22,11 +22,14 @@ Conventions
   a non-real field, and the Nyquist planes (index n/2 on any axis) are kept
   zero: the odd symbol i xi of grad and curl maps their real content to
   imaginary content, which no real field has there.  ``to_half`` and the
-  half branch of ``to_physical`` are the real transform pair, ``derivatives``
-  yields every D^gamma of a half-layout field up to an order,
+  half branch of ``to_physical`` are the real transform pair,
   ``full_spectrum`` and ``half_spectrum`` convert between the layouts, and
   ``conj_half`` gives the half of a full-layout field's conjugate.  No other
   module calls a transform library.
+  ``derivatives`` yields every D^gamma of a half-layout field up to an
+  order without one: its one-axis inverse passes are matrix products with
+  DFT matrices restricted to the modes the field occupies, so a
+  band-limited field costs in proportion to its band, not to the grid.
   Every multiplier below reads its wavevector table in the layout of its
   argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
   entry with its Hermitian multiplicity.
@@ -198,18 +201,51 @@ def to_half(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def derivatives(grid: Grid, coef: np.ndarray, order: int):
     """Yield the values of D^gamma of the rows of the half-layout ``coef`` for
-    |gamma| <= order, gamma = (a, b, c) in lexicographic order (0 first), by a
-    depth-first tree of one-axis passes: ``ifft`` along x per a, along y per
-    (a, b), ``irfft`` along z per gamma.  Only fresh products are overwritten."""
-    ixi = 1j * grid.half.xi
-    kx, ky, kz = ixi[0][:, :1, :1], ixi[1][:1, :, :1], ixi[2][:1, :1, :]
-    opts = dict(norm="ortho", workers=_FFT_WORKERS)
+    |gamma| <= order, gamma = (a, b, c) in lexicographic order (0 first).
+
+    Each one-axis inverse pass is a matrix product (``_pass_matrices``) over
+    the field's support only: the x and y modes holding a nonzero entry of
+    some row, which wrap around 0, and the prefix 0..K of the z half axis.
+    One pass runs along x per a and one along y per (a, b); the z leaf per
+    gamma is one real matrix product over the interleaved (re, im) columns,
+    which weights each mode by its Hermitian multiplicity and, as ``irfft``
+    does, drops the imaginary part of the self-mirrored modes 0 and n/2."""
+    n, h = grid.n, grid.n // 2
+    rows = coef.reshape((-1, n, n, h + 1))
+    live = rows != 0
+    sx = np.flatnonzero(live.any(axis=(0, 2, 3)))
+    sy = np.flatnonzero(live.any(axis=(0, 1, 3)))
+    sz = np.flatnonzero(live.any(axis=(0, 1, 2)))
+    sz = np.arange(sz[-1] + 1 if sz.size else 0)
+    xi = grid.half.xi
+    ex = _pass_matrices(grid, sx, xi[0][sx, 0, 0], order)
+    ey = _pass_matrices(grid, sy, xi[1][0, sy, 0], order)
+    # Re(X t) = Re X Re t - Im X Im t on the interleaved columns of X; the
+    # self-mirrored phases are real, so only Re(X (i xi)^c) reaches them
+    w = np.where((sz == 0) | (sz == h), 1.0, 2.0)
+    leaf = []
+    for t in _pass_matrices(grid, sz, xi[2][0, 0, sz], order):
+        t = (w * t).T
+        leaf.append(np.stack((t.real, -t.imag), axis=1).reshape(2 * sz.size, n))
+    sub = rows[:, sx][:, :, sy][..., sz].reshape(len(rows), sx.size, sy.size * sz.size)
+    shape = coef.shape[:-3] + (n, n, n)
     for a in range(order + 1):
-        cx = sfft.ifft(coef * kx**a if a else coef, axis=-3, overwrite_x=a > 0, **opts)
+        cx = (ex[a] @ sub).reshape(len(rows), n, sy.size, sz.size)
         for b in range(order + 1 - a):
-            cy = sfft.ifft(cx * ky**b if b else cx, axis=-2, overwrite_x=b > 0, **opts)
+            cy = (ey[b] @ cx).view(np.float64).reshape(len(rows) * n * n, 2 * sz.size)
             for c in range(order + 1 - a - b):
-                yield sfft.irfft(cy * kz**c if c else cy, grid.n, -1, overwrite_x=c > 0, **opts)
+                yield (cy @ leaf[c]).reshape(shape)
+
+
+def _pass_matrices(grid: Grid, modes: np.ndarray, xi: np.ndarray, order: int) -> list:
+    """The (n, len(modes)) matrices e^{2 pi i m j/n} (i xi_m)^deg / sqrt(n)
+    of the one-axis inverse passes over ``modes``, deg = 0..order; the
+    phases +-1 are exact."""
+    n = grid.n
+    jm = np.outer(np.arange(n), modes) % n
+    e = np.exp((2j * np.pi / n) * jm)
+    e[jm == 0], e[2 * jm == n] = 1.0, -1.0
+    return [e * ((1j * xi) ** deg / math.sqrt(n)) for deg in range(order + 1)]
 
 
 def _is_half(grid: Grid, coef: np.ndarray) -> bool:

@@ -516,11 +516,9 @@ def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     assert batches == 4 * one_rhs
     counts.update(inverse=0, forward=0)
     batches.clear()
-    # per field, one x pass per a, one y pass per (a, b), one z pass per
-    # |gamma| <= 4: 5 + 15 + 35
+    # the derivative engine's passes are matrix products, not transforms
     physics._derivative_sups(s, 4)
-    assert counts == {"inverse": 0, "forward": 0, "axis": 6 * 55}
-    counts.update(axis=0)
+    assert counts == {"inverse": 0, "forward": 0, "axis": 0}
     nonlinearity_direct(s, P)  # the products of one rhs
     assert counts == {"inverse": 1, "forward": 1, "axis": 0}
     assert batches == one_rhs
@@ -609,17 +607,24 @@ def test_gronwall_quantities_keys():
     assert q["grad_n"] > 0
 
 
-def test_batched_monitors_match_row_by_row_reference():
+@pytest.mark.parametrize("case", ["kmax5", "full", "box2", "zero"])
+def test_batched_monitors_match_row_by_row_reference(case):
     # the monitors against one full-layout three-axis transform per row and
-    # multi-index, with gamma = (a, b, c) in the engine's lexicographic order
-    g = Grid(16)
-    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
+    # multi-index, with gamma = (a, b, c) in the engine's lexicographic order;
+    # full support reaches the self-mirrored z planes and the wrapped x and y
+    # modes, box_half = 2 scales xi, and the zero state has an empty support
+    g = Grid(16, box_half=2.0) if case == "box2" else Grid(16)
+    if case == "zero":
+        s = PhysState.zero(g)
+    else:
+        s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=None if case == "full" else 5)
     full = spectral.full_spectrum(g, s.buf)
     ixi = 1j * g.xi
     gammas = [(a, b, c) for a in range(5) for b in range(5 - a) for c in range(5 - a - b)]
     syms = [ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in gammas]
     table = [[np.max(np.abs(to_physical(g, sym * row).real)) for row in full] for sym in syms]
     np.testing.assert_allclose(physics._derivative_sups(s, 4), table, rtol=1e-12, atol=0)
+    assert all(vals.shape == (3, g.n, g.n, g.n) for vals in spectral.derivatives(g, s.v, 4))
 
     vol = (2.0 * g.box_half / g.n) ** 3
     n_p, rho_p = to_physical(g, full[0]).real, to_physical(g, full[1]).real
