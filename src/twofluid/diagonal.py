@@ -146,30 +146,34 @@ class DispState:
 # the change of variables and its inverse
 
 
-def to_dispersive(s: PhysState, p: PlasmaParams, check: bool = True) -> DispState:
+def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     """Map a physical state to the dispersive unknowns.
 
     The map reads B only through Q and drops the spatial means of v, u, E,
-    B, so it is one-to-one exactly on the constraint manifold; with
-    ``check`` a violation of the constraints raises a warning rather than
-    an error, and a state that is not real (possible only on the
-    self-mirrored planes of the half layout) raises.  Each unknown is U =
-    P + iM with P and M real: U and P - iM are formed on the half layout,
-    and only they are expanded, into the result's buffer.
+    B, so it is one-to-one exactly on the constraint manifold: a violation
+    of the constraints raises a warning rather than an error, and a state
+    that is not real (possible only on the self-mirrored planes of the half
+    layout) raises.  Each unknown is U = P + iM with P and M real: U and
+    P - iM are formed on the half layout, and only they are expanded, into
+    the result's buffer.
     """
-    g, t = s.grid, s.t
-    if check:
-        for name, c in zip(ROW_FIELDS, s.buf):
-            if not is_hermitian(c, tol=1e-10):
-                raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
-        viol = max(constraints(s, p).values())
-        scale = max(l2_norm(g, getattr(s, name)) for name in FIELDS)
-        if viol > 1e-8 * max(scale, 1e-12):
-            warnings.warn(
-                f"state violates constraints (worst residual {viol:.2e}); "
-                "the reconstruction will keep only the consistent part",
-                RuntimeWarning, stacklevel=2)
+    g = s.grid
+    for name, c in zip(ROW_FIELDS, s.buf):
+        if not is_hermitian(c, tol=1e-10):
+            raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
+    viol = max(constraints(s, p).values())
+    scale = max(l2_norm(g, getattr(s, name)) for name in FIELDS)
+    if viol > 1e-8 * max(scale, 1e-12):
+        warnings.warn(
+            f"state violates constraints (worst residual {viol:.2e}); "
+            "the reconstruction will keep only the consistent part",
+            RuntimeWarning, stacklevel=2)
+    return _to_dispersive(s, p)
 
+
+def _to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
+    """`to_dispersive` without its checks, for a tendency or solver output."""
+    g, t = s.grid, s.t
     sym = _symbols(g, p)
     seps = np.sqrt(p.epsilon)
     R, nrm = sym.R, sym.norm
@@ -249,7 +253,7 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     """
     quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
                        PhysState._empty(s.grid))
-    d = to_dispersive(quad, p, check=False)
+    d = _to_dispersive(quad, p)
     return d.U_e, d.U_i, 0.5 * (d.U_b - np.conj(reflect(d.U_b)))
 
 
@@ -515,7 +519,7 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
     sym = _symbols(g, p)
     # the three Lam_sigma in the full layout; real and even, so full spectra
     lam = full_spectrum(g, np.stack((sym.lam_e, sym.lam_i, sym.lam_b)))
-    states = [to_dispersive(s, p, check=False) for s in traj]
+    states = [_to_dispersive(s, p) for s in traj]
 
     # the stencil only resolves phases that rotate slowly between snapshots
     mag = np.abs(states[0].buf)

@@ -5,14 +5,18 @@ The six unknowns are the density perturbations n, rho, the velocities v, u,
 and the rescaled fields E, B on a periodic box.  They are real, and a
 :class:`PhysState` keeps their fourteen components as the ``rfftn``
 half-spectrum of each: one complex buffer of shape (14, n, n, n//2 + 1) with
-the fields as views onto its rows (``ROWS``).  The layout makes the fields
-real, so nothing checks it; its Nyquist planes are zero and stay zero (see
-module spectral).  Each :func:`rhs` makes one batched transform each way,
-an RK4 stage combines whole states in one operation, and the monitors read
+the fields as views onto its rows (``ROWS``).  Off the self-mirrored planes
+(last-axis modes 0 and n/2) a stored entry stands for a conjugate pair, so
+only those planes can hold a non-real coefficient set.  The solver makes
+none, as :func:`make_irrotational` hermitizes its seed and every tendency
+is real, so no step checks them; ``diagonal.to_dispersive`` raises on a field
+that is not real.  The Nyquist planes are zero and stay zero (see module
+spectral).  Each :func:`rhs` makes one batched transform each way, an RK4
+stage combines whole states in one operation, and the monitors read
 ``spectral.derivatives``, matrix products over each field's support, one
-field at a time.  Quadratic products are
-formed in physical space and dealiased by the grid's 2/3 mask.  Runs to
-later sample times go through :func:`integrate`, the one stepping loop.
+field at a time.  Quadratic products are formed in physical space and
+dealiased by the grid's 2/3 mask.  Runs to later sample times go through
+:func:`integrate`, the one stepping loop.
 
 Two structural choices make the continuum conservation laws survive
 discretization exactly rather than to O(dt^4):
@@ -147,7 +151,7 @@ def rhs(state: PhysState, p: PlasmaParams,
         linear: bool = False, check: bool = True) -> PhysState:
     """Tendencies of all six fields; the returned container carries d/dt
     arrays in the field slots and the evaluation time in t.  ``check`` has
-    no effect: the half-spectrum layout makes every state real.  Nonlinear
+    no effect: the solver keeps every state real (module docstring).  Nonlinear
     tendencies need a state on the constraint manifold, Y = Z = 0 (B read as
     0 for the electrostatic kind), and lack v x Y/eps and u x Z off it."""
     return _tendencies(state, state, p, kind, linear, PhysState._empty(state.grid))
@@ -418,6 +422,8 @@ def _random_seed(grid: Grid, rng, amplitude: float, kmax: int, rotational: bool)
 def random_irrotational(grid: Grid, p: PlasmaParams, rng,
                         amplitude: float = 1e-3, kmax: int = 4,
                         rotational: bool = True) -> PhysState:
+    if not (np.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
     return make_irrotational(grid, p, _random_seed(grid, rng, amplitude, kmax, rotational))
 
 

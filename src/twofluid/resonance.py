@@ -464,24 +464,14 @@ def caseB_r(spec: PhaseSpec, s: float, p: PlasmaParams) -> dict:
 # bound every computed Phi on it.  So _row_search reads the ends, keeps the
 # rows whose range meets [-bound, bound] (there {|Phi| <= bound} is one
 # contiguous theta run) and forms Phi on those rows only; |Xi|^2, lambda' at
-# |xi - eta| and the cosine follow on the run's samples (_xi2).  A row whose
+# |xi - eta| and the cosine follow on the run's samples (_xi2).  _near_rows
+# turns a row search into sample rows (|xi|, |xi - eta|, |eta|, |Phi|, |Xi|),
+# the one representation of a near-resonant sample.  A row whose
 # table decreases anywhere is always kept and evaluated in full.  Every kept
 # value comes from the same expression, in the same order, as a pass over the
 # whole block would use, so the samples are bit-identical to that pass.
 #
 # _home bins radii into dyadic shells; each caller keeps its own reduction.
-
-
-@dataclass(frozen=True)
-class ResonanceSample:
-    xi: np.ndarray
-    eta: np.ndarray
-    phi_abs: float
-    xi_abs: float
-    k: int
-    k1: int
-    k2: int
-    cases: tuple
 
 
 def admissible_cases(pc: PhaseClass, k: int, k1: int, k2: int,
@@ -526,8 +516,7 @@ def _sweep(p: PlasmaParams, s_shells: tuple, rho_shells: tuple,
     n_s, n_r, n_t = res
     s_all = np.geomspace(2.0 ** (s_shells[0] - 4), 2.0 ** (s_shells[1] + 4), n_s)
     rho = np.geomspace(2.0 ** (rho_shells[0] - 4), 2.0 ** (rho_shells[1] + 4), n_r)
-    theta = np.linspace(0.0, np.pi, n_t)
-    ct = np.cos(theta)
+    ct = np.cos(np.linspace(0.0, np.pi, n_t))
     ct_falls = bool(np.all(ct[1:] <= ct[:-1]))
     rh = rho[None, :, None]
     jet_r = {br: jet(br, rho, p, 1) for br in BRANCHES}
@@ -536,7 +525,7 @@ def _sweep(p: PlasmaParams, s_shells: tuple, rho_shells: tuple,
         st = sb[:, None, None]
         zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
         lam_z = {br: lam(br, zm, p) for br in branches}
-        yield {"s": sb, "rho": rho, "theta": theta, "ct": ct, "zm": zm,
+        yield {"s": sb, "rho": rho, "ct": ct, "zm": zm,
                "lam_s": {br: lam(br, sb, p) for br in BRANCHES}, "jet_r": jet_r, "lam_z": lam_z,
                "mono": {br: ct_falls & np.all(lz[..., 1:] >= lz[..., :-1], axis=-1)
                         for br, lz in lam_z.items()}}
@@ -611,37 +600,42 @@ def _elliptic_floor(spec: PhaseSpec, t: dict, wr, w_ends, rows, aphi, ends,
     return float(floor)
 
 
+def _near_rows(spec: PhaseSpec, t: dict, p: PlasmaParams, rows, aphi,
+               phi_bound: float, xi_bound: float) -> tuple:
+    """Columns (|xi|, |xi - eta|, |eta|, |Phi|, |Xi|) of the points with
+    |Phi| <= phi_bound and |Xi| <= xi_bound on the rows _row_search found in
+    table t (``aphi`` = |Phi| there); |Xi|^2 is formed on the first set only."""
+    r, kk = np.nonzero(aphi <= phi_bound)
+    if not r.size:
+        return (np.zeros(0),) * 5
+    ii, jj = rows[0][r], rows[1][r]
+    Xi2 = _xi2(spec, t, p, ii, jj, kk)
+    hit = Xi2 <= xi_bound * xi_bound
+    r, ii, jj, kk, Xi2 = r[hit], ii[hit], jj[hit], kk[hit], Xi2[hit]
+    return (t["s"][ii], t["zm"][ii, jj, kk], t["rho"][jj], aphi[r, kk],
+            np.sqrt(np.maximum(Xi2, 0.0)))
+
+
 def scan_near_resonant(spec: PhaseSpec, k: int, k1: int, k2: int,
                        delta1: float, delta2: float, p: PlasmaParams,
-                       resolution: tuple = (256, 256, 128)) -> list:
-    """All grid samples of shell (k, k1, k2) with |Xi| <= delta1, |Phi| <= delta2.
+                       resolution: tuple = (256, 256, 128)) -> np.ndarray:
+    """Grid samples near shell (k, k1, k2) with |Xi| <= delta1, |Phi| <= delta2.
 
-    The scan is exhaustive over the rotation-reduced grid: radial xi times
-    radial eta (both geometric) times the polar angle, with the xi - eta
-    shell enforced as a filter.  Rows are searched for |Phi| <= delta2 first
-    (_row_search); the shell filter and |Xi| are applied on what is found.
+    The scan is exhaustive over the rotation-reduced grid xi = s zhat, eta =
+    rho (sin theta, 0, cos theta): |xi| spans the dyadic shell k and |eta|
+    the shell k2, each padded by 4 octaves on both sides, and |xi - eta| is
+    kept within 4 octaves of shell k1.  The samples therefore fall in many
+    home triples (`_home`) around (k, k1, k2), not only in that one.
+    Returns one row (|xi|, |xi - eta|, |eta|, |Phi|, |Xi|) per sample, an
+    (N, 5) float array in sweep order (|xi|, then |eta|, then theta).
     """
-    cases = admissible_cases(classify(spec), k, k1, k2, D_NUM)
-    out = []
+    out = [np.zeros((0, 5))]
     for t in _sweep(p, (k, k), (k2, k2), resolution, block=64, branches=(spec.branch1,)):
         rows, Phi, _ = _row_search(spec, *_inputs(spec, t), t["mono"][spec.branch1], delta2)
-        r, kk = np.nonzero(np.abs(Phi) <= delta2)
-        ii, jj = rows[0][r], rows[1][r]
-        zm = t["zm"][ii, jj, kk]
-        shell = (zm >= 2.0 ** (k1 - 4)) & (zm <= 2.0 ** (k1 + 4))
-        r, ii, jj, kk = r[shell], ii[shell], jj[shell], kk[shell]
-        Xi2 = _xi2(spec, t, p, ii, jj, kk)
-        hit = Xi2 <= delta1 * delta1
-        sinth = np.sin(t["theta"])
-        for n, i, j, m, x2 in zip(r[hit], ii[hit], jj[hit], kk[hit], Xi2[hit]):
-            s, rr = t["s"][i], t["rho"][j]
-            out.append(ResonanceSample(
-                xi=np.array([0.0, 0.0, s]),
-                eta=np.array([rr * sinth[m], 0.0, rr * t["ct"][m]]),
-                phi_abs=float(abs(Phi[n, m])),
-                xi_abs=float(np.sqrt(max(x2, 0.0))),
-                k=k, k1=k1, k2=k2, cases=cases))
-    return out
+        cols = np.column_stack(_near_rows(spec, t, p, rows, np.abs(Phi), delta2, delta1))
+        zm = cols[:, 1]
+        out.append(cols[(zm >= 2.0 ** (k1 - 4)) & (zm <= 2.0 ** (k1 + 4))])
+    return np.concatenate(out)
 
 
 # the cutoffs D that case_d_window searches
@@ -764,7 +758,7 @@ def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
     return np.stack([zero, zero, xi_z]), np.stack([zero, zero, eta_z])
 
 
-def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
+def verify_case_partition(p: PlasmaParams, shells=range(-8, 5),
                           D_num: int = D_NUM, resolution: tuple = (1024, 512, 256),
                           refine: bool = True) -> PartitionReport:
     """Exhaustive near-resonance census, binned by home dyadic shells.
@@ -787,25 +781,26 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
     nonempty home triple inside the scanned box is checked against the case
     conditions at this D_num; failures are listed together with the cutoff
     window that admits them, and triples no cutoff admits land in
-    `unresolved`.  ``resolution`` = (n_s, n_rho, n_theta) must be three
-    integers >= 2.
+    `unresolved`.  ``shells`` must hold at least one integer, and
+    ``resolution`` = (n_s, n_rho, n_theta) must be three integers >= 2.
     """
-    specs = tuple(specs) if specs is not None else ALL_PHASES
     shells = tuple(shells)
+    if not shells or not all(isinstance(k, (int, np.integer)) for k in shells):
+        raise ValueError(f"shells must be a nonempty run of integers, got {shells!r}")
     kmin, kmax = min(shells), max(shells)
     base = 2.0 ** (-D_num)
 
     report = PartitionReport(D_num, shells, resolution, refined=refine,
-                             hits={sp.key: {} for sp in specs},
-                             elliptic_floor={sp.key: np.inf for sp in specs})
-    samples = {sp.key: [] for sp in specs}  # rows (k, k1, k2, |Phi|, |Xi|)
+                             hits={sp.key: {} for sp in ALL_PHASES},
+                             elliptic_floor={sp.key: np.inf for sp in ALL_PHASES})
+    samples = {sp.key: [] for sp in ALL_PHASES}  # rows (k, k1, k2, |Phi|, |Xi|)
 
     def keep(key, s, z, r, aph, axi):
         # home shells plus the per-sample shell-weighted threshold test
-        good = (s > 0) & (z > 0) & (r > 0) & np.isfinite(aph) & np.isfinite(axi)
-        s, z, r, aph, axi = s[good], z[good], r[good], aph[good], axi[good]
         if not s.size:
             return
+        good = (s > 0) & (z > 0) & (r > 0) & np.isfinite(aph) & np.isfinite(axi)
+        s, z, r, aph, axi = s[good], z[good], r[good], aph[good], axi[good]
         k, k1, k2 = _home(s), _home(z), _home(r)
         d_xi, d_phi = stronglyell_deltas(k1, k2, D_num)
         strict = (aph <= d_phi) & (axi <= d_xi)
@@ -815,33 +810,25 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
 
     # the block size bounds the memory of the sweep tables
     for t in _sweep(p, (kmin, kmax), (kmin, kmax), resolution, block=16,
-                    branches={sp.branch1 for sp in specs}):
+                    branches=BRANCHES):
         wr = np.maximum(t["rho"], 1.0)
         w_ends = np.maximum(t["zm"][..., [0, -1]], wr[:, None])
-        for sp in specs:
+        for sp in ALL_PHASES:
             rows, Phi, ends = _row_search(sp, *_inputs(sp, t), t["mono"][sp.branch1], base)
             aphi = np.abs(Phi)
             report.elliptic_floor[sp.key] = _elliptic_floor(
                 sp, t, wr, w_ends, rows, aphi, ends, report.elliptic_floor[sp.key])
-            r, kk = np.nonzero(aphi <= base)
-            if not r.size:
-                continue
-            ii, jj = rows[0][r], rows[1][r]
-            Xi2 = _xi2(sp, t, p, ii, jj, kk)
-            hit = Xi2 <= base * base
-            r, ii, jj, kk, Xi2 = r[hit], ii[hit], jj[hit], kk[hit], Xi2[hit]
-            keep(sp.key, t["s"][ii], t["zm"][ii, jj, kk], t["rho"][jj],
-                 aphi[r, kk], np.sqrt(np.maximum(Xi2, 0.0)))
+            keep(sp.key, *_near_rows(sp, t, p, rows, aphi, base, base))
 
     if refine:
-        for sp in specs:
+        for sp in ALL_PHASES:
             if not classify(sp).resonant:
                 continue
             xiv, etav = _on_manifold_probes(sp, p, base)
             keep(sp.key, _norm3(xiv), _norm3(xiv - etav), _norm3(etav),
                  np.abs(phi(sp, xiv, etav, p)), _norm3(xi(sp, xiv, etav, p)))
 
-    for sp in specs:
+    for sp in ALL_PHASES:
         if not samples[sp.key]:
             continue
         rows = np.concatenate(samples[sp.key])
@@ -864,7 +851,7 @@ def verify_case_partition(p: PlasmaParams, specs=None, shells=range(-8, 5),
             tuple(tr): [int(n), float(a), float(x)]
             for tr, n, a, x in zip(triples.tolist(), counts, min_phi, min_xi)}
 
-    for sp in specs:
+    for sp in ALL_PHASES:
         cls = classify(sp)
         if cls.sell or cls.nr:
             continue  # any hit is already reported through sell_or_nr_hits

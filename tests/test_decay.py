@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from twofluid.dispersion import DEFAULT_PARAMS
 from twofluid.spectral import Grid, phi_interval, to_half, to_physical
 from twofluid.diagonal import DispState
-from twofluid.physics import PhysState, _derivative_sups
+from twofluid.physics import PhysState, _derivative_sups, random_irrotational
 from twofluid import decay
 from twofluid.decay import (
     KernelQuery,
@@ -324,6 +324,15 @@ def test_experiment_zero_amplitude():
     np.testing.assert_array_equal(out["weighted"], np.zeros(5))
     np.testing.assert_allclose(out["t"], np.linspace(0.0, 1.0, 5))
     assert out["blowup_t"] is None
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -1e-3])
+def test_experiment_rejects_a_bad_amplitude(amplitude):
+    # a NaN amplitude once gave a nonlinear run stamped blowup_t = 0.0
+    with pytest.raises(ValueError, match="amplitude"):
+        nonlinear_decay_experiment(1, amplitude, 1.0, P, grid=Grid(16), samples=3)
+    with pytest.raises(ValueError, match="amplitude"):
+        random_irrotational(Grid(16), P, np.random.default_rng(1), amplitude=amplitude)
 
 
 def test_experiment_linear_mode_is_homogeneous():

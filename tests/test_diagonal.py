@@ -154,7 +154,7 @@ def test_from_dispersive_needs_no_full_reflection(monkeypatch):
 
 def test_to_from_recovers_projected_part():
     d = _random_disp(G16)
-    again = to_dispersive(from_dispersive(d, P), P, check=True)
+    again = to_dispersive(from_dispersive(d, P), P)
     assert _rel(G16, d.U_e, again.U_e) < 1e-11
     assert _rel(G16, d.U_i, again.U_i) < 1e-11
     proj = q2_apply(G16, d.U_b)
@@ -188,7 +188,7 @@ def test_to_dispersive_rejects_complex_input():
     s.n[1, 0, 0] += 0.5  # no matching conjugate mode
     with pytest.raises(ValueError, match="not real"):
         to_dispersive(s, P)
-    to_dispersive(s, P, check=False)  # escape hatch for internal callers
+    diagonal._to_dispersive(s, P)  # the unchecked map of internal callers
 
 
 def test_transfer_constant_is_order_one():

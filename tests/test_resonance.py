@@ -509,23 +509,27 @@ def test_endpoint_cuts_of_vacuous_profiles():
 
 
 def test_scan_near_resonant_finds_the_ion_cascade():
-    out = scan_near_resonant(_parse("i;i+,i+"), -4, -5, -5, 2.0**-10, 2.0**-10, P,
-                             resolution=(128, 128, 64))
-    assert len(out) > 100
-    for smp in out[::97]:
-        assert smp.cases == ("C",)
-        assert (smp.k, smp.k1, smp.k2) == (-4, -5, -5)
-        assert smp.phi_abs <= 2.0**-10
-        assert smp.xi_abs <= 2.0**-10
-        assert abs(phi(_parse("i;i+,i+"), smp.xi, smp.eta, P)) == pytest.approx(
-            smp.phi_abs, abs=1e-15)
+    sp = _parse("i;i+,i+")
+    out = scan_near_resonant(sp, -4, -5, -5, 2.0**-10, 2.0**-10, P, resolution=(128, 128, 64))
+    assert out.shape[0] > 100 and out.shape[1] == 5
+    s, zm, rho, aphi, axi = out.T
+    assert np.all(aphi <= 2.0**-10) and np.all(axi <= 2.0**-10)
+    assert np.all((zm >= 2.0**-9) & (zm <= 2.0**-1))
+    # the padded sweep reaches well outside the named triple
+    assert len({tuple(h) for h in np.floor(np.log2(out[:, :3])).tolist()}) > 1
+    for s, zm, rho, aphi, _ in out[::97]:
+        # rebuild the geometry: xi along z, eta in the xz-plane at the angle
+        # the three radii fix
+        ct = (s * s + rho * rho - zm * zm) / (2.0 * s * rho)
+        eta = rho * np.array([np.sqrt(max(1.0 - ct * ct, 0.0)), 0.0, ct])
+        assert abs(phi(sp, np.array([0.0, 0.0, s]), eta, P)) == pytest.approx(aphi, abs=1e-15)
 
 
 def test_scan_near_resonant_empty_for_strongly_elliptic():
     d1, d2 = stronglyell_deltas(-5, -5)
     out = scan_near_resonant(_parse("e;e+,e+"), -4, -5, -5, d1, d2, P,
                              resolution=(128, 128, 64))
-    assert out == []
+    assert out.shape == (0, 5)
 
 
 # the four shell triples near case boundaries that D_num = 10 cannot place,
@@ -599,7 +603,7 @@ def test_partition_report_in_box():
 
 def _full_array_tables(s_shells, rho_shells, resolution):
     # every grid point of the sweep at once, as the scan formed it before its
-    # rows were searched: (s, rho, theta, |xi - eta|, cosine between xi - eta and eta)
+    # rows were searched: (s, rho, |xi - eta|, cosine between xi - eta and eta)
     n_s, n_r, n_t = resolution
     s = np.geomspace(2.0 ** (s_shells[0] - 4), 2.0 ** (s_shells[1] + 4), n_s)
     rho = np.geomspace(2.0 ** (rho_shells[0] - 4), 2.0 ** (rho_shells[1] + 4), n_r)
@@ -608,7 +612,7 @@ def _full_array_tables(s_shells, rho_shells, resolution):
     zm = np.sqrt(np.maximum(st * st + rh * rh - 2.0 * st * rh * ct, 0.0))
     with np.errstate(invalid="ignore", divide="ignore"):
         cosb = (st * ct - rh) / zm
-    return s, rho, theta, zm, cosb
+    return s, rho, zm, cosb
 
 
 def _full_array_phase(sp, s, rho, zm, cosb):
@@ -628,7 +632,7 @@ def _full_array_census(shells, resolution, D_num=10):
     # with refine on, every phase reduced over the whole grid
     kmin, kmax = min(shells), max(shells)
     base = 2.0 ** -D_num
-    s, rho, _, zm, cosb = _full_array_tables((kmin, kmax), (kmin, kmax), resolution)
+    s, rho, zm, cosb = _full_array_tables((kmin, kmax), (kmin, kmax), resolution)
     w = np.maximum(zm, np.maximum(rho[None, :, None], 1.0))
     box = rs.PartitionReport(D_num, tuple(shells), resolution)
     hits, floors, violations, unresolved = {}, {}, [], []
@@ -685,17 +689,17 @@ def test_row_engine_census_is_bit_identical_to_the_full_array_pass():
 def test_row_engine_scan_is_bit_identical_to_the_full_array_pass(key, delta):
     (k, k1, k2), res, (d1, d2) = (-4, -5, -5), (128, 128, 64), delta
     sp = _parse(key)
-    s, rho, theta, zm, cosb = _full_array_tables((k, k), (k2, k2), res)
+    s, rho, zm, cosb = _full_array_tables((k, k), (k2, k2), res)
     Phi, Xi2 = _full_array_phase(sp, s, rho, zm, cosb)
     with np.errstate(invalid="ignore"):
         mask = ((zm >= 2.0 ** (k1 - 4)) & (zm <= 2.0 ** (k1 + 4))
                 & (np.abs(Phi) <= d2) & (Xi2 <= d1 * d1))
-    want = [(s[i], rho[j] * np.sin(theta[m]), rho[j] * np.cos(theta[m]),
-             float(abs(Phi[i, j, m])), float(np.sqrt(max(Xi2[i, j, m], 0.0))))
+    want = [(s[i], zm[i, j, m], rho[j], float(abs(Phi[i, j, m])),
+             float(np.sqrt(max(Xi2[i, j, m], 0.0))))
             for i, j, m in np.argwhere(mask)]
     got = scan_near_resonant(sp, k, k1, k2, d1, d2, P, resolution=res)
-    assert [(g.xi[2], g.eta[0], g.eta[2], g.phi_abs, g.xi_abs) for g in got] == want
-    assert all(g.xi[:2].tolist() == [0.0, 0.0] and g.eta[1] == 0.0 for g in got)
+    assert got.dtype == float and got.shape == (len(want), 5)
+    assert [tuple(row) for row in got.tolist()] == want
 
 
 # nondecreasing rows with ties and flat stretches: increments drawn from a
@@ -745,3 +749,7 @@ def test_sweep_rejects_a_bad_resolution(resolution):
         verify_case_partition(P, shells=range(-1, 1), resolution=resolution, refine=False)
     with pytest.raises(ValueError, match="three integers >= 2"):
         scan_near_resonant(_parse("i;i+,i+"), 0, 0, 0, 1.0, 1.0, P, resolution=resolution)
+    # and the census's shell list: empty, or not integers
+    for shells in (range(0, 0), [0.5, 1.5]):
+        with pytest.raises(ValueError, match="shells"):
+            verify_case_partition(P, shells=shells, resolution=(8, 4, 4), refine=False)
