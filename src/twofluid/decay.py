@@ -26,7 +26,7 @@ from .dispersion import BRANCHES, find_r_star, lam, lam_prime, lam_second
 from .params import PlasmaParams
 from .spectral import BETA, Grid, phi_interval
 from .diagonal import free_evolve, from_dispersive, to_dispersive
-from .physics import PhysState, _derivative_sups, cfl_dt, integrate, random_irrotational
+from .physics import PhysState, _derivative_sups, _is_int, cfl_dt, integrate, random_irrotational
 
 __all__ = [
     "KernelQuery",
@@ -71,7 +71,7 @@ class KernelQuery:
             raise ValueError(f"unknown branch {self.branch!r}")
         for name in ("k", "points_per_cycle"):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            if not _is_int(val):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
         if not (math.isfinite(self.t) and self.t != 0):
             raise ValueError(f"t must be finite and nonzero, got {self.t!r}")
@@ -238,6 +238,8 @@ def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    if not (_is_int(samples) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     g = grid or Grid(32)
     rng = np.random.default_rng(seed)
     state = random_irrotational(g, p, rng, amplitude=amplitude)

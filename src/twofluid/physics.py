@@ -13,8 +13,11 @@ is real, so no step checks them; ``diagonal.to_dispersive`` raises on a field
 that is not real.  The Nyquist planes are zero and stay zero (see module
 spectral).  Each :func:`rhs` makes one batched transform each way, an RK4
 stage combines whole states in one operation, and the monitors read
-``spectral.derivatives``, matrix products over each field's support, one
-field at a time.  Quadratic products are formed in physical space and
+``spectral.derivatives``, matrix products over the state's support.  It
+yields the values of each D^gamma in slabs of x planes, each slab in one
+buffer that the next overwrites, and :func:`energy` and
+:func:`_derivative_sups` reduce each slab as it comes, holding no full-size
+array of values.  Quadratic products are formed in physical space and
 dealiased by the grid's 2/3 mask.  Runs to later sample times go through
 :func:`integrate`, the one stepping loop.
 
@@ -33,6 +36,7 @@ discretization exactly rather than to O(dt^4):
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 
 import numpy as np
@@ -270,24 +274,31 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
 # energies and monitors
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer value of an integer type, bool excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def energy(state: PhysState, p: PlasmaParams, order: int = 0) -> float:
     """Weighted energy: sum over |gamma| <= order of the integrals of
     T|D^g n|^2 + eps(1+n)|D^g v|^2 + |D^g rho|^2 + (1+rho)|D^g u|^2
-    + |D^g E|^2 + (C_b/eps)|D^g B|^2, summed in physical space by field."""
-    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-            or not 0 <= order <= ENERGY_ORDER_MAX):
+    + |D^g E|^2 + (C_b/eps)|D^g B|^2, summed in physical space slab by slab."""
+    if not (_is_int(order) and 0 <= order <= ENERGY_ORDER_MAX):
         raise ValueError(f"order must be an integer in [0, {ENERGY_ORDER_MAX}], got {order!r}")
     g = state.grid
-    weight = {"n": p.T, "rho": 1.0, "E": 1.0, "B": p.C_b / p.epsilon}
+    scale = {"n": p.T, "rho": 1.0, "v": p.epsilon, "u": 1.0, "E": 1.0, "B": p.C_b / p.epsilon}
+    weight = {}
     total = 0.0
-    for f in FIELDS:
-        for k, vals in enumerate(derivatives(g, state.buf[ROWS[f]], order)):
-            total += float(np.sum(weight[f] * np.sum(vals**2, axis=0)))
-            # gamma = 0 comes first: the values of n and rho weight v and u
-            if k == 0 and f == "n":
-                weight["v"] = p.epsilon * (1.0 + vals[0])
-            elif k == 0 and f == "rho":
-                weight["u"] = 1.0 + vals[0]
+    for k, r, _, vals in derivatives(g, state.buf, order):
+        f, flat = ROW_FIELDS[r], vals.reshape(-1)
+        # each slab yields n and rho at gamma = 0 first: 1 + n weights v, 1 + rho u
+        if k == 0 and f in ("n", "rho"):
+            weight["v" if f == "n" else "u"] = 1.0 + flat
+        if f in weight:
+            np.square(flat, out=flat)
+            total += scale[f] * float(np.dot(weight[f], flat))
+        else:
+            total += scale[f] * float(np.dot(flat, flat))
     return (2.0 * g.box_half / g.n) ** 3 * total
 
 
@@ -424,6 +435,8 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
                         rotational: bool = True) -> PhysState:
     if not (np.isfinite(amplitude) and amplitude >= 0.0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
+    if kmax is not None and not (_is_int(kmax) and kmax >= 1):
+        raise ValueError(f"kmax must be None or an integer >= 1, got {kmax!r}")
     return make_irrotational(grid, p, _random_seed(grid, rng, amplitude, kmax, rotational))
 
 
@@ -434,11 +447,11 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
 def _derivative_sups(state: PhysState, order: int) -> np.ndarray:
     """sup over the box of |D^gamma c|: one row per |gamma| <= order, in the
     lexicographic order of `spectral.derivatives` (row 0 is gamma = 0), one
-    column per row c of buf; the engine walks one field at a time."""
-    return np.concatenate([
-        [np.maximum(vals.max(axis=(1, 2, 3)), -vals.min(axis=(1, 2, 3)))
-         for vals in derivatives(state.grid, state.buf[ROWS[f]], order)]
-        for f in FIELDS], axis=1)
+    column per row c of buf; each slab of values is reduced as it comes."""
+    table = np.zeros((math.comb(order + 3, 3), len(state.buf)))
+    for k, r, _, vals in derivatives(state.grid, state.buf, order):
+        table[k, r] = np.maximum(table[k, r], np.maximum(vals.max(), -vals.min()))
+    return table
 
 
 def gronwall_quantities(state: PhysState) -> dict:

@@ -335,6 +335,19 @@ def test_experiment_rejects_a_bad_amplitude(amplitude):
         random_irrotational(Grid(16), P, np.random.default_rng(1), amplitude=amplitude)
 
 
+@pytest.mark.parametrize("samples", [0, -1, 2.0, True, None])
+def test_experiment_rejects_a_bad_sample_count(samples):
+    # samples=0 once returned empty t and sup series with no error
+    with pytest.raises(ValueError, match="samples"):
+        nonlinear_decay_experiment(1, 1e-3, 1.0, P, grid=Grid(16), linear=True, samples=samples)
+
+
+def test_experiment_takes_one_sample():
+    out = nonlinear_decay_experiment(1, 1e-3, 1.0, P, grid=Grid(16), linear=True, samples=1)
+    np.testing.assert_array_equal(out["t"], [0.0])
+    assert out["sup"].shape == (1,) and out["sup"][0] > 0
+
+
 def test_experiment_linear_mode_is_homogeneous():
     kw = dict(grid=Grid(16), linear=True, samples=5)
     a = nonlinear_decay_experiment(7, 1e-3, 2.0, P, **kw)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -321,6 +322,19 @@ def test_integrate_rejects_invalid_input():
 # constraints
 
 
+@pytest.mark.parametrize("kmax", [-1, 0, np.nan, 2.5, 3.0, True, "4"])
+def test_random_irrotational_rejects_a_bad_kmax(kmax):
+    # -1, 0 and NaN once gave the zero state, and 2.5 was accepted
+    with pytest.raises(ValueError, match="kmax"):
+        random_irrotational(Grid(16), P, _rng(), amplitude=1e-3, kmax=kmax)
+
+
+@pytest.mark.parametrize("kmax", [1, np.int64(2), None])
+def test_random_irrotational_takes_a_positive_integer_kmax(kmax):
+    s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-3, kmax=kmax)
+    assert np.max(np.abs(s.n)) > 0
+
+
 @pytest.mark.parametrize("n,kmax", [(8, 4), (16, 8), (16, None)])
 def test_make_irrotational_is_real_with_nyquist_content(n, kmax):
     # grad, curl and the electric solve multiply by the odd symbol i xi, which
@@ -518,6 +532,7 @@ def test_each_rhs_and_monitor_sample_batches_its_transforms(monkeypatch):
     batches.clear()
     # the derivative engine's passes are matrix products, not transforms
     physics._derivative_sups(s, 4)
+    energy(s, P, 2)
     assert counts == {"inverse": 0, "forward": 0, "axis": 0}
     nonlinearity_direct(s, P)  # the products of one rhs
     assert counts == {"inverse": 1, "forward": 1, "axis": 0}
@@ -537,6 +552,22 @@ def test_monitors_leave_the_state_unchanged():
     physics._derivative_sups(s, 4)
     gronwall_quantities(s)
     assert np.array_equal(s.buf, before)
+
+
+def test_monitors_hold_no_full_size_array():
+    # each slab of values is reduced as it comes: at 80^3 a slab is 10 of 80
+    # x planes, and energy keeps the slabs of n and rho beside it
+    g = Grid(80)
+    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
+    for monitor in (lambda: physics._derivative_sups(s, 4), lambda: energy(s, P, 2)):
+        monitor()  # the grid's cached tables are built outside the trace
+        tracemalloc.start()
+        try:
+            monitor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n**3 * np.dtype(float).itemsize
 
 
 def test_ep_tracks_slaved_field():
@@ -607,13 +638,17 @@ def test_gronwall_quantities_keys():
     assert q["grad_n"] > 0
 
 
-@pytest.mark.parametrize("case", ["kmax5", "full", "box2", "zero"])
+@pytest.mark.parametrize("case", ["kmax5", "full", "box2", "zero", "slabs"])
 def test_batched_monitors_match_row_by_row_reference(case):
     # the monitors against one full-layout three-axis transform per row and
     # multi-index, with gamma = (a, b, c) in the engine's lexicographic order;
     # full support reaches the self-mirrored z planes and the wrapped x and y
-    # modes, box_half = 2 scales xi, and the zero state has an empty support
-    g = Grid(16, box_half=2.0) if case == "box2" else Grid(16)
+    # modes, box_half = 2 scales xi, the zero state has an empty support, and
+    # at 48^3 each row's values span two slabs, the second one partial
+    g = Grid(16, box_half=2.0) if case == "box2" else Grid(48 if case == "slabs" else 16)
+    planes = max(1, spectral.SLAB_VALUES // g.n**2)
+    if case == "slabs":
+        assert planes < g.n and g.n % planes
     if case == "zero":
         s = PhysState.zero(g)
     else:
@@ -621,17 +656,21 @@ def test_batched_monitors_match_row_by_row_reference(case):
     full = spectral.full_spectrum(g, s.buf)
     ixi = 1j * g.xi
     gammas = [(a, b, c) for a in range(5) for b in range(5 - a) for c in range(5 - a - b)]
-    syms = [ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in gammas]
-    table = [[np.max(np.abs(to_physical(g, sym * row).real)) for row in full] for sym in syms]
+    syms = (ixi[0] ** a * ixi[1] ** b * ixi[2] ** c for a, b, c in gammas)
+    table = [np.max(np.abs(to_physical(g, sym * full).real), axis=(1, 2, 3)) for sym in syms]
     np.testing.assert_allclose(physics._derivative_sups(s, 4), table, rtol=1e-12, atol=0)
-    assert all(vals.shape == (3, g.n, g.n, g.n) for vals in spectral.derivatives(g, s.v, 4))
+    # slab by slab, row by row, gamma by gamma; (m, n, n) values per slab
+    seen = [(k, r, x0, vals.shape) for k, r, x0, vals in spectral.derivatives(g, s.v, 4)]
+    assert seen == [(k, r, x0, (min(planes, g.n - x0), g.n, g.n))
+                    for x0 in range(0, g.n, planes) for r in range(3) for k in range(35)]
 
     vol = (2.0 * g.box_half / g.n) ** 3
     n_p, rho_p = to_physical(g, full[0]).real, to_physical(g, full[1]).real
     ref = 0.0
-    for gamma, sym in zip(gammas, syms):
-        if sum(gamma) > 2:
+    for a, b, c in gammas:
+        if a + b + c > 2:
             continue
+        sym = ixi[0] ** a * ixi[1] ** b * ixi[2] ** c
         sq = np.sum(np.abs(sym * full) ** 2, axis=(1, 2, 3))
         ref += vol * (P.T * sq[0] + sq[1] + np.sum(sq[8:11]) + P.C_b / P.epsilon * np.sum(sq[11:14]))
         dv, du = (to_physical(g, sym * full[r]).real for r in (slice(2, 5), slice(5, 8)))
