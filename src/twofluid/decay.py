@@ -13,6 +13,9 @@ computed on the continuum via the radial reduction
 never on the periodic grid: decay rates are a continuum phenomenon the box
 would pollute with recurrences.  The s integral is a uniform trapezoid rule,
 one real matrix product per block of nodes for all radii (`radial_kernel`).
+The blocks are cache-sized (``spectral.SLAB_VALUES`` nodes), and only the
+rows that hold nonzero weight are integrated, so a query costs in proportion
+to the support of phi_[k-2,k+2], [1.25 2^(k-3), 6.4 2^k], not of [2^(k-3), 2^(k+3)].
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 
 from .dispersion import BRANCHES, find_r_star, lam, lam_prime, lam_second
 from .params import PlasmaParams
-from .spectral import BETA, Grid, phi_interval
+from .spectral import BETA, SLAB_VALUES, Grid, _is_int, phi_interval
 from .diagonal import free_evolve, from_dispersive, to_dispersive
-from .physics import PhysState, _derivative_sups, _is_int, cfl_dt, integrate, random_irrotational
+from .physics import PhysState, _derivative_sups, cfl_dt, integrate, random_irrotational
 
 __all__ = [
     "KernelQuery",
@@ -45,8 +48,7 @@ __all__ = [
 NODE_CAP = 1 << 28
 
 _MIN_NODES = 8192
-# quadrature nodes held in memory at once, and anchor radii of the stationary sweep
-_CHUNK = 1 << 22
+# anchor radii of the stationary sweep
 _ANCHORS = 25
 #: the derivative order of the monitor sup_{|alpha| <= 4} ||D^alpha fields||_inf
 MONITOR_ORDER = 4
@@ -97,7 +99,14 @@ def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
     sin(x s_m) = sin(x c_j) cos(x l h) + cos(x c_j) sin(x l h) with c_j = a + j B h,
     so the sums over l for all radii are one real matrix product of the (2 J, B)
     integrand block with [cos(x l h) | sin(x l h)]; the sum over j is elementwise.
-    Blocks hold at most ``_CHUNK`` nodes; x = 0 takes the limit sum g s.
+    x = 0 takes the limit sum g s.
+
+    The nodes go in blocks of whole rows of about ``spectral.SLAB_VALUES``
+    nodes (at least one row), so each elementwise pass stays in cache.  Each
+    block evaluates ``weight_fn`` first and forms lambda, the phase and the
+    matrix product only on the rows from its first to its last node of
+    nonzero weight: a node of weight exactly 0 adds exactly 0 to the rule, so
+    the cost follows the weight's support, not [a, b].
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not (math.isfinite(t) and math.isfinite(b) and b > a > 0):
@@ -119,21 +128,31 @@ def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
     fine = np.outer(np.arange(width) * h, xs)
     fine = np.concatenate([np.cos(fine), np.sin(fine)], axis=1)
     sums, limit = np.zeros((2, len(xs))), np.zeros(2)  # sum g sin(x s) and sum g s
-    step = _CHUNK // width * width
+    step = max(1, SLAB_VALUES // width) * width
     for m0 in range(0, n, step):
-        m = np.arange(m0, min(m0 + step, n))
-        s = a + m * h
-        amp = s * weight_fn(s)
-        amp[(m == 0) | (m == n - 1)] /= 2.0
+        s = a + np.arange(m0, min(m0 + step, n)) * h
+        w = np.broadcast_to(weight_fn(s), s.shape)
+        nonzero = w != 0  # NaN included
+        first = int(nonzero.argmax())
+        if not nonzero[first]:
+            continue
+        lo = first // width * width
+        hi = len(s) - (int(nonzero[::-1].argmax()) // width * width)
+        s = s[lo:hi]
+        amp = s * w[lo:hi]
+        if m0 + lo == 0:
+            amp[0] /= 2.0
+        if m0 + hi == n:
+            amp[-1] /= 2.0
         phase = t * lam_fn(s)
-        g = np.empty((2, len(m)))  # real and imaginary parts of the integrand
+        g = np.empty((2, len(s)))  # real and imaginary parts of the integrand
         np.cos(phase, out=g[0])
         np.sin(phase, out=g[1])
         g *= amp
         limit += g @ s
-        rows = len(m) // width
+        rows = len(s) // width
         part = (g.reshape(2 * rows, width) @ fine).reshape(2, rows, 2, len(xs))
-        coarse = np.outer(a + (m0 + width * np.arange(rows)) * h, xs)
+        coarse = np.outer(a + (m0 + lo + width * np.arange(rows)) * h, xs)
         sums += np.sum(part[:, :, 0] * np.sin(coarse) + part[:, :, 1] * np.cos(coarse), axis=1)
     small = xs < 1e-12 * b
     out = np.where(small, limit[0] + 1j * limit[1], sums[0] + 1j * sums[1])

@@ -44,6 +44,7 @@ import numpy as np
 from .params import PlasmaParams
 from .spectral import (
     Grid,
+    _is_int,
     cross,
     curl,
     derivatives,
@@ -274,11 +275,6 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
 # energies and monitors
 
 
-def _is_int(x) -> bool:
-    """Whether x is an integer value of an integer type, bool excluded."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def energy(state: PhysState, p: PlasmaParams, order: int = 0) -> float:
     """Weighted energy: sum over |gamma| <= order of the integrals of
     T|D^g n|^2 + eps(1+n)|D^g v|^2 + |D^g rho|^2 + (1+rho)|D^g u|^2
@@ -435,8 +431,7 @@ def random_irrotational(grid: Grid, p: PlasmaParams, rng,
                         rotational: bool = True) -> PhysState:
     if not (np.isfinite(amplitude) and amplitude >= 0.0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
-    if kmax is not None and not (_is_int(kmax) and kmax >= 1):
-        raise ValueError(f"kmax must be None or an integer >= 1, got {kmax!r}")
+    # random_real_field rejects a kmax that is neither None nor an integer >= 1
     return make_irrotational(grid, p, _random_seed(grid, rng, amplitude, kmax, rotational))
 
 

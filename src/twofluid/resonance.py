@@ -31,6 +31,7 @@ partition census take D_num to report case assignment as a function of it.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -711,6 +712,8 @@ class PartitionReport:
         return "\n".join(lines)
 
 
+# one refined census reads the probes of its 20 resonant phases
+@lru_cache(maxsize=32)
 def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
     """Deterministic (xi, eta) probes along this phase's exact resonant geometry.
 
@@ -718,7 +721,8 @@ def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
     one input radius to within ~delta/lambda'' of a fixed value, far below
     any affordable grid spacing.  Seeding from the solved geometry instead
     of hoping a gridpoint lands there is what makes the scan exhaustive.
-    Returns xi and eta stacked as (3, N) arrays, both along the z axis.
+    Returns xi and eta stacked as (3, N) arrays, both along the z axis; they
+    are cached per (spec, p, base) and read-only.
     """
     xis, etas = [np.zeros(0)], [np.zeros(0)]
 
@@ -755,7 +759,10 @@ def _on_manifold_probes(spec: PhaseSpec, p: PlasmaParams, base: float) -> tuple:
 
     xi_z, eta_z = np.concatenate(xis), np.concatenate(etas)
     zero = np.zeros_like(xi_z)
-    return np.stack([zero, zero, xi_z]), np.stack([zero, zero, eta_z])
+    out = np.stack([zero, zero, xi_z]), np.stack([zero, zero, eta_z])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def verify_case_partition(p: PlasmaParams, shells=range(-8, 5),

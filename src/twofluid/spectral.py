@@ -108,10 +108,13 @@ _DEALIAS = 2.0 / 3.0
 #: scipy.fft threads of every transform of the package: all the process may use
 _FFT_WORKERS = -1
 #: the values one yield of `derivatives` holds at most (one x plane if it holds
-#: more): 512 KiB of float64, so energy's output and two weight slabs stay in
-#: a 2 MiB L2.  Order-4 sups / order-2 energy of a 64^3 kmax-4 state, one
-#: Xeon CPU, median of 5 (ms): 128 KiB 135 / 41.5, 256 KiB 112 / 36.3,
-#: 512 KiB 102 / 33.9, 1 MiB 97 / 34.5, 2 MiB 136 / 46.6; flat at 32^3
+#: more), and the nodes of one block of `decay.radial_kernel` (one row if it
+#: holds more): 512 KiB of float64, so energy's output and two weight slabs
+#: stay in a 2 MiB L2.  Order-4 sups / order-2 energy of a 64^3 kmax-4 state,
+#: one Xeon CPU, median of 5 (ms): 128 KiB 135 / 41.5, 256 KiB 112 / 36.3,
+#: 512 KiB 102 / 33.9, 1 MiB 97 / 34.5, 2 MiB 136 / 46.6; flat at 32^3.  The
+#: 16 kernel_sup queries of the perfbench analyse ladders, best of 5 (s):
+#: 128 KiB 0.286, 256 KiB 0.268, 512 KiB 0.262, 1 MiB 0.272, 32 MiB 0.326
 SLAB_VALUES = 2**16
 
 
@@ -419,15 +422,20 @@ _SUPP = 8.0 / 5.0
 _FLAT = 5.0 / 4.0
 
 
+def _smoothstep(y: np.ndarray) -> np.ndarray:
+    """The bump's values at points y of its transition band (5/4, 8/5)."""
+    t = (_SUPP - y) / (_SUPP - _FLAT)
+    s = np.exp(-1.0 / t)
+    return s / (s + np.exp(-1.0 / (1.0 - t)))
+
+
 def bump(x) -> np.ndarray:
     """Even C^inf profile: 1 on [-5/4, 5/4], supported in (-8/5, 8/5); its
     exponential smoothstep is formed on the transition band only."""
     x = np.abs(np.asarray(x, dtype=float))
     out = np.where(x <= _FLAT, 1.0, np.where(x >= _SUPP, 0.0, np.nan))
     band = (x > _FLAT) & (x < _SUPP)
-    t = (_SUPP - x[band]) / (_SUPP - _FLAT)
-    s = np.exp(-1.0 / t)
-    out[band] = s / (s + np.exp(-1.0 / (1.0 - t)))
+    out[band] = _smoothstep(x[band])
     return out
 
 
@@ -441,8 +449,26 @@ def phi_shell(x, k: int) -> np.ndarray:
 
 
 def phi_interval(x, a: int, b: int) -> np.ndarray:
-    """Telescoped cutoff to the dyadic band [2^a, 2^b] (shells a..b)."""
-    return phi_low(x, b) - phi_low(x, a - 1)
+    """Telescoped cutoff to the dyadic band [2^a, 2^b] (shells a..b), a <= b.
+
+    Bit-identical to phi_low(x, b) - phi_low(x, a - 1), NaN included: the
+    band edges c 2^m are exact, so comparing |x| with them decides what
+    comparing |x| / 2^m with c does.  The smoothstep is formed only on the
+    two transition bands, 1 - bump on (1.25, 1.6) 2^(a-1) and bump on
+    (1.25, 1.6) 2^b; between them the value is 1, outside them 0.
+    """
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
+    x = np.abs(np.asarray(x, dtype=float))
+    flat = x.reshape(-1)
+    lo, hi = 2.0 ** (a - 1), 2.0**b
+    out = ((flat >= _SUPP * lo) & (flat <= _FLAT * hi)).astype(float)
+    out[np.isnan(flat)] = np.nan
+    inner = np.flatnonzero((flat > _FLAT * lo) & (flat < _SUPP * lo))
+    out[inner] = 1.0 - _smoothstep(flat[inner] / lo)
+    outer = np.flatnonzero((flat > _FLAT * hi) & (flat < _SUPP * hi))
+    out[outer] = _smoothstep(flat[outer] / hi)
+    return out.reshape(x.shape)
 
 
 def phi_tilde(x, k: int, j: int) -> np.ndarray:
@@ -590,8 +616,18 @@ def z_norm_upper(grid: Grid, f: np.ndarray) -> ZNormUpper:
 # random band-limited fields
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer value of an integer type, bool excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0) -> np.ndarray:
-    """Real Gaussian field, band-limited to |m_axis| <= kmax, mean zero, rms ``rms``."""
+    """Real Gaussian field, band-limited to |m_axis| <= kmax, mean zero, rms ``rms``.
+
+    ``kmax`` is None (no band limit) or an integer >= 1: below 1 only the
+    mean would survive, and it is removed, so no rms could be met."""
+    if kmax is not None and not (_is_int(kmax) and kmax >= 1):
+        raise ValueError(f"kmax must be None or an integer >= 1, got {kmax!r}")
     vals = rng.standard_normal((grid.n,) * 3)
     coef = to_spectral(grid, vals)
     if kmax is not None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,9 @@ def test_radial_kernel_trapezoid_end_weights():
     one = lambda s: np.ones_like(s)  # noqa: E731
     got = radial_kernel(lambda s: 0 * s, lambda s: 0 * s, one, 1.0, 2.0, 1.0, [0.0], 64)
     assert got[0] == pytest.approx(4.0 * np.pi * 7.0 / 3.0, rel=1e-7)
+    # a weight given as one number for every node is the same weight
+    scalar = radial_kernel(lambda s: 0 * s, lambda s: 0 * s, lambda s: 1.0, 1.0, 2.0, 1.0, [0.0], 64)
+    assert scalar[0] == got[0]
 
 
 def test_radial_kernel_validation():
@@ -138,6 +143,48 @@ def test_stationary_grid_covers_the_sweep():
     # the ion shell at the curvature flip gets the Airy cluster
     q_star = KernelQuery("i", 1, 1000.0)
     assert len(stationary_xs(q_star, P)) > len(xs)
+
+
+@pytest.mark.parametrize("branch,k,t", [("e", -1, 100.0), ("i", 1, 1000.0)])
+def test_kernel_profile_does_not_depend_on_the_block_size(branch, k, t, monkeypatch):
+    # one row per block, and one block for every node, against the default
+    # blocks (4 and 7 of them here): the same rule summed in another order,
+    # so the profiles agree to roundoff
+    q = KernelQuery(branch, k, t)
+    xs = stationary_xs(q, P)
+    want = kernel_profile(q, P, xs)
+    for values in (1, 1 << 40):
+        monkeypatch.setattr(decay, "SLAB_VALUES", values)
+        got = kernel_profile(q, P, xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("branch,k", [("e", -1), ("i", 1)])
+def test_radial_kernel_skips_the_rows_of_zero_weight(branch, k):
+    # lambda is formed only on whole rows between nonzero-weight nodes: at
+    # most one row past the weight's support at each end
+    q = KernelQuery(branch, k, 100.0)
+    a, b = q.support
+    weighted, phased = [], []
+
+    def weight(s):
+        w = phi_interval(s, k - 2, k + 2)
+        weighted.append(w)
+        return w
+
+    def lam_fn(s):
+        phased.append(s.size)
+        return decay.lam(branch, s, P)
+
+    xs = stationary_xs(q, P)
+    got = radial_kernel(lam_fn, lambda s: decay.lam_prime(branch, s, P), weight,
+                        a, b, q.t, xs, q.points_per_cycle)
+    np.testing.assert_array_equal(got, kernel_profile(q, P, xs))
+    n = sum(w.size for w in weighted)
+    support = sum(np.count_nonzero(w) for w in weighted)
+    assert support <= sum(phased) <= support + 2 * math.isqrt(n)
+    # phi_[k-2,k+2] is exactly 0 below 1.25 2^(k-3) and above 6.4 2^k
+    assert sum(phased) < 0.8 * n
 
 
 def test_kernel_sup_is_one_quadrature_pass(monkeypatch):

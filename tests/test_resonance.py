@@ -684,6 +684,27 @@ def test_row_engine_census_is_bit_identical_to_the_full_array_pass():
     assert rep.unresolved == unresolved
 
 
+def test_census_probes_are_solved_once_per_phase_and_read_only():
+    probes = rs._on_manifold_probes
+    resonant = [sp for sp in ALL_PHASES if classify(sp).resonant]
+    assert probes.cache_info().maxsize >= len(resonant)
+    probes.cache_clear()
+    args = dict(shells=range(-1, 1), resolution=(8, 4, 4), refine=True)
+    first = verify_case_partition(P, **args)
+    info = probes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(resonant), 0, len(resonant))
+    second = verify_case_partition(P, **args)
+    assert probes.cache_info().hits == len(resonant)  # a second census solves nothing
+    assert (second.hits, second.elliptic_floor) == (first.hits, first.elliptic_floor)
+    for sp in resonant[:3]:
+        cached, fresh = probes(sp, P, 2.0**-10), probes.__wrapped__(sp, P, 2.0**-10)
+        for arr, want in zip(cached, fresh):
+            assert np.array_equal(arr, want)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("key, delta", [("i;i+,i+", (2.0**-10, 2.0**-10)),
                                         ("e;e+,e+", stronglyell_deltas(-5, -5))])
 def test_row_engine_scan_is_bit_identical_to_the_full_array_pass(key, delta):

@@ -16,6 +16,7 @@ from twofluid.spectral import (
     l2_norm,
     lp_project,
     phi_interval,
+    phi_low,
     phi_shell,
     phi_tilde,
     q_apply,
@@ -151,6 +152,31 @@ def test_random_field_is_real_with_requested_rms():
     assert np.sqrt(np.mean(vals**2)) == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("kmax", [0, -1, np.nan, 2.5, 3.0, True, "4"])
+def test_random_fields_reject_a_bad_kmax(kmax):
+    # 0, -1 and NaN once returned the zero field, so no rms was met
+    for make in (random_real_field, random_vector_field):
+        with pytest.raises(ValueError, match="kmax"):
+            make(Grid(16), np.random.default_rng(0), kmax=kmax)
+
+
+@pytest.mark.parametrize("kmax", [None, 1, np.int64(3), 8])
+def test_random_fields_take_none_or_a_positive_integer_kmax(kmax):
+    # the values a valid kmax gave before kmax was checked
+    def before(rng):
+        coef = to_spectral(G, rng.standard_normal((G.n,) * 3))
+        if kmax is not None:
+            coef = coef * (np.max(np.abs(G.modes), axis=0) <= kmax)
+        coef[0, 0, 0] = 0.0
+        return coef * (0.5 * G.n**1.5 / float(np.linalg.norm(coef)))
+
+    rng = np.random.default_rng(11)
+    want = [before(rng) for _ in range(4)]
+    rng = np.random.default_rng(11)
+    assert np.array_equal(random_real_field(G, rng, kmax=kmax, rms=0.5), want[0])
+    assert np.array_equal(random_vector_field(G, rng, kmax=kmax, rms=0.5), np.stack(want[1:]))
+
+
 def test_riesz_squares_sum_to_minus_one():
     sym = 1j * G.xi * G.inv_xi_mag
     total = np.sum(sym**2, axis=0)
@@ -258,6 +284,52 @@ def test_phi_interval_telescopes():
     x = np.linspace(0.0, 40.0, 500)
     total = sum(phi_shell(x, k) for k in range(-2, 6))
     np.testing.assert_allclose(total, phi_interval(x, -2, 5), rtol=0, atol=1e-15)
+
+
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # as integers, so a -0.0 against a 0.0 would count as a difference
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _two_bumps(x, a, b):
+    return phi_low(x, b) - phi_low(x, a - 1)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_phi_interval_is_the_two_bump_form_on_lattice_tables(n):
+    # the lattice hits the band edges exactly: |xi| = 5 = 1.25 * 2^2 at mode (3, 4, 0)
+    g = Grid(n)
+    tables = (g.xi_mag, g.half.xi_mag)
+    assert np.any(tables[0] == 5.0)
+    for k in shell_range(g):
+        for a, b in ((k - 2, k + 2), (k, k), (k - 1, k)):
+            for mag in tables:
+                _assert_bits_equal(phi_interval(mag, a, b), _two_bumps(mag, a, b))
+
+
+@pytest.mark.parametrize("a,b", [(-3, 1), (0, 0), (2, 2), (-1, 4), (3, 5)])
+def test_phi_interval_is_the_two_bump_form_at_its_edges(a, b):
+    edges = np.array([1.25 * 2.0 ** (a - 1), 1.6 * 2.0 ** (a - 1), 1.25 * 2.0**b, 1.6 * 2.0**b])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    x = np.concatenate([near, -near, [0.0, -0.0, np.inf, -np.inf, np.nan],
+                        np.linspace(-2.0 ** (b + 2), 2.0 ** (b + 2), 4001)])
+    _assert_bits_equal(phi_interval(x, a, b), _two_bumps(x, a, b))
+    # a 0-d input at each edge, and a 2-d input
+    for v in near[:4]:
+        _assert_bits_equal(phi_interval(np.float64(v), a, b), _two_bumps(np.float64(v), a, b))
+    grid = x.reshape(5, -1)
+    _assert_bits_equal(phi_interval(grid, a, b), _two_bumps(grid, a, b))
+    assert np.isnan(phi_interval(np.nan, a, b))
+    assert phi_interval(np.inf, a, b) == 0.0
+
+
+def test_phi_interval_rejects_an_empty_band():
+    with pytest.raises(ValueError, match="a <= b"):
+        phi_interval(np.ones(3), 2, 1)
 
 
 @pytest.mark.parametrize("k", [-3, -1, 0, 2, 5])
