@@ -222,8 +222,8 @@ def decay_fit(ts, sups) -> dict:
         raise ValueError("ts and sups must be 1d arrays of equal length")
     if len(ts) < 8:
         raise ValueError("need at least 8 samples for a trusted fit")
-    if np.any(ts <= 0) or np.any(sups <= 0):
-        raise ValueError("degenerate sample set: nonpositive entries")
+    if not (np.all(np.isfinite(ts) & (ts > 0)) and np.all(np.isfinite(sups) & (sups > 0))):
+        raise ValueError("degenerate sample set: entries must be finite and positive")
     lt, ls = np.log(ts), np.log(sups)
     if np.ptp(lt) == 0:
         raise ValueError("degenerate sample set: single abscissa")

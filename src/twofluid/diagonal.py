@@ -39,13 +39,11 @@ import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import (FIELDS, ROW_FIELDS, PhysState, SystemKind, _field, _tendencies,
-                      constraints, ep_electric)
+from .physics import (FIELDS, ROW_FIELDS, PhysState, SystemKind, _tendencies, constraints,
+                      ep_electric)
 from .spectral import (
     Grid,
     _inv0,
-    _negate_modes,
-    conj_half,
     curl,
     div,
     full_spectrum,
@@ -116,19 +114,27 @@ def species_split(mu: str):
 # state container and radial symbol tables
 
 
-class DispState:
-    """The dispersive unknowns at time t, as one buffer in the full layout
-    of module spectral: their coefficients carry no conjugate symmetry.
-    ``buf`` has shape (5, n, n, n); as in a PhysState, ``U_e``, ``U_i`` and
-    ``U_b`` are writable views onto its rows 0, 1 and 2:5, and the
-    constructor copies its three arrays into a new buffer."""
+def _row(key) -> property:
+    """The rows ``key`` of ``DispState.full()``, as a read-only array."""
+    return property(lambda d: d._full(key, False))
 
-    U_e, U_i, U_b = _field(0), _field(1), _field(slice(2, 5))
+
+class DispState:
+    """The dispersive unknowns at time t as U = P + iM, P and M real fields
+    on the half layout of module spectral: ``buf`` (10, n, n, n//2 + 1) holds
+    P of U_e, U_i, U_b1..3 in rows 0:5 and their M in rows 5:10.  The
+    constructor splits full-layout U (any complex coefficients) into P = (U +
+    Ubar)/2 and M = (U - Ubar)/2i, Ubar(xi) = conj U(-xi); ``full()`` gives U
+    back, and ``U_e``, ``U_i``, ``U_b`` are read-only copies of its rows."""
+
+    U_e, U_i, U_b = _row(0), _row(1), _row(slice(2, 5))
 
     def __init__(self, grid: Grid, U_e, U_i, U_b, t: float = 0.0):
         self.grid, self.t = grid, t
-        self.buf = np.empty((5,) + (grid.n,) * 3, dtype=complex)
-        self.U_e, self.U_i, self.U_b = U_e, U_i, U_b
+        U = np.empty((5,) + (grid.n,) * 3, dtype=complex)
+        U[0], U[1], U[2:] = U_e, U_i, U_b
+        U, bar = (x[..., : grid.n // 2 + 1] for x in (U, np.conj(reflect(U))))
+        self.buf = np.concatenate((0.5 * (U + bar), -0.5j * (U - bar)))
 
     @classmethod
     def _over(cls, grid: Grid, buf: np.ndarray, t: float) -> "DispState":
@@ -140,6 +146,17 @@ class DispState:
     @classmethod
     def zero(cls, grid: Grid, t: float = 0.0) -> "DispState":
         return cls(grid, 0.0, 0.0, 0.0, t)
+
+    def full(self) -> np.ndarray:
+        """U_e, U_i, U_b as one new (5, n, n, n) array in the full layout."""
+        return self._full(slice(0, 5), True)
+
+    def _full(self, key, writeable: bool) -> np.ndarray:
+        P, M = self.buf[:5][key], self.buf[5:][key]
+        out = full_spectrum(self.grid, P - 1j * M)  # U(-xi) = conj (P - iM)(xi): the tail
+        out[..., : self.grid.n // 2 + 1] = P + 1j * M
+        out.flags.writeable = writeable
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +170,8 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     B, so it is one-to-one exactly on the constraint manifold: a violation
     of the constraints raises a warning rather than an error, and a state
     that is not real (possible only on the self-mirrored planes of the half
-    layout) raises.  Each unknown is U = P + iM with P and M real: U and
-    P - iM are formed on the half layout, and only they are expanded, into
-    the result's buffer.
+    layout) raises.  Each unknown is U = P + iM, its real fields P and M
+    formed per mode on the half layout.
     """
     g = s.grid
     for name, c in zip(ROW_FIELDS, s.buf):
@@ -173,56 +189,39 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
 
 def _to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     """`to_dispersive` without its checks, for a tendency or solver output."""
-    g, t = s.grid, s.t
-    sym = _symbols(g, p)
-    seps = np.sqrt(p.epsilon)
-    R, nrm = sym.R, sym.norm
+    g, sym = s.grid, _symbols(s.grid, p)
+    seps, R, half = np.sqrt(p.epsilon), sym.R, 0.5 * sym.norm
 
-    h = -inv_modulus(g, div(g, s.v))
-    gg = -inv_modulus(g, div(g, s.u))
-    le = sym.lam_e * sym.inv  # zero mode dropped
+    h, gg = (-inv_modulus(g, div(g, w)) for w in (s.v, s.u))
 
-    # the terms of P, shared by U = P + iM and P - iM
-    re_e = -seps * le * s.n + R * le * s.rho
-    re_i = seps * R * sym.qi * s.n + sym.qi * s.rho
-    re_b = sym.lam_b * inv_modulus(g, q_apply(g, s.B))
-    E_t = q2_apply(g, s.E)
-
-    def rows(i):  # the rows of U = P + iM at i = 1j, of P - iM at i = -1j
-        return np.stack((0.5 * nrm * (re_e - i * seps * h + i * R * gg),
-                         0.5 * nrm * (re_i + i * seps * R * h + i * gg),
-                         *(0.5 * (re_b - i * E_t))))
-
-    # U(-xi) = conj (P - iM)(xi): the full spectrum of P - iM holds U's tail,
-    # and U's stored half is written over its head
-    d = DispState._over(g, full_spectrum(g, rows(-1j)), t)
-    d.buf[..., : g.n // 2 + 1] = rows(1j)
+    d = DispState._over(g, np.empty((10,) + h.shape, dtype=complex), s.t)
+    P, M = d.buf[:5], d.buf[5:]
+    P[0] = half * sym.out_over_mod("e") * (R * s.rho - seps * s.n)  # zero mode dropped
+    P[1] = half * sym.qi * (seps * R * s.n + s.rho)
+    P[2:] = 0.5 * sym.lam_b * inv_modulus(g, q_apply(g, s.B))
+    M[0] = half * (R * gg - seps * h)
+    M[1] = half * (seps * R * h + gg)
+    M[2:] = -0.5 * q2_apply(g, s.E)
     return d
 
 
 def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     """Reconstruct the physical fields; real, with div B = 0 and Gauss law
-    holding by construction.  They are built on the half layout from U +
-    Ubar and U - Ubar (`conj_half`, one gather), Nyquist planes zeroed."""
-    g = d.grid
-    sym = _symbols(g, p)
-    R, nrm = sym.R, sym.norm
-    ieps = p.epsilon ** -0.5
+    holding by construction.  They are per-mode combinations of the rows of
+    ``d.buf``, U + Ubar = 2P and U - Ubar = 2iM, Nyquist planes zeroed."""
+    g, sym = d.grid, _symbols(d.grid, p)
+    R, nrm2, ieps = sym.R, 2.0 * sym.norm, p.epsilon ** -0.5
 
-    U, bar = d.buf[..., : g.n // 2 + 1], conj_half(g, d.buf)
-    S_e, D_e = U[0] + bar[0], U[0] - bar[0]
-    S_i, D_i = U[1] + bar[1], U[1] - bar[1]
+    P, M = d.buf[:5], d.buf[5:]
     # U_b enters the fields through its transverse part only; projecting here
     # keeps the reconstruction admissible for arbitrary coefficient input
-    U_b, bar_b = q2_apply(g, U[2:]), q2_apply(g, bar[2:])
-    re_b, im_b = 0.5 * (U_b + bar_b), -0.5j * (U_b - bar_b)
+    re_b, im_b = q2_apply(g, P[2:]), q2_apply(g, M[2:])
 
-    r_le = sym.mod_over_branch("e")
-    inv_qi = sym.mod_over_branch("i")
-    n = nrm * ieps * (-r_le * S_e + R * inv_qi * S_i)
-    rho = nrm * (R * r_le * S_e + inv_qi * S_i)
-    h = 1j * nrm * ieps * (D_e - R * D_i)
-    gg = -1j * nrm * (R * D_e + D_i)
+    r_le, inv_qi = sym.mod_over_branch("e"), sym.mod_over_branch("i")
+    n = nrm2 * ieps * (-r_le * P[0] + R * inv_qi * P[1])
+    rho = nrm2 * (R * r_le * P[0] + inv_qi * P[1])
+    h = -nrm2 * ieps * (M[0] - R * M[1])
+    gg = nrm2 * (R * M[0] + M[1])
 
     a = re_b / sym.lam_b  # the vector potential-like combination
     v = riesz(g, h) + (2.0 / p.epsilon) * a
@@ -248,13 +247,13 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     term taken from the zero state (rhs(s) - rhs(s, linear=True) would
     cancel O(s) terms to leave O(s^2), losing digits as s gets small).  The
     real part (N_b + bar N_b)/2 of the field N_b vanishes in exact
-    arithmetic; it is dropped, so that it is exactly zero.  The unknowns
-    are in the full layout.
+    arithmetic; it is dropped, so that it is exactly zero.  The three are
+    returned in the full layout.
     """
     quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
                        PhysState._empty(s.grid))
-    d = _to_dispersive(quad, p)
-    return d.U_e, d.U_i, 0.5 * (d.U_b - np.conj(reflect(d.U_b)))
+    U = _to_dispersive(quad, p).full()
+    return U[0], U[1], 0.5 * (U[2:] - np.conj(reflect(U[2:])))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +394,8 @@ def _bb_rows(mu, nu, t: _Block):
 
 
 def _pair_rows(mu: str, nu: str, t: _Block):
-    """The nonzero catalog rows of the pair (mu, nu) on a block, as (row of a
-    DispState buffer, values), b before the transverse projection.  Each
+    """The nonzero catalog rows of the pair (mu, nu) on a block, as (row of
+    DispState.full(), values), b before the transverse projection.  Each
     values array is new, so the caller may scale it in place."""
     if nu[0] != "b":
         return _acoustic_rows(mu, nu, t)
@@ -422,7 +421,7 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     if scalar_in:
         xi, eta = xi[:, None], eta[:, None]
     t = _Block(xi, xi - eta, eta, p)
-    out = np.zeros((5,) + t.z.r.shape, complex)  # rows as in a DispState buffer
+    out = np.zeros((5,) + t.z.r.shape, complex)  # rows as in DispState.full()
     for row, vals in _pair_rows(mu, nu, t):
         out[row] += vals
     if sigma == "b":
@@ -460,14 +459,15 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     scale = float(g.xi_min)
     half = n // 2
 
-    # the rows of d.buf, then those of their conjugates, Ubar(xi) = conj U(-xi),
+    # the rows of U = P + iM, then those of their conjugates, Ubar = P - iM,
     # on their joint support
-    coefs = np.concatenate((d.buf, np.conj(reflect(d.buf)))).reshape(10, -1)
+    coefs = np.concatenate((full_spectrum(g, d.buf[:5]),) * 2).reshape(10, -1)
+    coefs += np.multiply.outer([1j, -1j], full_spectrum(g, d.buf[5:])).reshape(10, -1)
     sup = np.flatnonzero(coefs.any(axis=0))
     K = g.modes.reshape(3, -1)[:, sup]
     flat = dict(zip(("e+", "i+", "b+1", "b+2", "b+3", "e-", "i-", "b-1", "b-2", "b-3"),
                     coefs[:, sup]))
-    W = np.zeros((5, n ** 3), complex)  # the sums, rows as in d.buf
+    W = np.zeros((5, n ** 3), complex)  # the sums, rows as in d.full()
 
     rows = max(1, _CONV_BLOCK // max(sup.size, 1))
     for lo in range(0, sup.size, rows):
@@ -519,10 +519,10 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
     sym = _symbols(g, p)
     # the three Lam_sigma in the full layout; real and even, so full spectra
     lam = full_spectrum(g, np.stack((sym.lam_e, sym.lam_i, sym.lam_b)))
-    states = [_to_dispersive(s, p) for s in traj]
+    states = [_to_dispersive(s, p).full() for s in traj]
 
     # the stencil only resolves phases that rotate slowly between snapshots
-    mag = np.abs(states[0].buf)
+    mag = np.abs(states[0])
     for branch, lam_s, m in zip(("e", "i", "b"), lam, (mag[0], mag[1], mag[2:].max(axis=0))):
         top = m.max()
         if top == 0.0:
@@ -536,7 +536,7 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
 
     res = {"e": [], "i": [], "b": []}
     for k in range(2, len(traj) - 2):
-        U = [states[k + j].buf for j in (-2, -1, 0, 1, 2)]
+        U = [states[k + j] for j in (-2, -1, 0, 1, 2)]
         Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
         N = nonlinearity_direct(traj[k], p) if include_nonlinearity else (0.0,) * 3
         for branch, rows, lam_s, N_s in zip(("e", "i", "b"), (0, 1, slice(2, 5)), lam, N):
@@ -545,16 +545,20 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
 
 
 def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
-    """Solve dU/dt = -i Lambda U exactly for time t (any sign)."""
-    g, sym = d.grid, _symbols(d.grid, p)
-    h = g.n // 2
-    out = DispState._over(g, np.empty_like(d.buf), d.t + t)
-    ph = out.buf[:3]  # the phases e^{-i t Lam} of e, i, b, then their products
-    # formed on the half layout: Lam is even in xi, so the tail is the plain mirror
-    ph[..., : h + 1] = np.exp(np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), -1j * t))
-    ph[..., h + 1:] = _negate_modes(ph[..., h - 1:0:-1], (-3, -2))
-    np.multiply(ph[2], d.buf[3:], out=out.buf[3:])
-    ph *= d.buf[:3]
+    """Solve dU/dt = -i Lambda U exactly for time t (any sign).  Lambda is
+    real and even, so e^{-i t Lambda} U = P' + iM' is the real rotation
+    P' = c P + s M, M' = c M - s P of the rows of ``d.buf``, with c and s
+    the cos and sin of t Lambda, formed once per branch on the half layout."""
+    sym = _symbols(d.grid, p)
+    phase = np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), t)
+    c, s = np.cos(phase), np.sin(phase)
+    out = DispState._over(d.grid, np.empty_like(d.buf), d.t + t)
+    P, M, P2, M2 = d.buf[:5], d.buf[5:], out.buf[:5], out.buf[5:]
+    for rows, k in ((slice(0, 2), slice(0, 2)), (slice(2, 5), 2)):  # e and i, then b
+        np.multiply(c[k], P[rows], out=P2[rows])
+        P2[rows] += s[k] * M[rows]
+        np.multiply(c[k], M[rows], out=M2[rows])
+        M2[rows] -= s[k] * P[rows]
     return out
 
 

@@ -121,7 +121,8 @@ class PhysState:
     views onto those rows; assigning to one (``s.n = arr``, ``s.B[:] = 0``)
     writes into ``buf``.  The constructor copies its six half-layout arrays,
     real or complex, into a new buffer.  ``diagonal.DispState`` keeps the
-    dispersive unknowns, which are not real, in a full-layout buffer alike.
+    dispersive unknowns U = P + iM on the same layout, as the real fields P
+    and M of each.
     """
 
     n, rho, v, u, E, B = (_field(_KEYS[f]) for f in FIELDS)

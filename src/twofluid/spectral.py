@@ -11,21 +11,21 @@ Conventions
   last axis:
 
   - the full layout, (n, n, n) for scalars and (3, n, n, n) for vectors,
-    holds any complex field; the dispersive unknowns live here (one
-    (5, n, n, n) buffer), as their coefficients carry no conjugate symmetry;
+    holds an arbitrary complex field, one whose coefficients carry no
+    conjugate symmetry;
   - the half layout, (n, n, n//2 + 1) per component, is the ``rfftn``
     half-spectrum of a real field: the entries with negative last-axis
-    modes are the conjugates of their mirrors and are not stored.  The
-    physical state lives here, so its fields are real by construction.
+    modes are the conjugates of their mirrors and are not stored.  Both
+    states live here as real fields: the physical ones, and P and M of
+    each dispersive unknown U = P + iM.
 
   Only the self-mirrored planes (last-axis modes 0 and n/2) can still hold
-  a non-real field, and the Nyquist planes (index n/2 on any axis) are kept
-  zero: the odd symbol i xi of grad and curl maps their real content to
-  imaginary content, which no real field has there.  ``to_half`` and the
-  half branch of ``to_physical`` are the real transform pair,
-  ``full_spectrum`` and ``half_spectrum`` convert between the layouts, and
-  ``conj_half`` gives the half of a full-layout field's conjugate.  No other
-  module calls a transform library.
+  a non-real field.  A physical state keeps the Nyquist planes (index n/2
+  on any axis) zero: the odd symbol i xi of grad and curl maps their real
+  content to imaginary content, which no real field has there.  ``to_half``
+  and the half branch of ``to_physical`` are the real transform pair, and
+  ``full_spectrum`` and ``half_spectrum`` convert between the layouts.  No
+  other module calls a transform library.
   ``derivatives`` yields every D^gamma of a half-layout field up to an
   order without one: its one-axis inverse passes are matrix products with
   DFT matrices restricted to the modes the field occupies, so a
@@ -67,7 +67,6 @@ __all__ = [
     "full_spectrum",
     "half_spectrum",
     "reflect",
-    "conj_half",
     "hermitize",
     "is_hermitian",
     "cross",
@@ -128,8 +127,8 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 8 or self.n % 2:
             raise ValueError(f"points_per_axis must be an even integer >= 8, got {self.n!r}")
-        if not 0 < self.box_half < math.inf:
-            raise ValueError(f"box_half must be finite and positive, got {self.box_half!r}")
+        if isinstance(self.box_half, (bool, np.bool_)) or not 0 < self.box_half < math.inf:
+            raise ValueError(f"box_half must be a finite positive number, got {self.box_half!r}")
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
@@ -301,14 +300,6 @@ def reflect(coef: np.ndarray) -> np.ndarray:
     return _negate_modes(coef, (-3, -2, -1))
 
 
-def conj_half(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """conj c(-xi) on the half layout for full-layout c, the half of the
-    conjugate field: ``np.conj(reflect(coef))[..., :n//2 + 1]`` in one gather."""
-    neg = -np.arange(grid.n) % grid.n
-    out = coef[..., neg[:, None, None], neg[None, :, None], neg[: grid.n // 2 + 1]]
-    return np.conjugate(out, out=out)
-
-
 def hermitize(coef: np.ndarray) -> np.ndarray:
     return 0.5 * (coef + np.conj(reflect(coef)))
 
@@ -330,8 +321,10 @@ def full_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
     """The full layout of half-layout coefficients: each missing entry is the
     conjugate of its mirror, c(-xi) = conj c(xi)."""
     h = grid.n // 2
-    tail = np.conj(_negate_modes(coef[..., h - 1:0:-1], (-3, -2)))
-    return np.concatenate((coef, tail), axis=-1)
+    out = np.empty(coef.shape[:-1] + (grid.n,), dtype=coef.dtype)
+    out[..., : h + 1] = coef
+    np.conjugate(_negate_modes(coef[..., h - 1:0:-1], (-3, -2)), out=out[..., h + 1:])
+    return out
 
 
 def half_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,27 @@ def test_stationary_grid_covers_the_sweep():
     # the ion shell at the curvature flip gets the Airy cluster
     q_star = KernelQuery("i", 1, 1000.0)
     assert len(stationary_xs(q_star, P)) > len(xs)
+
+
+def test_stationary_grid_reads_the_fold_window():
+    # the Airy window of the ion shell at the curvature flip spans x0 + w [-8, 3],
+    # x0 = t lambda_i'(r*) and w = (t |lambda_i^(3)(r*)| / 2)^(1/3); both
+    # derivatives are taken here from the radical at 40 digits
+    t = 1000.0
+    r_star = decay.find_r_star(P)
+    with mpmath.workdps(40):
+        eps, T = mpmath.mpf(P.epsilon), mpmath.mpf(P.T)
+
+        def lam_i(r):
+            u = (1 - eps) + (T - eps) * r**2
+            return mpmath.sqrt(((1 + eps) + (T + eps) * r**2 - mpmath.sqrt(u * u + 4 * eps))
+                               / (2 * eps))
+
+        first, third = (float(mpmath.diff(lam_i, mpmath.mpf(r_star), k)) for k in (1, 3))
+    x0, w = t * first, (t * abs(third) / 2.0) ** (1.0 / 3.0)
+    xs = stationary_xs(KernelQuery("i", 1, t), P)
+    for edge in (x0 - 8.0 * w, x0 + 3.0 * w):
+        assert np.min(np.abs(xs - edge)) <= 1e-5 * w, edge
 
 
 @pytest.mark.parametrize("branch,k,t", [("e", -1, 100.0), ("i", 1, 1000.0)])
@@ -310,6 +332,12 @@ def test_decay_fit_validation():
         decay_fit(ts, ts[:-1] ** -1.0)
     with pytest.raises(ValueError):
         decay_fit(np.full(8, 3.0), np.full(8, 1.0))
+    # a NaN or infinite sup gave a NaN exponent, an infinite t a LinAlgError
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            decay_fit(ts, np.concatenate([ts[:-1] ** -1.0, [bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            decay_fit(np.concatenate([ts[:-1], [bad]]), ts ** -1.0)
 
 
 # two-point exponents over one decade; the full-ladder values live in the

@@ -80,26 +80,30 @@ def test_round_trip_on_constraint_states():
     assert back.t == s.t
 
 
-def test_disp_rows_are_views_onto_the_buffer():
-    d = _random_disp(G16)
-    assert d.buf.shape == (5, 16, 16, 16) and d.buf.dtype == complex
+def test_disp_state_holds_u_as_real_fields_p_and_m():
+    # arbitrary complex U, content on the Nyquist planes and on the
+    # self-mirrored planes included: the constructor zeroes no plane
+    rng = _rng(2)
+    shape = (5,) + (G16.n,) * 3
+    U = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = G16.n // 2
+    assert np.all(U[..., h, :, :] != 0) and np.all(U[..., 0] != 0) and np.all(U[..., h] != 0)
+    d = DispState(G16, U[0], U[1], U[2:], t=0.25)
+    assert d.buf.shape == (10, 16, 16, 9) and d.buf.dtype == complex and d.t == 0.25
+    assert np.max(np.abs(d.full() - U)) <= 1e-15 * np.max(np.abs(U))
+    # P = (U + Ubar)/2 and M = (U - Ubar)/2i are real fields
+    for row in d.buf:
+        assert is_hermitian(row)
+    # U_e, U_i and U_b are read-only rows of full()
     for f, key in zip(("U_e", "U_i", "U_b"), (0, 1, slice(2, 5))):
         arr = getattr(d, f)
-        assert np.shares_memory(arr, d.buf), f
-        assert arr.shape == d.buf[key].shape and np.array_equal(arr, d.buf[key]), f
-    buf = d.buf
-    d.U_b[1] = 3.0 - 1.0j
-    assert np.all(buf[3] == 3.0 - 1.0j)
-    arr = np.full((16,) * 3, 2.0 + 1.0j)
-    d.U_i = arr
-    np.testing.assert_array_equal(buf[1], arr)
-    arr[0, 0, 0] = 0.0  # the buffer holds a copy
-    assert buf[1, 0, 0, 0] == 2.0 + 1.0j and d.buf is buf
+        assert np.array_equal(arr, d.full()[key]), f
+        assert not arr.flags.writeable, f
+        with pytest.raises(AttributeError):
+            setattr(d, f, arr)
     z = DispState.zero(G16, t=0.5)
-    assert z.buf.shape == (5, 16, 16, 16) and not z.buf.any() and z.t == 0.5
-    z.U_e[1, 2, 3] = 1.0
-    z.U_b = np.ones((3, 16, 16, 16))
-    assert z.buf[0, 1, 2, 3] == 1.0 and np.all(z.buf[2:] == 1.0)
+    assert z.buf.shape == (10, 16, 16, 9) and not z.buf.any() and z.t == 0.5
+    assert z.full().shape == shape and not z.full().any()
 
 
 def test_to_dispersive_matches_the_module_formulas_on_one_mode():
@@ -137,7 +141,7 @@ def test_to_dispersive_matches_the_module_formulas_on_one_mode():
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (sign, name)
     mask = np.ones((g.n,) * 3, bool)
     mask[k] = mask[tuple(-np.array(k) % g.n)] = False
-    assert not d.buf[:, mask].any()
+    assert not d.full()[:, mask].any()
 
 
 def test_from_dispersive_needs_no_full_reflection(monkeypatch):
@@ -257,14 +261,14 @@ def test_direct_and_multiplier_routes_agree():
 def _hand_convolution(d):
     """(N_e, N_i, N_b) of ``d`` summed one mode pair at a time against
     `multiplier`, and the catalog pairs that contributed."""
-    n, K = d.grid.n, d.grid.modes
+    n, K, U = d.grid.n, d.grid.modes, d.full()
     tables = {mu: {} for mu in SPECIES}
     for row, mu in enumerate(("e", "i", "b1", "b2", "b3")):
         plus, minus = (mu[0] + sign + mu[1:] for sign in "+-")
-        for idx in zip(*np.nonzero(d.buf[row])):
+        for idx in zip(*np.nonzero(U[row])):
             k = tuple(K[(slice(None),) + idx])
-            tables[plus][k] = d.buf[row][idx]
-            tables[minus][tuple(-np.array(k))] = np.conj(d.buf[row][idx])
+            tables[plus][k] = U[row][idx]
+            tables[minus][tuple(-np.array(k))] = np.conj(U[row][idx])
 
     hand = [np.zeros((n,) * 3, complex), np.zeros((n,) * 3, complex),
             np.zeros((3,) + (n,) * 3, complex)]
@@ -295,10 +299,11 @@ def _hand_convolution(d):
 ], ids=["e_only", "differing_supports"])
 def test_multiplier_route_matches_handmade_convolution(modes, kinds):
     # every surviving term reconstructed one by one
-    d = DispState.zero(G16)
+    U = np.zeros((5,) + (G16.n,) * 3, complex)
     for row, entries in modes.items():
         for k, z in entries:
-            d.buf[row][k] = z
+            U[row][k] = z
+    d = DispState(G16, U[0], U[1], U[2:])
     hand, used = _hand_convolution(d)
     assert used == kinds
 
@@ -312,7 +317,8 @@ def test_multiplier_route_matches_handmade_convolution(modes, kinds):
 def test_multiplier_builds_one_block_per_tile(monkeypatch):
     # the geometry and radial tables of a tile serve every catalog pair
     d = _random_disp(G16, seed=4)
-    support = np.count_nonzero(np.concatenate((d.buf, np.conj(reflect(d.buf)))).any(axis=0))
+    U = d.full()
+    support = np.count_nonzero(np.concatenate((U, np.conj(reflect(U)))).any(axis=0))
     whole = nonlinearity_multiplier(d, P)
 
     built = []
@@ -346,16 +352,18 @@ def test_multiplier_builds_one_block_per_tile(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_single_species_isolation():
+def test_single_species_isolation(monkeypatch):
     # with U_e = U_b = 0 the ion-ion pairs are the only active ones
-    d = _random_disp(G16, seed=21)
-    d.U_e[:] = 0.0
-    d.U_b[:] = 0.0
+    U_i = _random_disp(G16, seed=21).U_i
+    d = DispState(G16, 0.0, U_i, 0.0, t=0.25)
     full = nonlinearity_multiplier(d, P)
 
-    only = DispState.zero(G16)
-    only.U_i = d.U_i.copy()
+    only = DispState(G16, 0.0, U_i.copy(), 0.0)
     for a, b in zip(full, nonlinearity_multiplier(only, P)):
+        assert np.array_equal(a, b)
+    # and the catalog cut to the ion-ion pairs gives the same sums
+    monkeypatch.setattr(diagonal, "CATALOG_PAIRS", (("i+", "i+"), ("i+", "i-"), ("i-", "i-")))
+    for a, b in zip(full, nonlinearity_multiplier(d, P)):
         assert np.array_equal(a, b)
 
 

@@ -465,6 +465,42 @@ def test_integrate_accepts_every_assembled_state():
             assert out.t == pytest.approx(1e-4)
 
 
+#: the manifold bound as derived: 16 roundings of relative size 2^-53
+_MANIFOLD_BOUND = 16 * 2.0**-53
+
+
+def _manifold_ratio(s, c, vel):
+    """|B + c curl vel| / (|B| + |c| ||xi| vel|) in units of _MANIFOLD_BOUND."""
+    g = s.grid
+    size = l2_norm(g, s.B) + abs(c) * l2_norm(g, g.half.xi_mag * vel)
+    return l2_norm(g, s.B + c * curl(g, vel)) / (_MANIFOLD_BOUND * size)
+
+
+@pytest.mark.parametrize("name", ["Y", "Z"])
+def test_integrate_pins_the_manifold_bound(name):
+    # a residual of half the bound passes and one of 8 times it is rejected,
+    # so the bound is pinned within a factor of 16 from both sides.  Y =
+    # B - eps curl v moves with v alone, Z = B + curl u with u alone.
+    g = Grid(16)
+    base = random_irrotational(g, P, _rng(), amplitude=1e-3, kmax=4)
+    c, field = (-P.epsilon, "v") if name == "Y" else (1.0, "u")
+    w = half_spectrum(g, random_vector_field(g, np.random.default_rng(5), kmax=2))
+    unit = l2_norm(g, c * curl(g, w))
+    for target, accepted in ((0.5, True), (8.0, False)):
+        s = base.copy()
+        vel = getattr(s, field)
+        size = l2_norm(g, s.B) + abs(c) * l2_norm(g, g.half.xi_mag * vel)
+        vel += (target * _MANIFOLD_BOUND * size / unit) * w
+        assert _manifold_ratio(s, c, vel) == pytest.approx(target, abs=0.1)
+        other = (1.0, s.u) if name == "Y" else (-P.epsilon, s.v)
+        assert _manifold_ratio(s, *other) < 0.1
+        if accepted:
+            assert next(integrate(s, [s.t], 1e-4, P)) is s
+        else:
+            with pytest.raises(ValueError, match=f"constraint manifold: {name}"):
+                next(integrate(s, [s.t], 1e-4, P))
+
+
 @pytest.mark.parametrize("kind", [EM, EP])
 def test_constraints_preserved_through_stepping(kind):
     g = Grid(16)
