@@ -32,6 +32,7 @@ Lam_i/|xi| is continued through the origin by its finite limit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -44,6 +45,7 @@ from .physics import (FIELDS, ROW_FIELDS, PhysState, SystemKind, _tendencies, co
 from .spectral import (
     Grid,
     _inv0,
+    _support,
     curl,
     div,
     full_spectrum,
@@ -548,17 +550,24 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
     """Solve dU/dt = -i Lambda U exactly for time t (any sign).  Lambda is
     real and even, so e^{-i t Lambda} U = P' + iM' is the real rotation
     P' = c P + s M, M' = c M - s P of the rows of ``d.buf``, with c and s
-    the cos and sin of t Lambda, formed once per branch on the half layout."""
+    the cos and sin of t Lambda, formed once per branch on the box of the
+    rows' joint support (`spectral._support`): off it P = M = 0 stay 0."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    sx, sy, sz, sub = _support(d.grid, d.buf)
+    box = np.ix_(sx, sy, sz)
     sym = _symbols(d.grid, p)
-    phase = np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), t)
+    phase = np.multiply(np.stack((sym.lam_e[box], sym.lam_i[box], sym.lam_b[box])), t)
     c, s = np.cos(phase), np.sin(phase)
-    out = DispState._over(d.grid, np.empty_like(d.buf), d.t + t)
-    P, M, P2, M2 = d.buf[:5], d.buf[5:], out.buf[:5], out.buf[5:]
+    rot = np.empty_like(sub)
+    P, M, P2, M2 = sub[:5], sub[5:], rot[:5], rot[5:]
     for rows, k in ((slice(0, 2), slice(0, 2)), (slice(2, 5), 2)):  # e and i, then b
         np.multiply(c[k], P[rows], out=P2[rows])
         P2[rows] += s[k] * M[rows]
         np.multiply(c[k], M[rows], out=M2[rows])
         M2[rows] -= s[k] * P[rows]
+    out = DispState._over(d.grid, np.zeros_like(d.buf), d.t + t)
+    out.buf[(slice(None),) + box] = rot
     return out
 
 

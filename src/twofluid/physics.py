@@ -17,9 +17,12 @@ stage combines whole states in one operation, and the monitors read
 yields the values of each D^gamma in slabs of x planes, each slab in one
 buffer that the next overwrites, and :func:`energy` and
 :func:`_derivative_sups` reduce each slab as it comes, holding no full-size
-array of values.  Quadratic products are formed in physical space and
-dealiased by the grid's 2/3 mask.  Runs to later sample times go through
-:func:`integrate`, the one stepping loop.
+array of values.  The decay monitor ``decay._sup_derivatives`` needs only
+the largest entry of that table: it bounds each (gamma, row) entry by the
+Wiener sum of its coefficients and runs the engine only on the entries
+whose bound can beat the running max.  Quadratic products are formed in
+physical space and dealiased by the grid's 2/3 mask.  Runs to later sample
+times go through :func:`integrate`, the one stepping loop.
 
 Two structural choices make the continuum conservation laws survive
 discretization exactly rather than to O(dt^4):

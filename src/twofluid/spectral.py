@@ -31,7 +31,9 @@ Conventions
   DFT matrices restricted to the modes the field occupies, so a
   band-limited field costs in proportion to its band, not to the grid.
   It yields the values in slabs of x planes (``SLAB_VALUES``) into one
-  reused buffer, so a caller reduces each slab while it is in cache.
+  reused buffer, so a caller reduces each slab while it is in cache, and
+  ``_derivatives`` yields a selection of them, with the Wiener bound of
+  each (``_derivative_bounds``) to choose it by.
   Every multiplier below reads its wavevector table in the layout of its
   argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
   entry with its Hermitian multiplicity.
@@ -133,7 +135,7 @@ class Grid:
     @functools.cached_property
     def modes(self) -> np.ndarray:
         """Integer mode vectors, shape (3, n, n, n), FFT layout."""
-        m = np.rint(sfft.fftfreq(self.n, d=1.0 / self.n)).astype(int)
+        m = _axis_modes(self.n)
         return np.stack(np.meshgrid(m, m, m, indexing="ij"))
 
     @functools.cached_property
@@ -191,6 +193,11 @@ class Grid:
         return (np.pi / self.box_half) ** 3
 
 
+def _axis_modes(n: int) -> np.ndarray:
+    """The integer modes of one axis of n points, FFT layout."""
+    return np.rint(sfft.fftfreq(n, d=1.0 / n)).astype(int)
+
+
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     return sfft.fftn(values, axes=(-3, -2, -1), norm="ortho", workers=_FFT_WORKERS)
 
@@ -222,44 +229,102 @@ def derivatives(grid: Grid, coef: np.ndarray, order: int):
     a caller may change it in place and must copy what it keeps.
 
     Each one-axis inverse pass is a matrix product (``_pass_matrices``) over
-    the field's support only: the x and y modes holding a nonzero entry of
-    some row, which wrap around 0, and the prefix 0..K of the z half axis.
-    Per slab and row one pass runs along x per a and one along y per (a, b);
-    the z leaf per gamma is one real matrix product over the interleaved
-    (re, im) columns, which weights each mode by its Hermitian multiplicity
-    and, as ``irfft`` does, drops the imaginary part of the self-mirrored
-    modes 0 and n/2."""
+    the field's support only (``_support``): the x and y modes holding a
+    nonzero entry of some row, which wrap around 0, and the prefix 0..K of
+    the z half axis.  Per slab and row one pass runs along x per a and one
+    along y per (a, b); the z leaf per gamma is one real matrix product over
+    the interleaved (re, im) columns, which weights each mode by its
+    Hermitian multiplicity and, as ``irfft`` does, drops the imaginary part
+    of the self-mirrored modes 0 and n/2.
+
+    ``_derivatives`` is the same engine restricted to a selection of
+    (gamma, row) entries: it yields only those, skips each z leaf, y pass,
+    x pass and row with no selected entry below it, and gives each entry
+    it yields the same values bit for bit, as the support and every pass
+    stay those of all the rows."""
+    supp = _support(grid, coef)
+    yield from _derivatives(grid, supp, order,
+                            np.ones((len(_multi_indices(order)), len(supp[3])), bool))
+
+
+def _support(grid: Grid, coef: np.ndarray) -> tuple:
+    """The joint support of the rows of the half-layout ``coef`` as (sx, sy,
+    sz, sub): the x and y modes holding a nonzero entry of some row, the z
+    prefix 0..K, and the rows' entries on that box, (rows, len(sx), len(sy),
+    len(sz))."""
     n, h = grid.n, grid.n // 2
     rows = coef.reshape((-1, n, n, h + 1))
     live = rows.any(axis=0)
     sx, sy, sz = (np.flatnonzero(live.any(axis=ax)) for ax in ((1, 2), (0, 2), (0, 1)))
     sz = np.arange(sz[-1] + 1 if sz.size else 0)
+    return sx, sy, sz, rows[np.ix_(range(len(rows)), sx, sy, sz)]
+
+
+def _multi_indices(order: int) -> tuple:
+    """The multi-indices gamma = (a, b, c), |gamma| <= order, in lexicographic order."""
+    return tuple((a, b, c) for a in range(order + 1) for b in range(order + 1 - a)
+                 for c in range(order + 1 - a - b))
+
+
+def _derivatives(grid: Grid, supp: tuple, order: int, want: np.ndarray):
+    """`derivatives` of the field with support ``supp``, yielding only the
+    entries (k, r) where the boolean (gammas, rows) array ``want`` holds."""
+    n = grid.n
+    sx, sy, sz, sub = supp
     xi = grid.half.xi
     ex = _pass_matrices(grid, sx, xi[0][sx, 0, 0], order)
     ey = _pass_matrices(grid, sy, xi[1][0, sy, 0], order)
     # Re(X t) = Re X Re t - Im X Im t on the interleaved columns of X; the
     # self-mirrored phases are real, so only Re(X (i xi)^c) reaches them
-    w = np.where((sz == 0) | (sz == h), 1.0, 2.0)
+    w = _multiplicity(grid, sz)
     leaf = []
     for t in _pass_matrices(grid, sz, xi[2][0, 0, sz], order):
         t = (w * t).T
         leaf.append(np.stack((t.real, -t.imag), axis=1).reshape(2 * sz.size, n))
-    sub = rows[np.ix_(range(len(rows)), sx, sy, sz)].reshape(len(rows), sx.size, sy.size * sz.size)
+    # per row, its selected entries as {a: {b: [(c, k), ...]}}, in the order of k
+    plan = [{} for _ in sub]
+    lex = _multi_indices(order)
+    for k, r in zip(*np.nonzero(want)):
+        a, b, c = lex[k]
+        plan[r].setdefault(a, {}).setdefault(b, []).append((c, int(k)))
+    sub = sub.reshape(len(sub), sx.size, sy.size * sz.size)
     planes = max(1, SLAB_VALUES // (n * n))
     buf = np.empty(planes * n * n)
     for x0 in range(0, n, planes):
         m = min(planes, n - x0)
         vals = buf[: m * n * n].reshape(m * n, n)
-        for r, row in enumerate(sub):
-            k = 0
-            for a in range(order + 1):
-                cx = (ex[a][x0 : x0 + m] @ row).reshape(m, sy.size, sz.size)
-                for b in range(order + 1 - a):
+        for r, xs in enumerate(plan):
+            for a, ys in xs.items():
+                cx = (ex[a][x0 : x0 + m] @ sub[r]).reshape(m, sy.size, sz.size)
+                for b, zs in ys.items():
                     cy = (ey[b] @ cx).view(np.float64).reshape(m * n, 2 * sz.size)
-                    for c in range(order + 1 - a - b):
+                    for c, k in zs:
                         np.matmul(cy, leaf[c], out=vals)
                         yield k, r, x0, vals.reshape(m, n, n)
-                        k += 1
+
+
+def _derivative_bounds(grid: Grid, supp: tuple, order: int) -> np.ndarray:
+    """The (gammas, rows) array of B[k, r] = n^{-3/2} sum_m mu(m) |c_r(m)|
+    |xi_x|^a |xi_y|^b |xi_z|^c over the stored modes m, gamma_k = (a, b, c),
+    with mu the Hermitian multiplicity: 1 on the self-mirrored z planes 0 and
+    n/2, 2 elsewhere.  B[k, r] bounds sup |D^gamma c_r|: each entry of a pass
+    matrix has modulus |xi|^deg / sqrt(n), and the z leaf weights a mode by
+    mu.  Formed as the passes are, one contraction per axis over the support,
+    so no array grows past the support and each sum has at most n terms."""
+    sx, sy, sz, sub = supp
+    xi, deg = grid.half.xi, np.arange(order + 1)
+    w = _multiplicity(grid, sz)
+    t = np.abs(sub) @ (w[:, None] * np.abs(xi[2][0, 0, sz])[:, None] ** deg)  # (r, x, y, c)
+    t = np.swapaxes(t, 2, 3) @ (np.abs(xi[1][0, sy, 0])[:, None] ** deg)  # (r, x, c, b)
+    t = np.moveaxis(t, 1, 3) @ (np.abs(xi[0][sx, 0, 0])[:, None] ** deg)  # (r, c, b, a)
+    a, b, c = np.array(_multi_indices(order)).T
+    return t[:, c, b, a].T * grid.n**-1.5
+
+
+def _multiplicity(grid: Grid, sz: np.ndarray) -> np.ndarray:
+    """The Hermitian multiplicity of the z half-axis modes ``sz``: 1 on the
+    self-mirrored modes 0 and n/2, 2 elsewhere."""
+    return np.where((sz == 0) | (sz == grid.n // 2), 1.0, 2.0)
 
 
 def _pass_matrices(grid: Grid, modes: np.ndarray, xi: np.ndarray, order: int) -> list:
@@ -624,8 +689,9 @@ def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0
     vals = rng.standard_normal((grid.n,) * 3)
     coef = to_spectral(grid, vals)
     if kmax is not None:
-        keep = np.max(np.abs(grid.modes), axis=0) <= kmax
-        coef = coef * keep
+        # max_axis |m_axis| <= kmax, from one mask per axis
+        k = np.abs(_axis_modes(grid.n)) <= kmax
+        coef = coef * (k[:, None, None] & k[None, :, None] & k[None, None, :])
     coef[0, 0, 0] = 0.0
     norm = float(np.linalg.norm(coef))
     if norm > 0:

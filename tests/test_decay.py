@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from twofluid.dispersion import DEFAULT_PARAMS
 from twofluid.spectral import Grid, phi_interval, to_half, to_physical
-from twofluid.diagonal import DispState
-from twofluid.physics import PhysState, _derivative_sups, random_irrotational
-from twofluid import decay
+from twofluid.diagonal import DispState, from_dispersive, to_dispersive
+from twofluid.physics import PhysState, _derivative_sups, cfl_dt, random_irrotational, step
+from twofluid import decay, diagonal, spectral
 from twofluid.decay import (
     KernelQuery,
     decay_fit,
@@ -272,6 +272,24 @@ def test_free_evolve_is_unitary_and_invertible():
     assert back.t == pytest.approx(0.0)
 
 
+def test_free_evolve_rotates_on_the_support_only():
+    # a band-limited state: the phases are formed on the support's box, and
+    # every value is the whole-lattice rotation's, up to the sign of zero
+    g = Grid(16)
+    d = to_dispersive(random_irrotational(g, P, np.random.default_rng(2), kmax=2), P)
+    t = 0.37
+    sym = diagonal._symbols(g, P)
+    phase = t * np.stack((sym.lam_e, sym.lam_i, sym.lam_b))[[0, 1, 2, 2, 2]]
+    c, s = np.cos(phase), np.sin(phase)
+    Pr, Mr = d.buf[:5], d.buf[5:]
+    out = free_evolve(d, t, P)
+    np.testing.assert_array_equal(out.buf, np.concatenate((c * Pr + s * Mr, c * Mr - s * Pr)))
+    assert out.t == t
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            free_evolve(d, bad, P)
+
+
 def test_grid_field_matches_continuum_kernel():
     # one-shell radial datum evolved on the box vs the continuum integral;
     # at t = 0.1 the periodic images are below the 2% contract
@@ -391,6 +409,89 @@ def test_sup_derivatives_plane_wave():
     assert table.shape == (35, 14)
     assert np.max(table[:, 0]) == pytest.approx(16.0, rel=1e-10)
     assert not np.any(table[:, 1:])
+
+
+def _linear_flow_state(t):
+    # the 64^3 monitor's state: the kmax-4 seed state of the linear
+    # experiment, carried to t by the exact flow
+    g = Grid(64)
+    d = to_dispersive(random_irrotational(g, P, np.random.default_rng(0), amplitude=1e-3), P)
+    return from_dispersive(free_evolve(d, t, P), P)
+
+
+def _stepped_state():
+    # two nonlinear steps fill the 2/3 band of a 32^3 grid
+    g = Grid(32)
+    s = random_irrotational(g, P, np.random.default_rng(1), amplitude=1e-3)
+    for _ in range(2):
+        s = step(s, cfl_dt(g, P), P)
+    sx, sy, sz, _ = spectral._support(g, s.buf)
+    assert (sx.size, sy.size, sz.size) == (21, 21, 11)
+    return s
+
+
+def _wide_box_state():
+    # every |xi_axis| <= 4 pi / 20 = 0.63 on a box of half-width 20:
+    # derivatives shrink the field, so the maximum sits at order 0
+    s = random_irrotational(Grid(32, box_half=20), P, np.random.default_rng(2), amplitude=1e-3)
+    table = _derivative_sups(s, decay.MONITOR_ORDER)
+    assert np.max(table[0]) == np.max(table) > np.max(table[1:])
+    return s
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _linear_flow_state(0.0), id="linear64_t0"),
+    pytest.param(lambda: _linear_flow_state(1.0), id="linear64_t1"),
+    pytest.param(_stepped_state, id="stepped32"),
+    pytest.param(lambda: PhysState.zero(Grid(16)), id="zero"),
+    pytest.param(_wide_box_state, id="wide_box"),
+])
+def test_pruned_sup_is_the_table_max(make, monkeypatch):
+    s = make()
+    evaluated = set()
+
+    def counting(grid, supp, order, want):
+        for out in spectral._derivatives(grid, supp, order, want):
+            evaluated.add(out[:2])
+            yield out
+
+    monkeypatch.setattr(decay, "_derivatives", counting)
+    want = float(np.max(_derivative_sups(s, decay.MONITOR_ORDER)))
+    got = decay._sup_derivatives(s)
+    assert got == want  # bit for bit: equal floats differ only in the sign of zero
+    assert 1 <= len(evaluated) <= 35 * 14
+    if s.grid.n == 64:
+        # the bounds leave 81 and 45 of the 490 entries to evaluate
+        assert len(evaluated) <= 100
+
+
+def test_pruned_sup_needs_the_hermitian_multiplicity():
+    # n = 16 cos z is stored once, at z-mode 1, and stands for a conjugate
+    # pair; rho = 10 cos x is stored twice, at x-modes +-1 on z-mode 0.  With
+    # mu = 1 everywhere n's bound would read 8, below rho's 10: rho would be
+    # evaluated first and n pruned, and the sup would read 10
+    g = Grid(16)
+    zero_s = np.zeros((g.n, g.n, g.n // 2 + 1), dtype=complex)
+    n_field, rho_field = zero_s.copy(), zero_s.copy()
+    n_field[0, 0, 1] = 8.0 * g.n**1.5
+    rho_field[1, 0, 0] = rho_field[-1, 0, 0] = 5.0 * g.n**1.5
+    zero_v = np.zeros((3,) + zero_s.shape)
+    s = PhysState(g, n_field, rho_field, zero_v, zero_v, zero_v, zero_v)
+    bound = spectral._derivative_bounds(g, spectral._support(g, s.buf), decay.MONITOR_ORDER)
+    assert (bound[0, 0], bound[0, 1]) == (16.0, 10.0)
+    assert np.max(_derivative_sups(s, decay.MONITOR_ORDER)) == 16.0
+    assert decay._sup_derivatives(s) == 16.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pruned_sup_of_a_non_finite_state_is_not_finite(bad):
+    # a NaN bound compares false, so pruning on it would drop the NaN entry
+    # and read a finite sup; every entry is evaluated instead, as the table is
+    s = random_irrotational(Grid(16), P, np.random.default_rng(3), amplitude=1.0)
+    s.buf[4, 1, 2, 1] = bad
+    got = decay._sup_derivatives(s)
+    assert not math.isfinite(got)
+    assert np.array_equal(got, np.max(_derivative_sups(s, decay.MONITOR_ORDER)), equal_nan=True)
 
 
 def test_experiment_zero_amplitude():

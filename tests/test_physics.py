@@ -22,7 +22,7 @@ from twofluid.physics import (
     rhs,
     step,
 )
-from twofluid import physics, spectral
+from twofluid import decay, physics, spectral
 from twofluid.diagonal import nonlinearity_direct
 from twofluid.spectral import (Grid, cross, curl, div, grad, half_spectrum, hermitize,
                                is_hermitian, l2_norm, p_long, random_real_field,
@@ -590,20 +590,28 @@ def test_monitors_leave_the_state_unchanged():
     assert np.array_equal(s.buf, before)
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_monitors_hold_no_full_size_array():
     # each slab of values is reduced as it comes: at 80^3 a slab is 10 of 80
-    # x planes, and energy keeps the slabs of n and rho beside it
+    # x planes, and energy keeps the slabs of n and rho beside it; the pruned
+    # sup forms its bounds on the support, 11 x 11 x 6 modes of the 80 x 80 x 41
     g = Grid(80)
     s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
-    for monitor in (lambda: physics._derivative_sups(s, 4), lambda: energy(s, P, 2)):
+    for monitor in (lambda: physics._derivative_sups(s, 4), lambda: energy(s, P, 2),
+                    lambda: decay._sup_derivatives(s)):
         monitor()  # the grid's cached tables are built outside the trace
-        tracemalloc.start()
-        try:
-            monitor()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < g.n**3 * np.dtype(float).itemsize
+        assert _traced_peak(monitor) < g.n**3 * np.dtype(float).itemsize
+    supp = spectral._support(g, s.buf)
+    assert supp[3].shape == (14, 11, 11, 6)
+    assert _traced_peak(lambda: spectral._derivative_bounds(g, supp, 4)) < 2 * supp[3].nbytes
 
 
 def test_ep_tracks_slaved_field():
@@ -713,6 +721,27 @@ def test_batched_monitors_match_row_by_row_reference(case):
         ref += vol * P.epsilon * np.sum((1.0 + n_p) * np.sum(dv**2, axis=0))
         ref += vol * np.sum((1.0 + rho_p) * np.sum(du**2, axis=0))
     assert energy(s, P, 2) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_derivative_selection_yields_the_selected_entries_bit_for_bit(n):
+    # a random selection, every entry of one row, and an empty one: the
+    # engine yields the selected (k, r) entries in the order of the full run,
+    # each slab's values bit for bit those of the full run
+    g = Grid(n)
+    s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=5)
+    full = [(k, r, x0, vals.copy()) for k, r, x0, vals in spectral.derivatives(g, s.buf, 4)]
+    supp = spectral._support(g, s.buf)
+    rng = np.random.default_rng(5)
+    one_row = np.zeros((35, 14), bool)
+    one_row[:, 9] = True
+    for want in (rng.random((35, 14)) < 0.1, one_row, np.zeros((35, 14), bool)):
+        got = [(k, r, x0, vals.copy())
+               for k, r, x0, vals in spectral._derivatives(g, supp, 4, want)]
+        kept = [e for e in full if want[e[0], e[1]]]
+        assert [e[:3] for e in got] == [e[:3] for e in kept]
+        for (*_, a), (*_, b) in zip(got, kept):
+            assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
