@@ -264,13 +264,14 @@ def _decay_exponents():
 
 
 def _refine_seed(coef: np.ndarray, coarse: Grid, n_to: int) -> np.ndarray:
-    """Embed coefficients on ``coarse`` into an n_to grid, continuum values fixed."""
+    """Embed half-layout coefficients on ``coarse`` into an n_to grid, continuum values fixed."""
     scale = (n_to / coarse.n) ** 1.5
     idx = coarse.modes[0, :, 0, 0]
     src = np.flatnonzero(np.abs(idx) < coarse.n // 2)  # drop the unpaired Nyquist row
     dst = idx[src] % n_to
-    out = np.zeros(coef.shape[:-3] + (n_to,) * 3, dtype=complex)
-    out[(..., *np.ix_(dst, dst, dst))] = coef[(..., *np.ix_(src, src, src))] * scale
+    z = np.arange(coarse.n // 2)  # the z half axis holds the modes 0..n/2 - 1 first
+    out = np.zeros(coef.shape[:-3] + (n_to, n_to, n_to // 2 + 1), dtype=complex)
+    out[(..., *np.ix_(dst, dst, z))] = coef[(..., *np.ix_(src, src, z))] * scale
     return out
 
 

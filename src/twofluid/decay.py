@@ -270,7 +270,8 @@ def _sup_derivatives(state: PhysState) -> float:
     """
     g = state.grid
     supp = _support(g, state.buf)
-    bound = _derivative_bounds(g, supp, MONITOR_ORDER) * _BOUND_MARGIN
+    with np.errstate(invalid="ignore"):  # inf * |xi|^c = 0 is NaN: the full table below
+        bound = _derivative_bounds(g, supp, MONITOR_ORDER) * _BOUND_MARGIN
     if not np.all(np.isfinite(bound)):
         return float(np.max(_derivative_sups(state, MONITOR_ORDER)))
     first = np.zeros(bound.shape, bool)

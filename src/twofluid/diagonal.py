@@ -46,9 +46,11 @@ from .spectral import (
     Grid,
     _inv0,
     _support,
+    _zero_nyquist,
     curl,
     div,
     full_spectrum,
+    hermitize,
     inv_modulus,
     is_hermitian,
     l2_norm,
@@ -231,7 +233,7 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     E = ep_electric(g, n, rho) - 2.0 * im_b
     B = 2.0 * curl(g, a)
     out = PhysState(g, n, rho, v, u, E, B, d.t)
-    out.buf[:, g.n // 2] = out.buf[:, :, g.n // 2] = out.buf[..., g.n // 2] = 0.0
+    _zero_nyquist(g, out.buf)
     return out
 
 
@@ -248,14 +250,16 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     batched inverse and one batched forward transform, with every linear
     term taken from the zero state (rhs(s) - rhs(s, linear=True) would
     cancel O(s) terms to leave O(s^2), losing digits as s gets small).  The
-    real part (N_b + bar N_b)/2 of the field N_b vanishes in exact
-    arithmetic; it is dropped, so that it is exactly zero.  The three are
-    returned in the full layout.
+    real part (N_b + bar N_b)/2 of N_b, its P rows, vanishes in exact
+    arithmetic; they are zeroed and its M rows hermitized, so that it is
+    exactly zero.  The three are returned in the full layout.
     """
     quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
                        PhysState._empty(s.grid))
-    U = _to_dispersive(quad, p).full()
-    return U[0], U[1], 0.5 * (U[2:] - np.conj(reflect(U[2:])))
+    d = _to_dispersive(quad, p)
+    d.buf[2:5], d.buf[7:10] = 0.0, hermitize(d.buf[7:10])
+    U = d.full()
+    return U[0], U[1], U[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ half-spectrum of each: one complex buffer of shape (14, n, n, n//2 + 1) with
 the fields as views onto its rows (``ROWS``).  Off the self-mirrored planes
 (last-axis modes 0 and n/2) a stored entry stands for a conjugate pair, so
 only those planes can hold a non-real coefficient set.  The solver makes
-none, as :func:`make_irrotational` hermitizes its seed and every tendency
-is real, so no step checks them; ``diagonal.to_dispersive`` raises on a field
-that is not real.  The Nyquist planes are zero and stay zero (see module
+none, as :func:`make_irrotational` hermitizes its half-layout seeds and every
+tendency is real, so no step checks them; ``diagonal.to_dispersive`` raises
+on a field that is not real.  The Nyquist planes are zero and stay zero (see module
 spectral).  Each :func:`rhs` makes one batched transform each way, an RK4
 stage combines whole states in one operation, and the monitors read
 ``spectral.derivatives``, matrix products over the state's support.  It
@@ -48,12 +48,12 @@ from .params import PlasmaParams
 from .spectral import (
     Grid,
     _is_int,
+    _zero_nyquist,
     cross,
     curl,
     derivatives,
     div,
     grad,
-    half_spectrum,
     hermitize,
     l2_norm,
     p_long,
@@ -379,14 +379,15 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
       E_t           transverse electric seed (longitudinal part is solved
                     from rho - n)
       t             initial time, finite
-    Scalar keys have shape (n, n, n), vector keys (3, n, n, n): seeds are
-    full-layout coefficients.  Each is made conjugate-symmetric (a seed and
-    its ``hermitize`` give the same state), its unpaired Nyquist planes
-    (index n/2 on any axis) are dropped, and its half spectrum is kept.
+    Scalar keys have shape (n, n, n//2 + 1), vector keys (3, n, n, n//2 + 1):
+    seeds are half-layout coefficients.  Each goes through ``hermitize``, the
+    projection of its self-mirrored planes onto real ones (so a seed and its
+    ``hermitize`` give the same state), and the Nyquist planes (index n/2 on
+    any axis) of the state are zeroed.
     """
     scalars, vectors = {"n", "rho", "v_pot", "u_pot"}, {"b_seed", "E_t"}
     known = scalars | vectors | {"t"}
-    shape = lambda key: (grid.n,) * 3 if key in scalars else (3,) + (grid.n,) * 3  # noqa: E731
+    shape = lambda key: ((3,) if key in vectors else ()) + (grid.n, grid.n, grid.n // 2 + 1)  # noqa: E731
     if not set(seed) <= known:
         raise ValueError(f"unknown seed keys: {sorted(set(seed) - known)}")
     for key in set(seed) - {"t"}:
@@ -396,13 +397,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     if not np.isfinite(seed.get("t", 0.0)):
         raise ValueError(f"seed time must be finite, got {seed['t']!r}")
 
-    def take(key):
-        # index n/2 is its own mirror, so the odd symbol i xi of grad, curl
-        # and the electric solve would break conjugate symmetry there
-        if key not in seed:
-            return np.zeros(shape(key)[:-1] + (grid.n // 2 + 1,), dtype=complex)
-        return half_spectrum(grid, hermitize(np.asarray(seed[key], dtype=complex)))
-
+    take = lambda key: hermitize(seed.get(key, np.zeros(shape(key))))  # noqa: E731
     s = PhysState._empty(grid, float(seed.get("t", 0.0)))
     s.n, s.rho = take("n"), take("rho")
     s.n[0, 0, 0] = 0.0
@@ -412,6 +407,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     s.u = grad(grid, take("u_pot")) - p.epsilon * vr
     s.B = p.epsilon * curl(grid, vr)
     s.E = ep_electric(grid, s.n, s.rho) + q2_apply(grid, take("E_t"))
+    _zero_nyquist(grid, s.buf)
     return s
 
 

@@ -20,12 +20,12 @@ Conventions
     each dispersive unknown U = P + iM.
 
   Only the self-mirrored planes (last-axis modes 0 and n/2) can still hold
-  a non-real field.  A physical state keeps the Nyquist planes (index n/2
-  on any axis) zero: the odd symbol i xi of grad and curl maps their real
-  content to imaginary content, which no real field has there.  ``to_half``
-  and the half branch of ``to_physical`` are the real transform pair, and
-  ``full_spectrum`` and ``half_spectrum`` convert between the layouts.  No
-  other module calls a transform library.
+  a non-real field; ``hermitize`` makes them real.  A physical state keeps
+  the Nyquist planes (index n/2 on any axis) zero: the odd symbol i xi of
+  grad and curl maps their real content to imaginary content, which no
+  real field has there.  Random fields are drawn on the half layout by
+  ``to_half``, and only the Z-norm code forms the full layout of real
+  values (``to_spectral``).  No other module calls a transform library.
   ``derivatives`` yields every D^gamma of a half-layout field up to an
   order without one: its one-axis inverse passes are matrix products with
   DFT matrices restricted to the modes the field occupies, so a
@@ -67,7 +67,6 @@ __all__ = [
     "to_half",
     "derivatives",
     "full_spectrum",
-    "half_spectrum",
     "reflect",
     "hermitize",
     "is_hermitian",
@@ -366,20 +365,21 @@ def reflect(coef: np.ndarray) -> np.ndarray:
 
 
 def hermitize(coef: np.ndarray) -> np.ndarray:
-    return 0.5 * (coef + np.conj(reflect(coef)))
+    """A copy of the half-layout coef with its self-mirrored planes made real:
+    each entry there becomes the mean of itself and its mirror's conjugate."""
+    out = np.array(coef, dtype=complex)
+    planes = out[..., [0, -1]]
+    out[..., [0, -1]] = 0.5 * (planes + np.conj(_negate_modes(planes, (-3, -2))))
+    return out
 
 
 def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether coef holds the coefficients of a real field.  In the half
-    layout only the self-mirrored planes, last-axis modes 0 and n/2, can
-    break that, so only they are compared with their mirrors."""
+    """Whether the half-layout coef holds the coefficients of a real field:
+    only the self-mirrored planes, last-axis modes 0 and n/2, can break
+    that, so only they are compared with their mirrors."""
     scale = max(1.0, float(np.max(np.abs(coef))))
-    if coef.shape[-1] == coef.shape[-2] // 2 + 1:
-        coef = coef[..., [0, -1]]
-        mirror = _negate_modes(coef, (-3, -2))
-    else:
-        mirror = reflect(coef)
-    return float(np.max(np.abs(coef - np.conj(mirror)))) <= tol * scale
+    planes = coef[..., [0, -1]]
+    return float(np.max(np.abs(planes - np.conj(_negate_modes(planes, (-3, -2)))))) <= tol * scale
 
 
 def full_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
@@ -392,13 +392,11 @@ def full_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """The half layout of full-layout coefficients of a real field, with the
-    Nyquist planes zeroed (see the module conventions)."""
+def _zero_nyquist(grid: Grid, coef: np.ndarray) -> None:
+    """Zero the Nyquist planes (index n/2 on any axis) of the half-layout
+    ``coef`` in place (see the module conventions)."""
     h = grid.n // 2
-    out = coef[..., : h + 1].copy()
-    out[..., h, :, :] = out[..., :, h, :] = out[..., :, :, h] = 0.0
-    return out
+    coef[..., h, :, :] = coef[..., :, h, :] = coef[..., h] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +678,22 @@ def _is_int(x) -> bool:
 
 
 def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0) -> np.ndarray:
-    """Real Gaussian field, band-limited to |m_axis| <= kmax, mean zero, rms ``rms``.
+    """Half-layout coefficients of a real Gaussian field (``to_half`` of n^3
+    normals), band-limited to |m_axis| <= kmax, mean zero, rms ``rms``.
 
     ``kmax`` is None (no band limit) or an integer >= 1: below 1 only the
     mean would survive, and it is removed, so no rms could be met."""
     if kmax is not None and not (_is_int(kmax) and kmax >= 1):
         raise ValueError(f"kmax must be None or an integer >= 1, got {kmax!r}")
-    vals = rng.standard_normal((grid.n,) * 3)
-    coef = to_spectral(grid, vals)
+    coef = to_half(grid, rng.standard_normal((grid.n,) * 3))
     if kmax is not None:
         # max_axis |m_axis| <= kmax, from one mask per axis
         k = np.abs(_axis_modes(grid.n)) <= kmax
-        coef = coef * (k[:, None, None] & k[None, :, None] & k[None, None, :])
+        coef *= k[:, None, None] & k[None, :, None] & k[None, None, : grid.n // 2 + 1]
     coef[0, 0, 0] = 0.0
-    norm = float(np.linalg.norm(coef))
+    norm = l2_norm(grid, coef)  # (2L)^{3/2} times the values' rms
     if norm > 0:
-        coef *= rms * grid.n**1.5 / norm
+        coef *= rms * (2.0 * grid.box_half) ** 1.5 / norm
     return coef
 
 

@@ -110,7 +110,7 @@ def test_refine_seed_keeps_continuum_values():
     seed = _random_seed(coarse, np.random.default_rng(3), 0.05, 4, True)
     for key, coef in seed.items():
         refined = acceptance._refine_seed(coef, coarse, fine.n)
-        assert refined.shape == coef.shape[:-3] + (fine.n,) * 3
+        assert refined.shape == coef.shape[:-3] + (fine.n, fine.n, fine.n // 2 + 1)
         want = to_physical(coarse, coef)
         got = to_physical(fine, refined)[..., ::2, ::2, ::2]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key

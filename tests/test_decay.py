@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -489,9 +490,20 @@ def test_pruned_sup_of_a_non_finite_state_is_not_finite(bad):
     # and read a finite sup; every entry is evaluated instead, as the table is
     s = random_irrotational(Grid(16), P, np.random.default_rng(3), amplitude=1.0)
     s.buf[4, 1, 2, 1] = bad
-    got = decay._sup_derivatives(s)
+
+    def run(fn):
+        # the value and the warnings it raised, each by its message and source line
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = fn()
+        return out, {(w.category, str(w.message), w.filename, w.lineno) for w in seen}
+
+    got, warned = run(lambda: decay._sup_derivatives(s))
+    want, table_warned = run(lambda: np.max(_derivative_sups(s, decay.MONITOR_ORDER)))
     assert not math.isfinite(got)
-    assert np.array_equal(got, np.max(_derivative_sups(s, decay.MONITOR_ORDER)), equal_nan=True)
+    assert np.array_equal(got, want, equal_nan=True)
+    # the bound that sends the monitor to the full table adds no warning of its own
+    assert warned == table_warned
 
 
 def test_experiment_zero_amplitude():

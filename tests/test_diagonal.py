@@ -114,7 +114,7 @@ def test_to_dispersive_matches_the_module_formulas_on_one_mode():
     seed = {}
     for key, lead in (("n", ()), ("rho", ()), ("v_pot", ()), ("u_pot", ()),
                       ("E_t", (3,)), ("b_seed", (3,))):
-        c = np.zeros(lead + (g.n,) * 3, complex)
+        c = np.zeros(lead + (g.n, g.n, g.n // 2 + 1), complex)  # the half layout holds k
         c[(...,) + k] = rng.normal(size=lead) + 1j * rng.normal(size=lead)
         seed[key] = 1e-3 * c
     s = physics.make_irrotational(g, P, seed)

@@ -24,7 +24,7 @@ from twofluid.physics import (
 )
 from twofluid import decay, physics, spectral
 from twofluid.diagonal import nonlinearity_direct
-from twofluid.spectral import (Grid, cross, curl, div, grad, half_spectrum, hermitize,
+from twofluid.spectral import (Grid, cross, curl, div, full_spectrum, grad, hermitize,
                                is_hermitian, l2_norm, p_long, random_real_field,
                                random_vector_field, to_half, to_physical)
 
@@ -61,13 +61,16 @@ def test_zero_state_equilibrium(kind):
 
 
 def test_non_hermitian_seed_gives_the_hermitized_state():
-    # the half-spectrum layout makes every state real: a seed without
-    # conjugate symmetry is symmetrized on entry, and nothing is rejected
+    # the half-spectrum layout makes every state real: a seed whose
+    # self-mirrored planes are not real is projected on entry, and nothing
+    # is rejected
     g = Grid(16)
     rng = _rng()
-    shapes = {"n": (16,) * 3, "rho": (16,) * 3, "v_pot": (16,) * 3, "u_pot": (16,) * 3,
-              "b_seed": (3,) + (16,) * 3, "E_t": (3,) + (16,) * 3}
+    half = (16, 16, 9)
+    shapes = {"n": half, "rho": half, "v_pot": half, "u_pot": half,
+              "b_seed": (3,) + half, "E_t": (3,) + half}
     seed = {k: rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for k, sh in shapes.items()}
+    assert not any(is_hermitian(c) for c in seed.values())
     raw = make_irrotational(g, P, seed)
     np.testing.assert_array_equal(
         raw.buf, make_irrotational(g, P, {k: hermitize(c) for k, c in seed.items()}).buf)
@@ -212,7 +215,7 @@ def test_attribute_assignment_writes_through():
     arr = np.full((16, 16, 9), 2.0 + 1.0j)
     s.n = arr
     np.testing.assert_array_equal(buf[0], arr)
-    vec = half_spectrum(g, random_vector_field(g, _rng(), kmax=2))
+    vec = random_vector_field(g, _rng(), kmax=2)
     s.u = vec
     np.testing.assert_array_equal(buf[5:8], vec)
     s.B[:] = 0.0
@@ -387,6 +390,8 @@ def test_make_irrotational_rejects_malformed_seeds():
         make_irrotational(g, P, {"n": f[:, :, :1]})  # would broadcast over the grid
     with pytest.raises(ValueError, match="shape"):
         make_irrotational(g, P, {"b_seed": f})  # scalar where a vector belongs
+    with pytest.raises(ValueError, match="shape"):
+        make_irrotational(g, P, {"n": full_spectrum(g, f)})  # seeds are half-layout
     with pytest.raises(ValueError, match="finite"):
         make_irrotational(g, P, {"n": f, "t": np.nan})
 
@@ -394,7 +399,7 @@ def test_make_irrotational_rejects_malformed_seeds():
 def _corrupted_B_state():
     g = Grid(16)
     s = random_irrotational(g, P, _rng(), amplitude=1e-2)
-    s.B = s.B + 1e-3 * half_spectrum(g, random_vector_field(g, _rng(), kmax=2))
+    s.B = s.B + 1e-3 * random_vector_field(g, _rng(), kmax=2)
     return s
 
 
@@ -484,7 +489,7 @@ def test_integrate_pins_the_manifold_bound(name):
     g = Grid(16)
     base = random_irrotational(g, P, _rng(), amplitude=1e-3, kmax=4)
     c, field = (-P.epsilon, "v") if name == "Y" else (1.0, "u")
-    w = half_spectrum(g, random_vector_field(g, np.random.default_rng(5), kmax=2))
+    w = random_vector_field(g, np.random.default_rng(5), kmax=2)
     unit = l2_norm(g, c * curl(g, w))
     for target, accepted in ((0.5, True), (8.0, False)):
         s = base.copy()

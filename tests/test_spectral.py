@@ -9,7 +9,6 @@ from twofluid.spectral import (
     bump,
     full_spectrum,
     grad,
-    half_spectrum,
     hermitize,
     is_hermitian,
     l2_norm,
@@ -93,12 +92,18 @@ def test_reflect_is_mode_negation():
 
 
 def test_hermitize_and_reality():
-    c = RNG.standard_normal((G.n,) * 3) + 1j * RNG.standard_normal((G.n,) * 3)
+    # hermitize projects the self-mirrored planes (last-axis modes 0 and n/2)
+    # of a half-layout array onto real fields and keeps every other entry
+    shape = (3, G.n, G.n, G.n // 2 + 1)
+    c = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    assert not is_hermitian(c)
     h = hermitize(c)
-    assert is_hermitian(h)
-    np.testing.assert_allclose(hermitize(h), h, rtol=0, atol=1e-14)
-    vals = to_physical(G, h)
-    assert float(np.max(np.abs(vals.imag))) <= 1e-13 * float(np.max(np.abs(vals.real)))
+    assert is_hermitian(h, tol=0.0)
+    assert np.array_equal(h[..., 1:-1], c[..., 1:-1])
+    assert np.array_equal(hermitize(h), h)
+    # the real transform reads the planes' real part, which is their projection
+    vals = to_physical(G, c)
+    assert np.max(np.abs(to_physical(G, h) - vals)) <= 1e-14 * np.max(np.abs(vals))
 
 
 def test_l2_norm_counts_hermitian_multiplicity():
@@ -119,18 +124,25 @@ def test_half_and_full_layouts_agree():
     back = to_physical(G, half)
     assert back.dtype == float and np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
     assert all(is_hermitian(c) for c in half)
-    # half_spectrum keeps the half and zeroes the Nyquist planes
-    h = G.n // 2
-    cut = half_spectrum(G, full)
-    assert not np.any(cut[:, h]) and not np.any(cut[:, :, h]) and not np.any(cut[..., h])
-    assert np.max(np.abs(cut[..., :h, :h, :h] - half[..., :h, :h, :h])) <= 1e-14 * scale
     # every multiplier reads the table of its argument's layout
+    h = G.n // 2
     for op in (grad, riesz, sp.inv_modulus):
-        np.testing.assert_allclose(op(G, cut[0]), half_spectrum(G, op(G, full_spectrum(G, cut[0]))),
+        np.testing.assert_allclose(op(G, half[0]), op(G, full[0])[..., : h + 1],
                                    rtol=0, atol=1e-14 * scale)
     for op in (sp.curl, sp.div, q_apply, q2_apply, sp.p_long):
-        np.testing.assert_allclose(op(G, cut), half_spectrum(G, op(G, full_spectrum(G, cut))),
+        np.testing.assert_allclose(op(G, half), op(G, full)[..., : h + 1],
                                    rtol=0, atol=1e-14 * scale)
+
+
+def test_zero_nyquist_clears_only_the_nyquist_planes():
+    h = G.n // 2
+    c = to_half(G, RNG.standard_normal((2,) + (G.n,) * 3))
+    cut = c.copy()
+    sp._zero_nyquist(G, cut)
+    assert not np.any(cut[:, h]) and not np.any(cut[:, :, h]) and not np.any(cut[..., h])
+    keep = np.ones(c.shape, bool)
+    keep[:, h] = keep[:, :, h] = keep[..., h] = False
+    assert np.array_equal(cut[keep], c[keep])
 
 
 def test_random_field_is_real_with_requested_rms():
@@ -150,19 +162,23 @@ def test_random_fields_reject_a_bad_kmax(kmax):
 
 @pytest.mark.parametrize("kmax", [None, 1, np.int64(3), 8])
 def test_random_fields_take_none_or_a_positive_integer_kmax(kmax):
-    # the values a valid kmax gave before kmax was checked
-    def before(rng):
+    # a field is the first n//2 + 1 last-axis entries of the full-layout
+    # field of the same normals: masked, mean removed, rms met
+    def full(rng):
         coef = to_spectral(G, rng.standard_normal((G.n,) * 3))
         if kmax is not None:
             coef = coef * (np.max(np.abs(G.modes), axis=0) <= kmax)
         coef[0, 0, 0] = 0.0
-        return coef * (0.5 * G.n**1.5 / float(np.linalg.norm(coef)))
+        return (coef * (0.5 * G.n**1.5 / float(np.linalg.norm(coef))))[..., : G.n // 2 + 1]
 
     rng = np.random.default_rng(11)
-    want = [before(rng) for _ in range(4)]
+    want = [full(rng) for _ in range(4)]
     rng = np.random.default_rng(11)
-    assert np.array_equal(random_real_field(G, rng, kmax=kmax, rms=0.5), want[0])
-    assert np.array_equal(random_vector_field(G, rng, kmax=kmax, rms=0.5), np.stack(want[1:]))
+    got = random_real_field(G, rng, kmax=kmax, rms=0.5)
+    assert got.shape == want[0].shape
+    assert np.max(np.abs(got - want[0])) <= 1e-15 * np.max(np.abs(want[0]))
+    got = random_vector_field(G, rng, kmax=kmax, rms=0.5)
+    assert np.max(np.abs(got - np.stack(want[1:]))) <= 1e-15 * np.max(np.abs(want[1:]))
 
 
 def test_riesz_squares_sum_to_minus_one():
@@ -172,6 +188,7 @@ def test_riesz_squares_sum_to_minus_one():
     np.testing.assert_allclose(total[nz], -1.0, rtol=0, atol=1e-14)
     f = random_real_field(G, RNG, kmax=6)
     twice = np.sum(np.asarray([riesz(G, riesz(G, f)[a])[a] for a in range(3)]), axis=0)
+    nz = G.half.xi_mag > 0
     np.testing.assert_allclose(twice[nz], -f[nz], rtol=0, atol=1e-13)
 
 
@@ -193,7 +210,7 @@ def test_curl_ops_projections():
     assert float(np.max(np.abs(sp.div(G, sol)))) <= 1e-12 * np.max(np.abs(sol))
 
     recon = sp.p_long(G, v) + q_apply(G, q_apply(G, v))
-    nz = G.xi_mag > 0
+    nz = G.half.xi_mag > 0
     err = np.abs(recon - v)[:, nz]
     assert float(err.max()) <= 1e-12 * np.max(np.abs(v))
 
@@ -203,7 +220,8 @@ def test_parseval_after_multiplier():
     shell = lp_project(G, f, 2)
     vals = to_physical(G, shell)
     phys = float(np.sum(np.abs(vals) ** 2))
-    spec = float(np.sum(np.abs(shell) ** 2))
+    # each stored entry off the self-mirrored planes stands for a conjugate pair
+    spec = float(np.sum(sp._multiplicity(G, np.arange(G.n // 2 + 1)) * np.abs(shell) ** 2))
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -354,7 +372,7 @@ def test_spatial_localize_partition():
     k = 2
     fk = lp_project(G, f, k)
     total = sum(spatial_localize(G, fk, k, j) for j in spatial_range(G, k))
-    np.testing.assert_allclose(total, fk, rtol=0, atol=1e-12 * np.max(np.abs(fk)))
+    np.testing.assert_allclose(total, full_spectrum(G, fk), rtol=0, atol=1e-12 * np.max(np.abs(fk)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,5 +515,7 @@ def test_reality_through_pipeline():
     w = q_apply(G, random_vector_field(G, RNG, kmax=8))
     for a in range(3):
         assert is_hermitian(w[a])
+    # a localized piece is a full-layout spectrum of real values
     piece = spatial_localize(G, lp_project(G, f, 1), 1, 1)
-    assert is_hermitian(piece, tol=1e-11)
+    tail = full_spectrum(G, piece[..., : G.n // 2 + 1]) - piece
+    assert np.max(np.abs(tail)) <= 1e-11 * max(1.0, np.max(np.abs(piece)))
