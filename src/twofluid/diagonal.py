@@ -186,8 +186,7 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     if viol > 1e-8 * max(scale, 1e-12):
         warnings.warn(
             f"state violates constraints (worst residual {viol:.2e}); "
-            "the reconstruction will keep only the consistent part",
-            RuntimeWarning, stacklevel=2)
+            "the reconstruction will keep only the consistent part", RuntimeWarning, stacklevel=2)
     return _to_dispersive(s, p)
 
 

@@ -400,8 +400,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
     take = lambda key: hermitize(seed.get(key, np.zeros(shape(key))))  # noqa: E731
     s = PhysState._empty(grid, float(seed.get("t", 0.0)))
     s.n, s.rho = take("n"), take("rho")
-    s.n[0, 0, 0] = 0.0
-    s.rho[0, 0, 0] = 0.0
+    s.n[0, 0, 0] = s.rho[0, 0, 0] = 0.0
     vr = q2_apply(grid, take("b_seed"))
     s.v = grad(grid, take("v_pot")) + vr
     s.u = grad(grid, take("u_pot")) - p.epsilon * vr

@@ -161,9 +161,7 @@ class Grid:
         """|x| of the minimal-image representative, shape (n, n, n)."""
         c = (2.0 * self.box_half / self.n) * np.arange(self.n)
         c = np.mod(c + self.box_half, 2.0 * self.box_half) - self.box_half
-        return np.sqrt(
-            c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2
-        )
+        return np.sqrt(c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2)
 
     @functools.cached_property
     def half(self) -> SimpleNamespace:
@@ -368,6 +366,8 @@ def hermitize(coef: np.ndarray) -> np.ndarray:
     """A copy of the half-layout coef with its self-mirrored planes made real:
     each entry there becomes the mean of itself and its mirror's conjugate."""
     out = np.array(coef, dtype=complex)
+    if out.shape[-1] != out.shape[-2] // 2 + 1:
+        raise ValueError(f"hermitize takes a half-layout array, got shape {out.shape}")
     planes = out[..., [0, -1]]
     out[..., [0, -1]] = 0.5 * (planes + np.conj(_negate_modes(planes, (-3, -2))))
     return out
@@ -377,6 +377,8 @@ def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
     """Whether the half-layout coef holds the coefficients of a real field:
     only the self-mirrored planes, last-axis modes 0 and n/2, can break
     that, so only they are compared with their mirrors."""
+    if coef.shape[-1] != coef.shape[-2] // 2 + 1:
+        raise ValueError(f"is_hermitian takes a half-layout array, got shape {coef.shape}")
     scale = max(1.0, float(np.max(np.abs(coef))))
     planes = coef[..., [0, -1]]
     return float(np.max(np.abs(planes - np.conj(_negate_modes(planes, (-3, -2)))))) <= tol * scale

@@ -106,6 +106,17 @@ def test_hermitize_and_reality():
     assert np.max(np.abs(to_physical(G, h) - vals)) <= 1e-14 * np.max(np.abs(vals))
 
 
+def test_hermitize_and_is_hermitian_reject_the_full_layout():
+    # a full-layout array's last-axis entries 0 and n - 1 are not the
+    # self-mirrored planes, so reading them as such would give wrong answers
+    full = to_spectral(G, np.random.default_rng(7).standard_normal((3,) + (G.n,) * 3))
+    for arr in (full, full[0], np.zeros((G.n,) * 3)):
+        with pytest.raises(ValueError, match="half-layout"):
+            hermitize(arr)
+        with pytest.raises(ValueError, match="half-layout"):
+            is_hermitian(arr)
+
+
 def test_l2_norm_counts_hermitian_multiplicity():
     # the half layout stores each conjugate pair once, the self-mirrored
     # planes (last-axis modes 0 and n/2) once per entry
@@ -515,7 +526,9 @@ def test_reality_through_pipeline():
     w = q_apply(G, random_vector_field(G, RNG, kmax=8))
     for a in range(3):
         assert is_hermitian(w[a])
-    # a localized piece is a full-layout spectrum of real values
+    # a localized piece is a full-layout spectrum of real values: its planes
+    # 0 and n/2 are self-mirrored, its tail holds their mirrors' conjugates
     piece = spatial_localize(G, lp_project(G, f, 1), 1, 1)
+    assert is_hermitian(piece[..., : G.n // 2 + 1], tol=1e-11)
     tail = full_spectrum(G, piece[..., : G.n // 2 + 1]) - piece
     assert np.max(np.abs(tail)) <= 1e-11 * max(1.0, np.max(np.abs(piece)))
