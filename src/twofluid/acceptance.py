@@ -16,7 +16,7 @@ import numpy as np
 
 from .params import PlasmaParams
 from .dispersion import DEFAULT_PARAMS, find_R_sigma, verify_identities, verify_tech99
-from .spectral import Grid, l2_norm
+from .spectral import Grid, _axis_modes, l2_norm
 from .physics import (
     FIELDS,
     _random_seed,
@@ -266,7 +266,7 @@ def _decay_exponents():
 def _refine_seed(coef: np.ndarray, coarse: Grid, n_to: int) -> np.ndarray:
     """Embed half-layout coefficients on ``coarse`` into an n_to grid, continuum values fixed."""
     scale = (n_to / coarse.n) ** 1.5
-    idx = coarse.modes[0, :, 0, 0]
+    idx = _axis_modes(coarse.n)
     src = np.flatnonzero(np.abs(idx) < coarse.n // 2)  # drop the unpaired Nyquist row
     dst = idx[src] % n_to
     z = np.arange(coarse.n // 2)  # the z half axis holds the modes 0..n/2 - 1 first

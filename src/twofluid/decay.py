@@ -85,7 +85,7 @@ class KernelQuery:
             val = getattr(self, name)
             if not _is_int(val):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
-        if not (math.isfinite(self.t) and self.t != 0):
+        if isinstance(self.t, (bool, np.bool_)) or not (math.isfinite(self.t) and self.t != 0):
             raise ValueError(f"t must be finite and nonzero, got {self.t!r}")
         if self.points_per_cycle < 64:
             raise ValueError("points_per_cycle must be at least 64")
@@ -301,7 +301,7 @@ def nonlinear_decay_experiment(seed: int, amplitude: float, horizon: float,
     full system and stop with a stamped ``blowup_t`` if the monitor leaves
     the representable range.
     """
-    if not 0 < horizon < math.inf:
+    if isinstance(horizon, (bool, np.bool_)) or not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if not (_is_int(samples) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")

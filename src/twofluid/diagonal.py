@@ -18,9 +18,9 @@ variables, its inverse, and N_sigma two independent ways.  Route one is the
 quadratic part of the solver's right-hand side, mapped by the exact linear
 change of variables; route two is a lattice convolution against the explicit
 multiplier catalog.  The routes share the radial symbol tables and the
-change of variables, nothing else: route one forms the products of
-physics.rhs, route two those of the catalog's symbols, so their agreement
-exercises every entry of the catalog and every quadratic term of the solver.
+change of variables, nothing else: route one reads the solver's products
+(physics._products), route two the catalog's symbols, so their agreement
+exercises every entry of the catalog and every product the solver forms.
 The catalog is evaluated one pair at a time: one function per pair class
 forms the factors a pair's rows share once and yields only the rows that do
 not vanish by construction, 140 of the 61 x 5 row components.
@@ -40,8 +40,7 @@ import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import (FIELDS, ROW_FIELDS, PhysState, SystemKind, _tendencies, constraints,
-                      ep_electric)
+from .physics import FIELDS, ROW_FIELDS, ROWS, PhysState, _products, constraints, ep_electric
 from .spectral import (
     Grid,
     _inv0,
@@ -50,6 +49,7 @@ from .spectral import (
     curl,
     div,
     full_spectrum,
+    grad,
     hermitize,
     inv_modulus,
     is_hermitian,
@@ -244,17 +244,20 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     """Quadratic right-hand sides (N_e, N_i, N_b) from the physical fields.
 
     The change of variables is linear and diagonalizes the linear part, so
-    N_sigma is :func:`to_dispersive` of the quadratic part of
-    :func:`physics.rhs`: the solver's own dealiased products, from one
-    batched inverse and one batched forward transform, with every linear
-    term taken from the zero state (rhs(s) - rhs(s, linear=True) would
-    cancel O(s) terms to leave O(s^2), losing digits as s gets small).  The
-    real part (N_b + bar N_b)/2 of N_b, its P rows, vanishes in exact
+    N_sigma is :func:`to_dispersive` of the quadratic part of :func:`physics.rhs`,
+    n_t = -div(n v), rho_t = -div(rho u), v_t = -grad(|v|^2)/2,
+    u_t = -grad(|u|^2)/2, E_t = n v - rho u and B_t = 0, formed per mode from
+    the solver's products (``physics._products``); rhs(s) - rhs(s, linear=True)
+    would cancel O(s) terms to leave O(s^2), losing digits as s gets small.
+    The real part (N_b + bar N_b)/2 of N_b, its P rows, vanishes in exact
     arithmetic; they are zeroed and its M rows hermitized, so that it is
     exactly zero.  The three are returned in the full layout.
     """
-    quad = _tendencies(s, PhysState.zero(s.grid), p, SystemKind.euler_maxwell, False,
-                       PhysState._empty(s.grid))
+    g, quad = s.grid, PhysState._empty(s.grid, s.t)
+    hat = _products(g, s.buf)
+    Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
+    quad.n, quad.rho, quad.E, quad.B = -div(g, Je), -div(g, Ji), Je - Ji, 0.0
+    quad.v, quad.u = grad(g, -0.5 * hat[0]), grad(g, -0.5 * hat[1])
     d = _to_dispersive(quad, p)
     d.buf[2:5], d.buf[7:10] = 0.0, hermitize(d.buf[7:10])
     U = d.full()

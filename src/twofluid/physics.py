@@ -11,18 +11,18 @@ only those planes can hold a non-real coefficient set.  The solver makes
 none, as :func:`make_irrotational` hermitizes its half-layout seeds and every
 tendency is real, so no step checks them; ``diagonal.to_dispersive`` raises
 on a field that is not real.  The Nyquist planes are zero and stay zero (see module
-spectral).  Each :func:`rhs` makes one batched transform each way, an RK4
-stage combines whole states in one operation, and the monitors read
-``spectral.derivatives``, matrix products over the state's support.  It
-yields the values of each D^gamma in slabs of x planes, each slab in one
-buffer that the next overwrites, and :func:`energy` and
+spectral).  The quadratic products are formed once, in :func:`_products`, for
+:func:`rhs` and ``diagonal.nonlinearity_direct``: one batched transform each
+way, dealiased by the 2/3 mask.  An RK4 stage combines whole states in one
+operation, and the monitors read ``spectral.derivatives``, matrix products
+over the state's support.  It yields the values of each D^gamma in slabs of x
+planes, each in one buffer that the next overwrites, and :func:`energy` and
 :func:`_derivative_sups` reduce each slab as it comes, holding no full-size
-array of values.  The decay monitor ``decay._sup_derivatives`` needs only
-the largest entry of that table: it bounds each (gamma, row) entry by the
-Wiener sum of its coefficients and runs the engine only on the entries
-whose bound can beat the running max.  Quadratic products are formed in
-physical space and dealiased by the grid's 2/3 mask.  Runs to later sample
-times go through :func:`integrate`, the one stepping loop.
+array of values.  The decay monitor ``decay._sup_derivatives`` needs only the
+largest entry of that table: it bounds each (gamma, row) entry by the Wiener
+sum of its coefficients and runs the engine only on the entries whose bound
+can beat the running max.  Runs to later sample times go through
+:func:`integrate`, the one stepping loop.
 
 Two structural choices make the continuum conservation laws survive
 discretization exactly rather than to O(dt^4):
@@ -163,37 +163,39 @@ def rhs(state: PhysState, p: PlasmaParams,
     no effect: the solver keeps every state real (module docstring).  Nonlinear
     tendencies need a state on the constraint manifold, Y = Z = 0 (B read as
     0 for the electrostatic kind), and lack v x Y/eps and u x Z off it."""
-    return _tendencies(state, state, p, kind, linear, PhysState._empty(state.grid))
+    return _tendencies(state, p, kind, linear, PhysState._empty(state.grid))
 
 
-def _tendencies(state: PhysState, lin: PhysState, p: PlasmaParams, kind: SystemKind,
-                linear: bool, out: PhysState) -> PhysState:
-    """:func:`rhs` written into every row of ``out``, which must be neither
-    ``state`` nor ``lin``.  The quadratic products are formed from ``state``
-    and every linear term from ``lin``: :func:`rhs` and :func:`step` pass
-    the same state twice, and ``lin = PhysState.zero`` leaves exactly the
-    quadratic part."""
+def _products(g: Grid, buf: np.ndarray) -> np.ndarray:
+    """The dealiased products |v|^2, |u|^2 (rows 0, 1), n v (rows 2:5) and
+    rho u (rows 5:8) of the state ``buf`` in the half layout, from one 8-row
+    inverse transform of n, rho, v, u and one 8-row forward transform."""
+    phys = to_physical(g, buf[:8])
+    v_p, u_p = phys[ROWS["v"]], phys[ROWS["u"]]
+    v2, u2 = np.sum(v_p**2, axis=0), np.sum(u_p**2, axis=0)
+    v_p *= phys[0]
+    u_p *= phys[1]
+    phys[0], phys[1] = v2, u2
+    hat = to_half(g, phys)
+    return np.multiply(hat, g.half.dealias_mask, out=hat)
+
+
+def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: bool,
+                out: PhysState) -> PhysState:
+    """:func:`rhs` written into every row of ``out``, which must not be
+    ``state``; the quadratic products come from :func:`_products`."""
     g = state.grid
     eps, T, Cb = p.epsilon, p.T, p.C_b
     electrostatic = kind is SystemKind.euler_poisson
-    E = ep_electric(g, lin.n, lin.rho) if electrostatic else lin.E
+    E = ep_electric(g, state.n, state.rho) if electrostatic else state.E
 
     out.t = state.t
     # the currents (1 + n) v, (1 + rho) u and the potentials whose gradients
     # push the electrons and the ions, -(T/eps) n - |v|^2/2 and -rho - |u|^2/2
-    Je, Ji, pot_e, pot_i = lin.v, lin.u, -(T / eps) * lin.n, -lin.rho
+    Je, Ji, pot_e, pot_i = state.v, state.u, -(T / eps) * state.n, -state.rho
     if not linear:
-        # n, rho, v, u in one inverse transform; |v|^2, |u|^2, n v, rho u over
-        # their factors' rows in one forward transform, dealiased
-        phys = to_physical(g, state.buf[:8])
-        v_p, u_p = phys[ROWS["v"]], phys[ROWS["u"]]
-        v2, u2 = np.sum(v_p**2, axis=0), np.sum(u_p**2, axis=0)
-        v_p *= phys[0]
-        u_p *= phys[1]
-        phys[0], phys[1] = v2, u2
-        hat = to_half(g, phys)
-        hat *= g.half.dealias_mask
-        hat[2:8] += lin.buf[2:8]
+        hat = _products(g, state.buf)
+        hat[2:8] += state.buf[2:8]
         Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
         pot_e -= 0.5 * hat[0]
         pot_i -= 0.5 * hat[1]
@@ -203,7 +205,7 @@ def _tendencies(state: PhysState, lin: PhysState, p: PlasmaParams, kind: SystemK
     if electrostatic:
         out.B, out.E = 0.0, p_long(g, Je - Ji)
     else:
-        out.B, out.E = -curl(g, E), (Cb / eps) * curl(g, lin.B) + Je - Ji
+        out.B, out.E = -curl(g, E), (Cb / eps) * curl(g, state.B) + Je - Ji
     return out
 
 
@@ -231,14 +233,14 @@ def step(state: PhysState, dt: float, p: PlasmaParams,
     # release memory each step: ~3,700 page faults per step at 32^3, not ~1,400)
     stage, k, out = PhysState._empty(g), PhysState._empty(g), PhysState._empty(g, t + dt)
     out.buf[...] = state.buf
-    _tendencies(state, state, p, kind, linear, k)
+    _tendencies(state, p, kind, linear, k)
     for c_stage, c_out in ((dt / 2, dt / 6), (dt / 2, dt / 3), (dt, dt / 3)):
         np.multiply(k.buf, c_stage, out=stage.buf)
         stage.buf += state.buf
         stage.t = t + c_stage
         k.buf *= c_out
         out.buf += k.buf
-        _tendencies(stage, stage, p, kind, linear, k)
+        _tendencies(stage, p, kind, linear, k)
     k.buf *= dt / 6
     out.buf += k.buf
     bad = np.flatnonzero(~np.isfinite(np.sum(out.buf, axis=(1, 2, 3))))

@@ -687,6 +687,8 @@ def random_real_field(grid: Grid, rng, kmax: int | None = None, rms: float = 1.0
     mean would survive, and it is removed, so no rms could be met."""
     if kmax is not None and not (_is_int(kmax) and kmax >= 1):
         raise ValueError(f"kmax must be None or an integer >= 1, got {kmax!r}")
+    if isinstance(rms, (bool, np.bool_)) or not (np.isfinite(rms) and rms >= 0.0):
+        raise ValueError(f"rms must be finite and >= 0, got {rms!r}")
     coef = to_half(grid, rng.standard_normal((grid.n,) * 3))
     if kmax is not None:
         # max_axis |m_axis| <= kmax, from one mask per axis

@@ -37,8 +37,10 @@ def test_kernel_query_validation():
     with pytest.raises(ValueError):
         KernelQuery("e", 0, 1.0, points_per_cycle=32)
     # a NaN time once gave kernel_sup = 0.0, which reads as perfect decay
-    for bad in (dict(t=np.nan), dict(t=np.inf), dict(t=-np.inf), dict(k=True), dict(k=0.5),
-                dict(points_per_cycle=64.5), dict(points_per_cycle=True)):
+    # a bool time was once read as t = 1
+    for bad in (dict(t=np.nan), dict(t=np.inf), dict(t=-np.inf), dict(t=True), dict(t=np.True_),
+                dict(k=True), dict(k=0.5), dict(points_per_cycle=64.5),
+                dict(points_per_cycle=True)):
         with pytest.raises(ValueError):
             KernelQuery(**{"branch": "e", "k": 0, "t": 1.0, **bad})
     assert KernelQuery("e", np.int64(-1), np.float64(2.0)).k == -1
@@ -552,7 +554,8 @@ def test_experiment_nonlinear_short_run():
     assert len(out["sup"]) == 3
     assert np.all(np.isfinite(out["sup"]))
     assert out["sup"][0] > 0
-    # a NaN horizon once returned t = [nan, ...] and a constant sup series
-    for horizon in (-1.0, np.nan, np.inf):
+    # a NaN horizon once returned t = [nan, ...] and a constant sup series,
+    # and a bool horizon ran to t = 1
+    for horizon in (-1.0, np.nan, np.inf, True, np.True_):
         with pytest.raises(ValueError):
             nonlinear_decay_experiment(5, 1e-4, horizon, P, grid=Grid(16), linear=True, samples=3)

@@ -171,6 +171,14 @@ def test_random_fields_reject_a_bad_kmax(kmax):
             make(Grid(16), np.random.default_rng(0), kmax=kmax)
 
 
+@pytest.mark.parametrize("rms", [np.nan, np.inf, -1.0, True])
+def test_random_fields_reject_a_bad_rms(rms):
+    # NaN once returned an all-NaN field and -1 a sign-flipped one
+    for make in (random_real_field, random_vector_field):
+        with pytest.raises(ValueError, match="rms"):
+            make(Grid(16), np.random.default_rng(0), kmax=2, rms=rms)
+
+
 @pytest.mark.parametrize("kmax", [None, 1, np.int64(3), 8])
 def test_random_fields_take_none_or_a_positive_integer_kmax(kmax):
     # a field is the first n//2 + 1 last-axis entries of the full-layout
