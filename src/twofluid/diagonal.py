@@ -28,6 +28,16 @@ not vanish by construction, 140 of the 61 x 5 row components.
 Zero-mode conventions follow module spectral: symbols carrying a 1/|xi|
 that does not cancel drop the xi = 0 mode (mean-zero perturbations), while
 Lam_i/|xi| is continued through the origin by its finite limit.
+
+The maps between the two sets of unknowns are per mode, so they run on the
+support box of their input (`_Box`): the x and y modes holding a nonzero
+entry of some row, mode 0 always added, times the z prefix 0..K, as
+``spectral._support`` finds it.  Every table they read (xi, |xi|, 1/|xi| and
+the radial symbols) is indexed by the box, norms weight each box entry by
+its Hermitian multiplicity, and the output is zero-filled and written on
+the box only.  A full-support state's box is the whole half lattice.  The
+``analyse`` states, band-limited to |m| <= 4, hold 405 of the 135,168 modes
+of the 64^3 half lattice.
 """
 
 from __future__ import annotations
@@ -40,16 +50,16 @@ import numpy as np
 
 from .dispersion import coupling, lam, q_i
 from .params import PlasmaParams
-from .physics import FIELDS, ROW_FIELDS, ROWS, PhysState, _products, constraints, ep_electric
+from .physics import FIELDS, ROW_FIELDS, ROWS, PhysState, _products, _residuals, ep_electric
 from .spectral import (
     Grid,
     _inv0,
+    _multiplicity,
     _support,
     _zero_nyquist,
     curl,
     div,
     full_spectrum,
-    grad,
     hermitize,
     inv_modulus,
     is_hermitian,
@@ -147,10 +157,6 @@ class DispState:
         out.grid, out.t, out.buf = grid, t, buf
         return out
 
-    @classmethod
-    def zero(cls, grid: Grid, t: float = 0.0) -> "DispState":
-        return cls(grid, 0.0, 0.0, 0.0, t)
-
     def full(self) -> np.ndarray:
         """U_e, U_i, U_b as one new (5, n, n, n) array in the full layout."""
         return self._full(slice(0, 5), True)
@@ -167,6 +173,41 @@ class DispState:
 # the change of variables and its inverse
 
 
+class _Box:
+    """The support box of the rows of a half-layout ``buf`` (module
+    docstring): ``index`` selects it, ``sub`` holds the rows' entries there,
+    and mode 0 sits at its index (0, 0, 0), where ``q2_apply`` zeroes it.
+    The box stands in for the grid in the multipliers of module spectral
+    that the maps call, which read ``xi`` and ``inv_xi_mag`` through
+    ``tables``; ``sym`` is the radial table of `_symbols` on it, |xi| included."""
+
+    def __init__(self, grid: Grid, buf: np.ndarray, p: PlasmaParams):
+        sx, sy, sz, sub = _support(grid, buf)
+        if not sz.size or sx[0] or sy[0]:  # mode 0 joins the box
+            sx, sy, sz = np.union1d(sx, 0), np.union1d(sy, 0), np.arange(max(sz.size, 1))
+            sub = buf[np.ix_(range(len(buf)), sx, sy, sz)]
+        self.grid, self.sub, self.index = grid, sub, (slice(None),) + np.ix_(sx, sy, sz)
+        self.weight = _multiplicity(grid, sz)
+        self.xi, self.inv_xi_mag = grid.half.xi[self.index], grid.half.inv_xi_mag[self.index[1:]]
+        self.sym = _symbols(grid, p).at(self.index[1:])
+
+    def tables(self, coef: np.ndarray) -> "_Box":
+        return self
+
+    def norm(self, coef: np.ndarray) -> float:
+        """`l2_norm` of the half-layout field that is ``coef`` on the box and 0 off it."""
+        sq = coef.real**2 + coef.imag**2
+        scale = (2.0 * self.grid.box_half / self.grid.n) ** 1.5
+        return scale * math.sqrt(float(np.sum(sq * self.weight)))
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """The half-layout rows that are ``rows`` on the box and 0 off it."""
+        n = self.grid.n
+        out = np.zeros((len(rows), n, n, n // 2 + 1), dtype=complex)
+        out[self.index] = rows
+        return out
+
+
 def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     """Map a physical state to the dispersive unknowns.
 
@@ -175,64 +216,82 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     of the constraints raises a warning rather than an error, and a state
     that is not real (possible only on the self-mirrored planes of the half
     layout) raises.  Each unknown is U = P + iM, its real fields P and M
-    formed per mode on the half layout.
+    formed per mode on the support box of ``s``, as are the constraint
+    residuals and the field scale they are judged by.  The reality check
+    reads whole rows, since a box entry's mirror may lie off the box.
     """
-    g = s.grid
     for name, c in zip(ROW_FIELDS, s.buf):
         if not is_hermitian(c, tol=1e-10):
             raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
-    viol = max(constraints(s, p).values())
-    scale = max(l2_norm(g, getattr(s, name)) for name in FIELDS)
+    box = _Box(s.grid, s.buf, p)
+    c = PhysState._over(box, box.sub, s.t)
+    viol = max(box.norm(r) for _, r in _residuals(c, p))
+    scale = max(box.norm(getattr(c, name)) for name in FIELDS)
     if viol > 1e-8 * max(scale, 1e-12):
         warnings.warn(
             f"state violates constraints (worst residual {viol:.2e}); "
             "the reconstruction will keep only the consistent part", RuntimeWarning, stacklevel=2)
-    return _to_dispersive(s, p)
+    return _box_to_dispersive(box, p, s.t)
 
 
 def _to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
-    """`to_dispersive` without its checks, for a tendency or solver output."""
-    g, sym = s.grid, _symbols(s.grid, p)
+    """`to_dispersive` without its checks, for solver output."""
+    return _box_to_dispersive(_Box(s.grid, s.buf, p), p, s.t)
+
+
+def _box_to_dispersive(box: _Box, p: PlasmaParams, t: float) -> DispState:
+    """The map of `to_dispersive` on the support box ``box`` of a state."""
+    s = PhysState._over(box, box.sub, t)
+    h, gg = (-inv_modulus(box, div(box, w)) for w in (s.v, s.u))
+    sub = np.empty((10,) + h.shape, dtype=complex)
+    sub[2:5] = 0.5 * box.sym.lam_b * inv_modulus(box, q_apply(box, s.B))
+    _dispersive_rows(box, box.sym, p, sub, s.n, s.rho, h, gg, s.E)
+    return DispState._over(box.grid, box.scatter(sub), t)
+
+
+def _dispersive_rows(tab, sym: "_Radius", p: PlasmaParams, out: np.ndarray,
+                     n, rho, h, gg, E) -> None:
+    """Write P and M of U_e and U_i and M_b = -Q^2 E/2 into the rows 0, 1, 5,
+    6 and 7:10 of ``out``, per mode from n, rho, h = -|xi|^-1 div v,
+    g = -|xi|^-1 div u and E, on the tables ``tab`` (a grid or a box) and
+    the radial table ``sym`` there; P_b, the rows 2:5, is the caller's."""
     seps, R, half = np.sqrt(p.epsilon), sym.R, 0.5 * sym.norm
-
-    h, gg = (-inv_modulus(g, div(g, w)) for w in (s.v, s.u))
-
-    d = DispState._over(g, np.empty((10,) + h.shape, dtype=complex), s.t)
-    P, M = d.buf[:5], d.buf[5:]
-    P[0] = half * sym.out_over_mod("e") * (R * s.rho - seps * s.n)  # zero mode dropped
-    P[1] = half * sym.qi * (seps * R * s.n + s.rho)
-    P[2:] = 0.5 * sym.lam_b * inv_modulus(g, q_apply(g, s.B))
+    P, M = out[:5], out[5:]
+    P[0] = half * sym.out_over_mod("e") * (R * rho - seps * n)  # zero mode dropped
+    P[1] = half * sym.qi * (seps * R * n + rho)
     M[0] = half * (R * gg - seps * h)
     M[1] = half * (seps * R * h + gg)
-    M[2:] = -0.5 * q2_apply(g, s.E)
-    return d
+    M[2:] = -0.5 * q2_apply(tab, E)
 
 
 def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     """Reconstruct the physical fields; real, with div B = 0 and Gauss law
     holding by construction.  They are per-mode combinations of the rows of
-    ``d.buf``, U + Ubar = 2P and U - Ubar = 2iM, Nyquist planes zeroed."""
-    g, sym = d.grid, _symbols(d.grid, p)
+    ``d.buf``, U + Ubar = 2P and U - Ubar = 2iM, formed on their support box
+    and zero off it, with the Nyquist planes zeroed."""
+    box = _Box(d.grid, d.buf, p)
+    sym = box.sym
     R, nrm2, ieps = sym.R, 2.0 * sym.norm, p.epsilon ** -0.5
 
-    P, M = d.buf[:5], d.buf[5:]
+    P, M = box.sub[:5], box.sub[5:]
     # U_b enters the fields through its transverse part only; projecting here
     # keeps the reconstruction admissible for arbitrary coefficient input
-    re_b, im_b = q2_apply(g, P[2:]), q2_apply(g, M[2:])
+    re_b, im_b = q2_apply(box, P[2:]), q2_apply(box, M[2:])
 
     r_le, inv_qi = sym.mod_over_branch("e"), sym.mod_over_branch("i")
-    n = nrm2 * ieps * (-r_le * P[0] + R * inv_qi * P[1])
-    rho = nrm2 * (R * r_le * P[0] + inv_qi * P[1])
+    c = PhysState._over(box, np.empty((14,) + P.shape[1:], dtype=complex), d.t)
+    c.n = nrm2 * ieps * (-r_le * P[0] + R * inv_qi * P[1])
+    c.rho = nrm2 * (R * r_le * P[0] + inv_qi * P[1])
     h = -nrm2 * ieps * (M[0] - R * M[1])
     gg = nrm2 * (R * M[0] + M[1])
 
     a = re_b / sym.lam_b  # the vector potential-like combination
-    v = riesz(g, h) + (2.0 / p.epsilon) * a
-    u = riesz(g, gg) - 2.0 * a
-    E = ep_electric(g, n, rho) - 2.0 * im_b
-    B = 2.0 * curl(g, a)
-    out = PhysState(g, n, rho, v, u, E, B, d.t)
-    _zero_nyquist(g, out.buf)
+    c.v = riesz(box, h) + (2.0 / p.epsilon) * a
+    c.u = riesz(box, gg) - 2.0 * a
+    c.E = ep_electric(box, c.n, c.rho) - 2.0 * im_b
+    c.B = 2.0 * curl(box, a)
+    out = PhysState._over(d.grid, box.scatter(c.buf), d.t)
+    _zero_nyquist(d.grid, out.buf)
     return out
 
 
@@ -246,20 +305,22 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     The change of variables is linear and diagonalizes the linear part, so
     N_sigma is :func:`to_dispersive` of the quadratic part of :func:`physics.rhs`,
     n_t = -div(n v), rho_t = -div(rho u), v_t = -grad(|v|^2)/2,
-    u_t = -grad(|u|^2)/2, E_t = n v - rho u and B_t = 0, formed per mode from
-    the solver's products (``physics._products``); rhs(s) - rhs(s, linear=True)
-    would cancel O(s) terms to leave O(s^2), losing digits as s gets small.
-    The real part (N_b + bar N_b)/2 of N_b, its P rows, vanishes in exact
-    arithmetic; they are zeroed and its M rows hermitized, so that it is
-    exactly zero.  The three are returned in the full layout.
+    u_t = -grad(|u|^2)/2, E_t = n v - rho u and B_t = 0, read per mode from
+    the solver's products (``physics._products``) on the whole half lattice:
+    h and g of the map are -|xi| |v|^2/2 and -|xi| |u|^2/2, M_b is
+    -Q^2(n v - rho u)/2, and P_b, the real part (N_b + bar N_b)/2 of N_b, is
+    exactly 0.  rhs(s) - rhs(s, linear=True) would cancel O(s) terms to leave
+    O(s^2), losing digits as s gets small.  The M_b rows are hermitized, so
+    that the real part of N_b is exactly zero on the self-mirrored planes
+    too.  The three are returned in the full layout.
     """
-    g, quad = s.grid, PhysState._empty(s.grid, s.t)
+    g, sym = s.grid, _symbols(s.grid, p)
     hat = _products(g, s.buf)
     Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
-    quad.n, quad.rho, quad.E, quad.B = -div(g, Je), -div(g, Ji), Je - Ji, 0.0
-    quad.v, quad.u = grad(g, -0.5 * hat[0]), grad(g, -0.5 * hat[1])
-    d = _to_dispersive(quad, p)
-    d.buf[2:5], d.buf[7:10] = 0.0, hermitize(d.buf[7:10])
+    d = DispState._over(g, np.zeros((10,) + hat.shape[1:], dtype=complex), s.t)
+    _dispersive_rows(g, sym, p, d.buf, -div(g, Je), -div(g, Ji), -0.5 * sym.r * hat[0],
+                     -0.5 * sym.r * hat[1], Je - Ji)
+    d.buf[7:10] = hermitize(d.buf[7:10])
     U = d.full()
     return U[0], U[1], U[2:]
 
@@ -302,6 +363,12 @@ class _Radius:
         self.qi = q_i(r, p)
         for b in branches:
             setattr(self, f"lam_{b}", lam(b, r, p))
+
+    def at(self, index) -> "_Radius":
+        """The table at the entries ``index`` of its arrays."""
+        out = _Radius.__new__(_Radius)
+        out.__dict__.update((k, v[index]) for k, v in vars(self).items())
+        return out
 
     def out_over_mod(self, sigma: str):
         """Lam_sigma(r)/r for sigma in {e, i}, factored for the ion branch and
@@ -556,14 +623,13 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
     """Solve dU/dt = -i Lambda U exactly for time t (any sign).  Lambda is
     real and even, so e^{-i t Lambda} U = P' + iM' is the real rotation
     P' = c P + s M, M' = c M - s P of the rows of ``d.buf``, with c and s
-    the cos and sin of t Lambda, formed once per branch on the box of the
-    rows' joint support (`spectral._support`): off it P = M = 0 stay 0."""
+    the cos and sin of t Lambda, formed once per branch on the support box
+    of the rows (`_Box`): off it P = M = 0 stay 0."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    sx, sy, sz, sub = _support(d.grid, d.buf)
-    box = np.ix_(sx, sy, sz)
-    sym = _symbols(d.grid, p)
-    phase = np.multiply(np.stack((sym.lam_e[box], sym.lam_i[box], sym.lam_b[box])), t)
+    box = _Box(d.grid, d.buf, p)
+    sym, sub = box.sym, box.sub
+    phase = np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), t)
     c, s = np.cos(phase), np.sin(phase)
     rot = np.empty_like(sub)
     P, M, P2, M2 = sub[:5], sub[5:], rot[:5], rot[5:]
@@ -572,9 +638,7 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
         P2[rows] += s[k] * M[rows]
         np.multiply(c[k], M[rows], out=M2[rows])
         M2[rows] -= s[k] * P[rows]
-    out = DispState._over(d.grid, np.zeros_like(d.buf), d.t + t)
-    out.buf[(slice(None),) + box] = rot
-    return out
+    return DispState._over(d.grid, box.scatter(rot), d.t + t)
 
 
 def profile(d: DispState, p: PlasmaParams) -> DispState:

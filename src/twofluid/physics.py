@@ -137,13 +137,15 @@ class PhysState:
     @classmethod
     def _empty(cls, grid: Grid, t: float = 0.0) -> "PhysState":
         """A state whose buffer is allocated but not initialized."""
-        out = cls.__new__(cls)
-        out.grid, out.t, out.buf = grid, t, _buffer(grid)
-        return out
+        return cls._over(grid, _buffer(grid), t)
 
     @classmethod
-    def zero(cls, grid: Grid, t: float = 0.0) -> "PhysState":
-        return cls(grid, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t)
+    def _over(cls, grid, buf: np.ndarray, t: float) -> "PhysState":
+        """A state whose buffer is ``buf`` itself, not a copy; ``grid`` may be
+        a support box (``diagonal._Box``) and ``buf`` its entries there."""
+        out = cls.__new__(cls)
+        out.grid, out.t, out.buf = grid, t, buf
+        return out
 
     def copy(self) -> "PhysState":
         return PhysState(self.grid, self.n, self.rho, self.v, self.u, self.E, self.B, self.t)
@@ -357,13 +359,17 @@ def local_energy_residual(state: PhysState, tend: PhysState, p: PlasmaParams,
 
 def constraints(state: PhysState, p: PlasmaParams) -> dict:
     """L2 residuals of the four monitored identities."""
+    return {key: l2_norm(state.grid, r) for key, r in _residuals(state, p)}
+
+
+def _residuals(state: PhysState, p: PlasmaParams):
+    """Yield the name and residual field of each monitored identity, formed
+    per mode on the tables of ``state.grid``, one at a time."""
     g = state.grid
-    return {
-        "div_B": l2_norm(g, div(g, state.B)),
-        "gauss": l2_norm(g, div(g, state.E) - (state.rho - state.n)),
-        "girr_e": l2_norm(g, state.B - p.epsilon * curl(g, state.v)),
-        "girr_i": l2_norm(g, state.B + curl(g, state.u)),
-    }
+    yield "div_B", div(g, state.B)
+    yield "gauss", div(g, state.E) - (state.rho - state.n)
+    yield "girr_e", state.B - p.epsilon * curl(g, state.v)
+    yield "girr_i", state.B + curl(g, state.u)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,12 @@ Conventions
   Every multiplier below reads its wavevector table in the layout of its
   argument (``Grid.tables``), and ``l2_norm`` counts each stored half-layout
   entry with its Hermitian multiplicity.
+* The support box of a half-layout state (``_support``) is the product of
+  the x and y modes holding a nonzero entry of some row, which wrap around
+  0, and the z prefix 0..K; every row is zero off it.  ``derivatives`` passes
+  over it, the per-mode maps of module diagonal run on it (``diagonal._Box``
+  stands in for the grid in the multipliers below), and ``_multiplicity``
+  weights its z modes in a norm.
 * Continuum calibration, any L::
 
       ||f||_L2   = (2L/n)^{3/2} * ||coef||_2
@@ -379,9 +385,10 @@ def is_hermitian(coef: np.ndarray, tol: float = 1e-12) -> bool:
     that, so only they are compared with their mirrors."""
     if coef.shape[-1] != coef.shape[-2] // 2 + 1:
         raise ValueError(f"is_hermitian takes a half-layout array, got shape {coef.shape}")
-    scale = max(1.0, float(np.max(np.abs(coef))))
     planes = coef[..., [0, -1]]
-    return float(np.max(np.abs(planes - np.conj(_negate_modes(planes, (-3, -2)))))) <= tol * scale
+    gap = float(np.max(np.abs(planes - np.conj(_negate_modes(planes, (-3, -2))))))
+    # the tolerance scales with max(1, max |coef|), which only a gap above tol reads
+    return gap <= tol or gap <= tol * max(1.0, float(np.max(np.abs(coef))))
 
 
 def full_spectrum(grid: Grid, coef: np.ndarray) -> np.ndarray:

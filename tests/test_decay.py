@@ -446,7 +446,7 @@ def _wide_box_state():
     pytest.param(lambda: _linear_flow_state(0.0), id="linear64_t0"),
     pytest.param(lambda: _linear_flow_state(1.0), id="linear64_t1"),
     pytest.param(_stepped_state, id="stepped32"),
-    pytest.param(lambda: PhysState.zero(Grid(16)), id="zero"),
+    pytest.param(lambda: PhysState(Grid(16), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), id="zero"),
     pytest.param(_wide_box_state, id="wide_box"),
 ])
 def test_pruned_sup_is_the_table_max(make, monkeypatch):

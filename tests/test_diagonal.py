@@ -1,5 +1,7 @@
 """Tests for the dispersive change of variables and the multiplier catalog."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def _random_disp(grid, seed=3, kmax=2):
 
 
 def test_zero_state_round_trip():
-    s = physics.PhysState.zero(G16)
+    s = physics.PhysState(G16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     d = to_dispersive(s, P)
     assert not d.U_e.any() and not d.U_i.any() and not d.U_b.any()
     back = from_dispersive(d, P)
@@ -101,7 +103,7 @@ def test_disp_state_holds_u_as_real_fields_p_and_m():
         assert not arr.flags.writeable, f
         with pytest.raises(AttributeError):
             setattr(d, f, arr)
-    z = DispState.zero(G16, t=0.5)
+    z = DispState(G16, 0.0, 0.0, 0.0, t=0.5)
     assert z.buf.shape == (10, 16, 16, 9) and not z.buf.any() and z.t == 0.5
     assert z.full().shape == shape and not z.full().any()
 
@@ -195,6 +197,121 @@ def test_to_dispersive_rejects_complex_input():
     diagonal._to_dispersive(s, P)  # the unchecked map of internal callers
 
 
+# -- the support box ------------------------------------------------------------
+
+# (x, y, z) indices of the half layout at G16: A = (3, -2, 1), B = (1, 2, 0)
+# with its self-mirrored partner (-1, -2, 0), and entries on each Nyquist index
+_A, _B, _B_MIRROR = (3, 14, 1), (1, 2, 0), (15, 14, 0)
+_NYQUIST = ((8, 1, 2), (2, 8, 3), (1, 2, 8), (8, 8, 0))
+
+
+def _rows_on(grid, rows, first, rest, seed):
+    """(rows, n, n, n//2 + 1) half-layout coefficients: row 0 random at the
+    modes ``first`` only, the other rows at ``first`` and ``rest``; the
+    self-mirrored planes made real."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((rows, grid.n, grid.n, grid.n // 2 + 1), complex)
+    for r in range(rows):
+        for k in first + (rest if r else ()):
+            out[(r,) + k] = rng.normal() + 1j * rng.normal()
+    return spectral.hermitize(1e-3 * out)
+
+
+def _box_state(kind):
+    """A physical state and a dispersive state of one kind of support: the
+    x and y mode 0 excluded, Nyquist indices reached, or the full lattice."""
+    g = G16
+    if kind == "full":
+        c = _rng(4).normal(size=(2, 10) + g.half.xi_mag.shape)
+        d = DispState._over(g, 1e-3 * spectral.hermitize(c[0] + 1j * c[1]), 0.0)
+        return physics.random_irrotational(g, P, _rng(4), kmax=None), d
+    first, rest = (_A,), (_B, _B_MIRROR) + (_NYQUIST if kind == "nyquist" else ())
+    d = DispState._over(g, _rows_on(g, 10, first, rest, 5), 0.0)
+    if kind == "no_zero":  # on the manifold; n at A only, the other seeds at A and B
+        keys = (("n", 1), ("rho", 1), ("v_pot", 1), ("u_pot", 1), ("E_t", 3), ("b_seed", 3))
+        rows = iter(_rows_on(g, 10, first, rest, 6))
+        seed = {k: np.stack([next(rows) for _ in range(m)]) for k, m in keys}
+        seed = {k: v[0] if len(v) == 1 else v for k, v in seed.items()}
+        return physics.make_irrotational(g, P, seed), d
+    # Nyquist content is off the solver's states, so this one is built by hand
+    s = physics.PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    s.buf[...] = _rows_on(g, 14, first, rest, 6)
+    return s, d
+
+
+def _whole_lattice_symbols(g):
+    r = g.half.xi_mag
+    R = coupling(r, P)
+    return r, R, 1.0 / np.sqrt(1.0 + R**2), lam("e", r, P), lam("b", r, P), q_i(r, P)
+
+
+def _whole_lattice_to(s):
+    g = s.grid
+    r, R, norm, lam_e, lam_b, qi = _whole_lattice_symbols(g)
+    seps, half = np.sqrt(P.epsilon), 0.5 * norm
+    h, gg = (-spectral.inv_modulus(g, spectral.div(g, w)) for w in (s.v, s.u))
+    out = np.empty((10,) + r.shape, complex)
+    out[0] = half * lam_e * g.half.inv_xi_mag * (R * s.rho - seps * s.n)
+    out[1] = half * qi * (seps * R * s.n + s.rho)
+    out[2:5] = 0.5 * lam_b * spectral.inv_modulus(g, spectral.q_apply(g, s.B))
+    out[5] = half * (R * gg - seps * h)
+    out[6] = half * (seps * R * h + gg)
+    out[7:] = -0.5 * q2_apply(g, s.E)
+    return out
+
+
+def _whole_lattice_from(d):
+    g = d.grid
+    r, R, norm, lam_e, lam_b, qi = _whole_lattice_symbols(g)
+    nrm2, ieps = 2.0 * norm, P.epsilon**-0.5
+    Pr, Mr = d.buf[:5], d.buf[5:]
+    n = nrm2 * ieps * (-(r / lam_e) * Pr[0] + R / qi * Pr[1])
+    rho = nrm2 * (R * (r / lam_e) * Pr[0] + Pr[1] / qi)
+    h = -nrm2 * ieps * (Mr[0] - R * Mr[1])
+    gg = nrm2 * (R * Mr[0] + Mr[1])
+    a = q2_apply(g, Pr[2:]) / lam_b
+    v = spectral.riesz(g, h) + (2.0 / P.epsilon) * a
+    u = spectral.riesz(g, gg) - 2.0 * a
+    E = physics.ep_electric(g, n, rho) - 2.0 * q2_apply(g, Mr[2:])
+    out = physics.PhysState(g, n, rho, v, u, E, 2.0 * spectral.curl(g, a)).buf
+    hn = g.n // 2
+    out[:, hn], out[:, :, hn], out[..., hn] = 0.0, 0.0, 0.0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["no_zero", "nyquist", "full"])
+def test_maps_on_the_support_box_match_the_whole_lattice(kind):
+    s, d = _box_state(kind)
+    g = s.grid
+    with warnings.catch_warnings():
+        # the hand-built Nyquist state is off the constraint manifold
+        warnings.simplefilter("ignore" if kind == "nyquist" else "error")
+        to = to_dispersive(s, P)
+    back = from_dispersive(d, P)
+    for got, want in ((to.buf, _whole_lattice_to(s)), (back.buf, _whole_lattice_from(d))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        assert np.max(np.abs(want)) > 0
+    assert to.t == s.t and back.t == d.t
+    # the box holds mode 0 at its index (0, 0, 0), and its norm is l2_norm
+    box = diagonal._Box(g, s.buf, P)
+    assert all(ix.ravel()[0] == 0 for ix in box.index[1:])
+    for row, sub in zip(s.buf, box.sub):
+        assert box.norm(sub) == pytest.approx(l2_norm(g, row), rel=1e-14, abs=1e-300)
+
+
+def test_to_dispersive_checks_read_off_the_box():
+    s, _ = _box_state("no_zero")
+    # a plane-0 entry whose mirror (x index 13) lies off the box: not real
+    bad = s.copy()
+    bad.n[3, 14, 0] = 1e-3
+    with pytest.raises(ValueError, match="field n is not real"):
+        to_dispersive(bad, P)
+    off = s.copy()
+    off.B[0][_A] += 1e-3
+    with pytest.warns(RuntimeWarning, match="violates constraints"):
+        to_dispersive(off, P)
+
+
 def test_transfer_constant_is_order_one():
     # measured on this ensemble: C close to 0.36 for orders 0 and 4 alike
     ratios = []
@@ -225,7 +342,7 @@ def test_hn_norm_basics():
 
 
 def test_nonlinearity_zero_state():
-    z = physics.PhysState.zero(G16)
+    z = physics.PhysState(G16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for N in nonlinearity_direct(z, P):
         assert not N.any()
     for N in nonlinearity_multiplier(to_dispersive(z, P), P):

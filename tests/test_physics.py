@@ -52,7 +52,7 @@ def _norm(s):
 @pytest.mark.parametrize("kind", [EM, EP])
 def test_zero_state_equilibrium(kind):
     g = Grid(16)
-    s = PhysState.zero(g)
+    s = PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     tend = rhs(s, P, kind=kind)
     assert all(not np.any(getattr(tend, f)) for f in FIELDS)
     out = step(s, 1e-3, P, kind=kind)
@@ -110,7 +110,7 @@ def test_linearization_richardson(kind):
 
 def test_plane_wave_density_tendency():
     g = Grid(16)
-    s = PhysState.zero(g)
+    s = PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     s.n[1, 0, 0] = 0.5
     s.n[-1 % g.n, 0, 0] = 0.5
 
@@ -636,7 +636,7 @@ def test_ep_tracks_slaved_field():
 
 def test_energy_zero_and_validation():
     g = Grid(16)
-    s = PhysState.zero(g)
+    s = PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert energy(s, P, 0) == 0.0
     assert energy(s, P, np.int64(2)) == 0.0
     for order in (9, -1, 1.5, 2.0, True, "2"):
@@ -699,7 +699,7 @@ def test_batched_monitors_match_row_by_row_reference(case):
     if case == "slabs":
         assert planes < g.n and g.n % planes
     if case == "zero":
-        s = PhysState.zero(g)
+        s = PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     else:
         s = random_irrotational(g, P, _rng(), amplitude=0.05, kmax=None if case == "full" else 5)
     full = spectral.full_spectrum(g, s.buf)
@@ -768,7 +768,7 @@ def test_local_energy_residual_roundoff_on_band_limited_data(kind):
 
 def test_local_energy_residual_zero_state():
     g = Grid(16)
-    s = PhysState.zero(g)
+    s = PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     field, res = local_energy_residual(s, rhs(s, P), P)
     assert res == 0.0 and not np.any(field)
 

@@ -69,17 +69,25 @@ DEFECTS = (
     ("_products n and rho factors swapped", PHYSICS,
      "v_p *= phys[0]\n    u_p *= phys[1]", "v_p *= phys[1]\n    u_p *= phys[0]"),
     ("nonlinearity_direct -1/2 -> -1 on |v|^2", DIAGONAL,
-     "grad(g, -0.5 * hat[0])", "grad(g, -1.0 * hat[0])"),
+     "-0.5 * sym.r * hat[0]", "-1.0 * sym.r * hat[0]"),
     ("nonlinearity_direct E row Je + Ji", DIAGONAL,
-     "-div(g, Ji), Je - Ji, 0.0", "-div(g, Ji), Je + Ji, 0.0"),
+     "-0.5 * sym.r * hat[1], Je - Ji)", "-0.5 * sym.r * hat[1], Je + Ji)"),
     ("nonlinearity_direct M rows not hermitized", DIAGONAL,
-     "d.buf[2:5], d.buf[7:10] = 0.0, hermitize(d.buf[7:10])", "d.buf[2:5] = 0.0"),
+     "d.buf[7:10] = hermitize(d.buf[7:10])", "d.buf[7:10] = d.buf[7:10]"),
     ("_SIGNS same +- third sign flipped", DIAGONAL,
      "(\"same\", \"+\", \"-\"): (-1.0, 1.0, -1.0)", "(\"same\", \"+\", \"-\"): (-1.0, 1.0, 1.0)"),
     ("_to_dispersive M_b sign", DIAGONAL,
-     "M[2:] = -0.5 * q2_apply(g, s.E)", "M[2:] = 0.5 * q2_apply(g, s.E)"),
+     "M[2:] = -0.5 * q2_apply(tab, E)", "M[2:] = 0.5 * q2_apply(tab, E)"),
     ("from_dispersive u from +2a", DIAGONAL,
-     "u = riesz(g, gg) - 2.0 * a", "u = riesz(g, gg) + 2.0 * a"),
+     "c.u = riesz(box, gg) - 2.0 * a", "c.u = riesz(box, gg) + 2.0 * a"),
+    ("support box without mode 0", DIAGONAL,
+     "sx, sy, sz = np.union1d(sx, 0), np.union1d(sy, 0), np.arange(max(sz.size, 1))",
+     "sz = np.arange(max(sz.size, 1))"),
+    ("support box of the first row only", DIAGONAL,
+     "sx, sy, sz, sub = _support(grid, buf)\n        if not sz.size or sx[0] or sy[0]:",
+     "sx, sy, sz, sub = _support(grid, buf[:1])\n        if True:"),
+    ("box norm without the Hermitian multiplicity", DIAGONAL,
+     "math.sqrt(float(np.sum(sq * self.weight)))", "math.sqrt(float(np.sum(sq)))"),
     ("rhs -1/2 -> -1 on |v|^2", PHYSICS,
      "pot_e -= 0.5 * hat[0]", "pot_e -= 1.0 * hat[0]"),
     ("rhs ion current from rho u only", PHYSICS,
