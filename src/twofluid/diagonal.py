@@ -66,7 +66,6 @@ from .spectral import (
     l2_norm,
     q2_apply,
     q_apply,
-    reflect,
     riesz,
 )
 
@@ -137,25 +136,13 @@ class DispState:
     """The dispersive unknowns at time t as U = P + iM, P and M real fields
     on the half layout of module spectral: ``buf`` (10, n, n, n//2 + 1) holds
     P of U_e, U_i, U_b1..3 in rows 0:5 and their M in rows 5:10.  The
-    constructor splits full-layout U (any complex coefficients) into P = (U +
-    Ubar)/2 and M = (U - Ubar)/2i, Ubar(xi) = conj U(-xi); ``full()`` gives U
-    back, and ``U_e``, ``U_i``, ``U_b`` are read-only copies of its rows."""
+    constructor wraps ``buf`` itself, not a copy.  ``full()`` gives U in the
+    full layout, and ``U_e``, ``U_i``, ``U_b`` are read-only copies of its rows."""
 
     U_e, U_i, U_b = _row(0), _row(1), _row(slice(2, 5))
 
-    def __init__(self, grid: Grid, U_e, U_i, U_b, t: float = 0.0):
-        self.grid, self.t = grid, t
-        U = np.empty((5,) + (grid.n,) * 3, dtype=complex)
-        U[0], U[1], U[2:] = U_e, U_i, U_b
-        U, bar = (x[..., : grid.n // 2 + 1] for x in (U, np.conj(reflect(U))))
-        self.buf = np.concatenate((0.5 * (U + bar), -0.5j * (U - bar)))
-
-    @classmethod
-    def _over(cls, grid: Grid, buf: np.ndarray, t: float) -> "DispState":
-        """A state whose buffer is ``buf`` itself, not a copy."""
-        out = cls.__new__(cls)
-        out.grid, out.t, out.buf = grid, t, buf
-        return out
+    def __init__(self, grid: Grid, buf: np.ndarray, t: float):
+        self.grid, self.buf, self.t = grid, buf, t
 
     def full(self) -> np.ndarray:
         """U_e, U_i, U_b as one new (5, n, n, n) array in the full layout."""
@@ -224,29 +211,18 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
         if not is_hermitian(c, tol=1e-10):
             raise ValueError(f"field {name} is not real (coefficients lack conjugate symmetry)")
     box = _Box(s.grid, s.buf, p)
-    c = PhysState._over(box, box.sub, s.t)
+    c = PhysState(box, box.sub, s.t)
     viol = max(box.norm(r) for _, r in _residuals(c, p))
     scale = max(box.norm(getattr(c, name)) for name in FIELDS)
     if viol > 1e-8 * max(scale, 1e-12):
         warnings.warn(
             f"state violates constraints (worst residual {viol:.2e}); "
             "the reconstruction will keep only the consistent part", RuntimeWarning, stacklevel=2)
-    return _box_to_dispersive(box, p, s.t)
-
-
-def _to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
-    """`to_dispersive` without its checks, for solver output."""
-    return _box_to_dispersive(_Box(s.grid, s.buf, p), p, s.t)
-
-
-def _box_to_dispersive(box: _Box, p: PlasmaParams, t: float) -> DispState:
-    """The map of `to_dispersive` on the support box ``box`` of a state."""
-    s = PhysState._over(box, box.sub, t)
-    h, gg = (-inv_modulus(box, div(box, w)) for w in (s.v, s.u))
+    h, gg = (-inv_modulus(box, div(box, w)) for w in (c.v, c.u))
     sub = np.empty((10,) + h.shape, dtype=complex)
-    sub[2:5] = 0.5 * box.sym.lam_b * inv_modulus(box, q_apply(box, s.B))
-    _dispersive_rows(box, box.sym, p, sub, s.n, s.rho, h, gg, s.E)
-    return DispState._over(box.grid, box.scatter(sub), t)
+    sub[2:5] = 0.5 * box.sym.lam_b * inv_modulus(box, q_apply(box, c.B))
+    _dispersive_rows(box, box.sym, p, sub, c.n, c.rho, h, gg, c.E)
+    return DispState(s.grid, box.scatter(sub), s.t)
 
 
 def _dispersive_rows(tab, sym: "_Radius", p: PlasmaParams, out: np.ndarray,
@@ -279,7 +255,7 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     re_b, im_b = q2_apply(box, P[2:]), q2_apply(box, M[2:])
 
     r_le, inv_qi = sym.mod_over_branch("e"), sym.mod_over_branch("i")
-    c = PhysState._over(box, np.empty((14,) + P.shape[1:], dtype=complex), d.t)
+    c = PhysState(box, np.empty((14,) + P.shape[1:], dtype=complex), d.t)
     c.n = nrm2 * ieps * (-r_le * P[0] + R * inv_qi * P[1])
     c.rho = nrm2 * (R * r_le * P[0] + inv_qi * P[1])
     h = -nrm2 * ieps * (M[0] - R * M[1])
@@ -290,7 +266,7 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
     c.u = riesz(box, gg) - 2.0 * a
     c.E = ep_electric(box, c.n, c.rho) - 2.0 * im_b
     c.B = 2.0 * curl(box, a)
-    out = PhysState._over(d.grid, box.scatter(c.buf), d.t)
+    out = PhysState(d.grid, box.scatter(c.buf), d.t)
     _zero_nyquist(d.grid, out.buf)
     return out
 
@@ -309,15 +285,15 @@ def nonlinearity_direct(s: PhysState, p: PlasmaParams):
     the solver's products (``physics._products``) on the whole half lattice:
     h and g of the map are -|xi| |v|^2/2 and -|xi| |u|^2/2, M_b is
     -Q^2(n v - rho u)/2, and P_b, the real part (N_b + bar N_b)/2 of N_b, is
-    exactly 0.  rhs(s) - rhs(s, linear=True) would cancel O(s) terms to leave
-    O(s^2), losing digits as s gets small.  The M_b rows are hermitized, so
-    that the real part of N_b is exactly zero on the self-mirrored planes
-    too.  The three are returned in the full layout.
+    exactly 0.  Subtracting the linear tendencies from rhs(s) would cancel
+    O(s) terms to leave O(s^2), losing digits as s gets small.  The M_b rows
+    are hermitized, so that the real part of N_b is exactly zero on the
+    self-mirrored planes too.  The three are returned in the full layout.
     """
     g, sym = s.grid, _symbols(s.grid, p)
     hat = _products(g, s.buf)
     Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
-    d = DispState._over(g, np.zeros((10,) + hat.shape[1:], dtype=complex), s.t)
+    d = DispState(g, np.zeros((10,) + hat.shape[1:], dtype=complex), s.t)
     _dispersive_rows(g, sym, p, d.buf, -div(g, Je), -div(g, Ji), -0.5 * sym.r * hat[0],
                      -0.5 * sym.r * hat[1], Je - Ji)
     d.buf[7:10] = hermitize(d.buf[7:10])
@@ -594,7 +570,7 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
     sym = _symbols(g, p)
     # the three Lam_sigma in the full layout; real and even, so full spectra
     lam = full_spectrum(g, np.stack((sym.lam_e, sym.lam_i, sym.lam_b)))
-    states = [_to_dispersive(s, p).full() for s in traj]
+    states = [to_dispersive(s, p).full() for s in traj]
 
     # the stencil only resolves phases that rotate slowly between snapshots
     mag = np.abs(states[0])
@@ -625,8 +601,8 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
     P' = c P + s M, M' = c M - s P of the rows of ``d.buf``, with c and s
     the cos and sin of t Lambda, formed once per branch on the support box
     of the rows (`_Box`): off it P = M = 0 stay 0."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    if isinstance(t, (bool, np.bool_)) or not math.isfinite(t):
+        raise ValueError(f"t must be a finite number, got {t!r}")
     box = _Box(d.grid, d.buf, p)
     sym, sub = box.sym, box.sub
     phase = np.multiply(np.stack((sym.lam_e, sym.lam_i, sym.lam_b)), t)
@@ -638,7 +614,7 @@ def free_evolve(d: DispState, t: float, p: PlasmaParams) -> DispState:
         P2[rows] += s[k] * M[rows]
         np.multiply(c[k], M[rows], out=M2[rows])
         M2[rows] -= s[k] * P[rows]
-    return DispState._over(d.grid, box.scatter(rot), d.t + t)
+    return DispState(d.grid, box.scatter(rot), d.t + t)
 
 
 def profile(d: DispState, p: PlasmaParams) -> DispState:
@@ -651,7 +627,7 @@ def profile(d: DispState, p: PlasmaParams) -> DispState:
 
 def hn_norm(grid: Grid, coef: np.ndarray, order: int = 0) -> float:
     """Continuum-calibrated Sobolev norm of a coefficient field."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    if isinstance(order, (bool, np.bool_)) or not (math.isfinite(order) and order >= 0):
+        raise ValueError(f"order must be finite and nonnegative, got {order!r}")
     w = (1.0 + grid.tables(coef).xi_mag ** 2) ** (order / 2.0)
     return l2_norm(grid, w * coef)

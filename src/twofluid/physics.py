@@ -122,33 +122,21 @@ class PhysState:
     components of v, u, E and B.  The attributes ``n``, ``rho``
     (n, n, n//2 + 1) and ``v``, ``u``, ``E``, ``B`` (3, n, n, n//2 + 1) are
     views onto those rows; assigning to one (``s.n = arr``, ``s.B[:] = 0``)
-    writes into ``buf``.  The constructor copies its six half-layout arrays,
-    real or complex, into a new buffer.  ``diagonal.DispState`` keeps the
-    dispersive unknowns U = P + iM on the same layout, as the real fields P
-    and M of each.
+    writes into ``buf``.  The constructor wraps ``buf`` itself, not a copy;
+    ``grid`` may be a support box (``diagonal._Box``) and ``buf`` its entries
+    there.  ``diagonal.DispState`` keeps the dispersive unknowns U = P + iM
+    on the same layout, as the real fields P and M of each.
     """
 
     n, rho, v, u, E, B = (_field(_KEYS[f]) for f in FIELDS)
 
-    def __init__(self, grid: Grid, n, rho, v, u, E, B, t: float = 0.0):
-        self.grid, self.t, self.buf = grid, t, _buffer(grid)
-        self.n, self.rho, self.v, self.u, self.E, self.B = n, rho, v, u, E, B
+    def __init__(self, grid: Grid, buf: np.ndarray, t: float):
+        self.grid, self.buf, self.t = grid, buf, t
 
     @classmethod
     def _empty(cls, grid: Grid, t: float = 0.0) -> "PhysState":
         """A state whose buffer is allocated but not initialized."""
-        return cls._over(grid, _buffer(grid), t)
-
-    @classmethod
-    def _over(cls, grid, buf: np.ndarray, t: float) -> "PhysState":
-        """A state whose buffer is ``buf`` itself, not a copy; ``grid`` may be
-        a support box (``diagonal._Box``) and ``buf`` its entries there."""
-        out = cls.__new__(cls)
-        out.grid, out.t, out.buf = grid, t, buf
-        return out
-
-    def copy(self) -> "PhysState":
-        return PhysState(self.grid, self.n, self.rho, self.v, self.u, self.E, self.B, self.t)
+        return cls(grid, _buffer(grid), t)
 
 
 def ep_electric(grid: Grid, n: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -158,14 +146,13 @@ def ep_electric(grid: Grid, n: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def rhs(state: PhysState, p: PlasmaParams,
-        kind: SystemKind = SystemKind.euler_maxwell,
-        linear: bool = False, check: bool = True) -> PhysState:
+        kind: SystemKind = SystemKind.euler_maxwell, check: bool = True) -> PhysState:
     """Tendencies of all six fields; the returned container carries d/dt
     arrays in the field slots and the evaluation time in t.  ``check`` has
-    no effect: the solver keeps every state real (module docstring).  Nonlinear
+    no effect: the solver keeps every state real (module docstring).  The
     tendencies need a state on the constraint manifold, Y = Z = 0 (B read as
     0 for the electrostatic kind), and lack v x Y/eps and u x Z off it."""
-    return _tendencies(state, p, kind, linear, PhysState._empty(state.grid))
+    return _tendencies(state, p, kind, False, PhysState._empty(state.grid))
 
 
 def _products(g: Grid, buf: np.ndarray) -> np.ndarray:
@@ -184,8 +171,9 @@ def _products(g: Grid, buf: np.ndarray) -> np.ndarray:
 
 def _tendencies(state: PhysState, p: PlasmaParams, kind: SystemKind, linear: bool,
                 out: PhysState) -> PhysState:
-    """:func:`rhs` written into every row of ``out``, which must not be
-    ``state``; the quadratic products come from :func:`_products`."""
+    """:func:`rhs`, or its linear part if ``linear``, written into every row
+    of ``out``, which must not be ``state``; the quadratic products come from
+    :func:`_products`."""
     g = state.grid
     eps, T, Cb = p.epsilon, p.T, p.C_b
     electrostatic = kind is SystemKind.euler_poisson
@@ -220,11 +208,12 @@ def cfl_dt(grid: Grid, p: PlasmaParams) -> float:
 def step(state: PhysState, dt: float, p: PlasmaParams,
          kind: SystemKind = SystemKind.euler_maxwell,
          linear: bool = False, check: bool = True) -> PhysState:
-    """One classical RK4 step.  Negative dt integrates backward (the system
-    is time-reversible).  ``check`` has no effect, and a nonlinear step
-    needs a state on the constraint manifold, as in :func:`rhs`."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
+    """One classical RK4 step by a finite nonzero dt, checked before any
+    stage runs.  Negative dt integrates backward (the system is
+    time-reversible).  ``check`` has no effect, and a nonlinear step needs a
+    state on the constraint manifold, as in :func:`rhs`."""
+    if isinstance(dt, (bool, np.bool_)) or not (math.isfinite(dt) and dt != 0):
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
     if abs(dt) > cfl_dt(state.grid, p):
         warnings.warn("dt exceeds the advisory CFL bound", RuntimeWarning, stacklevel=2)
     g, t = state.grid, state.t

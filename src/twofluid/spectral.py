@@ -16,8 +16,9 @@ Conventions
   - the half layout, (n, n, n//2 + 1) per component, is the ``rfftn``
     half-spectrum of a real field: the entries with negative last-axis
     modes are the conjugates of their mirrors and are not stored.  Both
-    states live here as real fields: the physical ones, and P and M of
-    each dispersive unknown U = P + iM.
+    states wrap one buffer of real fields on this layout: the physical
+    ones, and P and M of each dispersive unknown U = P + iM.  Neither is
+    built from the full layout; ``DispState.full()`` forms U there.
 
   Only the self-mirrored planes (last-axis modes 0 and n/2) can still hold
   a non-real field; ``hermitize`` makes them real.  A physical state keeps
@@ -73,7 +74,6 @@ __all__ = [
     "to_half",
     "derivatives",
     "full_spectrum",
-    "reflect",
     "hermitize",
     "is_hermitian",
     "cross",
@@ -361,11 +361,6 @@ def _negate_modes(coef: np.ndarray, axes: tuple) -> np.ndarray:
     rev = tuple(slice(None, None, -1) if ax - coef.ndim in axes else slice(None)
                 for ax in range(coef.ndim))
     return np.roll(coef[rev], 1, axis=axes)
-
-
-def reflect(coef: np.ndarray) -> np.ndarray:
-    """coef evaluated at -xi (index reversal respecting FFT layout)."""
-    return _negate_modes(coef, (-3, -2, -1))
 
 
 def hermitize(coef: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from twofluid import acceptance
+from twofluid import acceptance, dispersion
 from twofluid.physics import _random_seed
 from twofluid.spectral import Grid, to_physical
 
@@ -101,6 +101,14 @@ def test_long_criterion_runs_at_a_small_size(monkeypatch, number, sizes, shape):
     (res,) = acceptance.run(numbers=(number,), stream=None)
     assert res.number == number
     assert re.fullmatch(shape, res.detail), res.line()
+
+
+def test_gates_are_pinned():
+    # no criterion's run reads back its own tolerance or ladder, so these
+    # literal copies are what fails if one is widened or shortened: [1]'s
+    # identity tolerance and [9]'s sample times, 8 from 1e2 to 1e4
+    assert dispersion.IDENTITY_RTOL == 1e-10
+    assert acceptance.DECAY_TIMES == (1e2, 1e4, 8)
 
 
 def test_refine_seed_keeps_continuum_values():

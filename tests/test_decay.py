@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twofluid.dispersion import DEFAULT_PARAMS
-from twofluid.spectral import Grid, phi_interval, to_half, to_physical
+from twofluid.spectral import Grid, phi_interval, random_real_field, to_half, to_physical
 from twofluid.diagonal import DispState, from_dispersive, to_dispersive
 from twofluid.physics import PhysState, _derivative_sups, cfl_dt, random_irrotational, step
 from twofluid import decay, diagonal, spectral
@@ -245,11 +245,10 @@ def test_kernel_is_negligible_beyond_the_sweep(branch, k):
 
 
 def _random_disp(n=16, seed=0):
+    # P and M of each unknown: real fields on the whole half lattice
     g = Grid(n)
     rng = np.random.default_rng(seed)
-    coefs = [rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
-             for _ in range(3)]
-    return DispState(g, *coefs, 0.0)
+    return DispState(g, np.stack([random_real_field(g, rng) for _ in range(10)]), 0.0)
 
 
 def test_free_evolve_identity_and_composition():
@@ -293,14 +292,22 @@ def test_free_evolve_rotates_on_the_support_only():
             free_evolve(d, bad, P)
 
 
+@pytest.mark.parametrize("t", [True, pytest.param(np.True_, id="np.True_")])
+def test_free_evolve_rejects_a_bool_time(t):
+    # as KernelQuery does: read as a number, True would evolve by 1.0
+    with pytest.raises(ValueError, match="finite number"):
+        free_evolve(_random_disp(), t, P)
+
+
 def test_grid_field_matches_continuum_kernel():
     # one-shell radial datum evolved on the box vs the continuum integral;
     # at t = 0.1 the periodic images are below the 2% contract
     g = Grid(64)
     amp = g.n**1.5 / (2.0 * g.box_half) ** 3
-    coef = phi_interval(g.xi_mag, -2, 2).astype(complex) * amp
-    zero = np.zeros_like(coef)
-    d = DispState(g, zero, coef, zero.copy(), 0.0)
+    # U_i is real and even, so it is its own P row, and its M row is 0
+    buf = np.zeros((10,) + g.half.xi_mag.shape, complex)
+    buf[1] = phi_interval(g.half.xi_mag, -2, 2) * amp
+    d = DispState(g, buf, 0.0)
     t = 0.1
     field = to_physical(g, free_evolve(d, t, P).U_i)
 
@@ -401,10 +408,8 @@ def test_sup_derivatives_plane_wave():
     n_vals = np.broadcast_to(np.cos(2.0 * x1)[:, None, None], (g.n,) * 3)
     # state fields are half-spectrum coefficients
     n_field = to_half(g, n_vals)
-    zero_s = np.zeros(n_field.shape)
-    zero_v = np.zeros((3,) + n_field.shape)
-    state = PhysState(g, n_field, zero_s, zero_v, zero_v.copy(),
-                      zero_v.copy(), zero_v.copy(), 0.0)
+    state = PhysState(g, np.zeros((14,) + n_field.shape, complex), 0.0)
+    state.n = n_field
     # max over |alpha| <= 4 of ||D^alpha cos(2 x_1)||_inf = 2^4
     assert decay._sup_derivatives(state) == pytest.approx(16.0, rel=1e-10)
     # the table behind it: 35 multi-indices by 14 rows, nonzero only in n's column
@@ -442,12 +447,25 @@ def _wide_box_state():
     return s
 
 
+def _near_tie_state():
+    # n = 2 cos(3x + 3y + 3z): the 15 entries of order 4 share the bound
+    # 2 * 3^4 = 162, and their computed sups differ in the last bits.  Where
+    # the first one evaluated is not the largest (on an x86-64 OpenBLAS build,
+    # 162.00000000000003 against 162.00000000000006), only the margin on the
+    # bounds keeps the others from being pruned
+    g = Grid(16)
+    s = PhysState(g, np.zeros((14, g.n, g.n, g.n // 2 + 1), complex), 0.0)
+    s.n[3, 3, 3] = g.n**1.5
+    return s
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _linear_flow_state(0.0), id="linear64_t0"),
     pytest.param(lambda: _linear_flow_state(1.0), id="linear64_t1"),
     pytest.param(_stepped_state, id="stepped32"),
-    pytest.param(lambda: PhysState(Grid(16), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), id="zero"),
+    pytest.param(lambda: PhysState(Grid(16), np.zeros((14, 16, 16, 9), complex), 0.0), id="zero"),
     pytest.param(_wide_box_state, id="wide_box"),
+    pytest.param(_near_tie_state, id="near_tie"),
 ])
 def test_pruned_sup_is_the_table_max(make, monkeypatch):
     s = make()
@@ -474,12 +492,9 @@ def test_pruned_sup_needs_the_hermitian_multiplicity():
     # mu = 1 everywhere n's bound would read 8, below rho's 10: rho would be
     # evaluated first and n pruned, and the sup would read 10
     g = Grid(16)
-    zero_s = np.zeros((g.n, g.n, g.n // 2 + 1), dtype=complex)
-    n_field, rho_field = zero_s.copy(), zero_s.copy()
-    n_field[0, 0, 1] = 8.0 * g.n**1.5
-    rho_field[1, 0, 0] = rho_field[-1, 0, 0] = 5.0 * g.n**1.5
-    zero_v = np.zeros((3,) + zero_s.shape)
-    s = PhysState(g, n_field, rho_field, zero_v, zero_v, zero_v, zero_v)
+    s = PhysState(g, np.zeros((14, g.n, g.n, g.n // 2 + 1), complex), 0.0)
+    s.n[0, 0, 1] = 8.0 * g.n**1.5
+    s.rho[1, 0, 0] = s.rho[-1, 0, 0] = 5.0 * g.n**1.5
     bound = spectral._derivative_bounds(g, spectral._support(g, s.buf), decay.MONITOR_ORDER)
     assert (bound[0, 0], bound[0, 1]) == (16.0, 10.0)
     assert np.max(_derivative_sups(s, decay.MONITOR_ORDER)) == 16.0

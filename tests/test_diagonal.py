@@ -22,7 +22,8 @@ from twofluid.diagonal import (
 )
 from twofluid.dispersion import coupling, lam, q_i
 from twofluid.params import PlasmaParams
-from twofluid.spectral import Grid, is_hermitian, l2_norm, q2_apply, reflect
+from twofluid.spectral import (Grid, is_hermitian, l2_norm, q2_apply, random_real_field,
+                               to_physical, to_spectral)
 
 P = PlasmaParams(epsilon=1.0e-3, T=1.0, C_b=6.0)
 G16 = Grid(16)
@@ -43,26 +44,27 @@ def _rel(grid, a, b):
 
 
 def _random_disp(grid, seed=3, kmax=2):
-    """Band-limited DispState with no acoustic zero modes, U_b transverse."""
+    """Band-limited DispState with no zero modes: P and M of each unknown
+    are random real fields."""
     rng = np.random.default_rng(seed)
-    n = grid.n
+    return DispState(grid, np.stack([random_real_field(grid, rng, kmax=kmax)
+                                     for _ in range(10)]), 0.25)
 
-    def coef(shape):
-        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        keep = np.all(np.abs(grid.modes) <= kmax, axis=0)
-        c *= keep
-        c[..., 0, 0, 0] = 0.0
-        return c
 
-    return DispState(grid, coef((n,) * 3), coef((n,) * 3),
-                     coef((3,) + (n,) * 3), t=0.25)
+def _mirror(U):
+    """The full-layout U at -xi."""
+    return spectral._negate_modes(U, (-3, -2, -1))
+
+
+def _zero(grid):
+    return physics.PhysState(grid, np.zeros((14, grid.n, grid.n, grid.n // 2 + 1), complex), 0.0)
 
 
 # -- the change of variables ----------------------------------------------------
 
 
 def test_zero_state_round_trip():
-    s = physics.PhysState(G16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    s = _zero(G16)
     d = to_dispersive(s, P)
     assert not d.U_e.any() and not d.U_i.any() and not d.U_b.any()
     back = from_dispersive(d, P)
@@ -83,19 +85,15 @@ def test_round_trip_on_constraint_states():
 
 
 def test_disp_state_holds_u_as_real_fields_p_and_m():
-    # arbitrary complex U, content on the Nyquist planes and on the
-    # self-mirrored planes included: the constructor zeroes no plane
+    # the constructor wraps the rows P and M, not a copy, and full() is
+    # U = P + iM: its values are those of P plus i times those of M
     rng = _rng(2)
-    shape = (5,) + (G16.n,) * 3
-    U = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    h = G16.n // 2
-    assert np.all(U[..., h, :, :] != 0) and np.all(U[..., 0] != 0) and np.all(U[..., h] != 0)
-    d = DispState(G16, U[0], U[1], U[2:], t=0.25)
-    assert d.buf.shape == (10, 16, 16, 9) and d.buf.dtype == complex and d.t == 0.25
-    assert np.max(np.abs(d.full() - U)) <= 1e-15 * np.max(np.abs(U))
-    # P = (U + Ubar)/2 and M = (U - Ubar)/2i are real fields
-    for row in d.buf:
-        assert is_hermitian(row)
+    buf = np.stack([random_real_field(G16, rng) for _ in range(10)])
+    d = DispState(G16, buf, 0.25)
+    assert d.buf is buf and d.grid is G16 and d.t == 0.25
+    U = to_spectral(G16, to_physical(G16, buf[:5]) + 1j * to_physical(G16, buf[5:]))
+    assert U.shape == (5,) + (G16.n,) * 3
+    assert np.max(np.abs(d.full() - U)) <= 1e-14 * np.max(np.abs(U))
     # U_e, U_i and U_b are read-only rows of full()
     for f, key in zip(("U_e", "U_i", "U_b"), (0, 1, slice(2, 5))):
         arr = getattr(d, f)
@@ -103,9 +101,8 @@ def test_disp_state_holds_u_as_real_fields_p_and_m():
         assert not arr.flags.writeable, f
         with pytest.raises(AttributeError):
             setattr(d, f, arr)
-    z = DispState(G16, 0.0, 0.0, 0.0, t=0.5)
-    assert z.buf.shape == (10, 16, 16, 9) and not z.buf.any() and z.t == 0.5
-    assert z.full().shape == shape and not z.full().any()
+    z = DispState(G16, np.zeros_like(buf), 0.5)
+    assert z.full().shape == U.shape and not z.full().any()
 
 
 def test_to_dispersive_matches_the_module_formulas_on_one_mode():
@@ -150,11 +147,11 @@ def test_from_dispersive_needs_no_full_reflection(monkeypatch):
     d = _random_disp(G16, seed=13)
     want = from_dispersive(d, P)
 
-    def boom(coef):
-        raise AssertionError("full-layout reflect called")
+    def boom(*args):
+        raise AssertionError("full-layout reflection called")
 
-    monkeypatch.setattr(spectral, "reflect", boom)
-    monkeypatch.setattr(diagonal, "reflect", boom)
+    monkeypatch.setattr(spectral, "_negate_modes", boom)
+    monkeypatch.setattr(diagonal, "full_spectrum", boom)
     np.testing.assert_array_equal(from_dispersive(d, P).buf, want.buf)
 
 
@@ -183,10 +180,9 @@ def test_reconstruction_is_real_and_constrained():
 
 def test_to_dispersive_warns_on_broken_constraints():
     s = _state(G16)
-    bad = s.copy()
-    bad.B[0][1, 2, 1] += 1e-4  # the half layout stores no conjugate slot: still real
+    s.B[0][1, 2, 1] += 1e-4  # the half layout stores no conjugate slot: still real
     with pytest.warns(RuntimeWarning, match="constraints"):
-        to_dispersive(bad, P)
+        to_dispersive(s, P)
 
 
 def test_to_dispersive_rejects_complex_input():
@@ -194,7 +190,6 @@ def test_to_dispersive_rejects_complex_input():
     s.n[1, 0, 0] += 0.5  # no matching conjugate mode
     with pytest.raises(ValueError, match="not real"):
         to_dispersive(s, P)
-    diagonal._to_dispersive(s, P)  # the unchecked map of internal callers
 
 
 # -- the support box ------------------------------------------------------------
@@ -223,10 +218,10 @@ def _box_state(kind):
     g = G16
     if kind == "full":
         c = _rng(4).normal(size=(2, 10) + g.half.xi_mag.shape)
-        d = DispState._over(g, 1e-3 * spectral.hermitize(c[0] + 1j * c[1]), 0.0)
+        d = DispState(g, 1e-3 * spectral.hermitize(c[0] + 1j * c[1]), 0.0)
         return physics.random_irrotational(g, P, _rng(4), kmax=None), d
     first, rest = (_A,), (_B, _B_MIRROR) + (_NYQUIST if kind == "nyquist" else ())
-    d = DispState._over(g, _rows_on(g, 10, first, rest, 5), 0.0)
+    d = DispState(g, _rows_on(g, 10, first, rest, 5), 0.0)
     if kind == "no_zero":  # on the manifold; n at A only, the other seeds at A and B
         keys = (("n", 1), ("rho", 1), ("v_pot", 1), ("u_pot", 1), ("E_t", 3), ("b_seed", 3))
         rows = iter(_rows_on(g, 10, first, rest, 6))
@@ -234,9 +229,7 @@ def _box_state(kind):
         seed = {k: v[0] if len(v) == 1 else v for k, v in seed.items()}
         return physics.make_irrotational(g, P, seed), d
     # Nyquist content is off the solver's states, so this one is built by hand
-    s = physics.PhysState(g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    s.buf[...] = _rows_on(g, 14, first, rest, 6)
-    return s, d
+    return physics.PhysState(g, _rows_on(g, 14, first, rest, 6), 0.0), d
 
 
 def _whole_lattice_symbols(g):
@@ -273,7 +266,9 @@ def _whole_lattice_from(d):
     v = spectral.riesz(g, h) + (2.0 / P.epsilon) * a
     u = spectral.riesz(g, gg) - 2.0 * a
     E = physics.ep_electric(g, n, rho) - 2.0 * q2_apply(g, Mr[2:])
-    out = physics.PhysState(g, n, rho, v, u, E, 2.0 * spectral.curl(g, a)).buf
+    s = physics.PhysState._empty(g)
+    s.n, s.rho, s.v, s.u, s.E, s.B = n, rho, v, u, E, 2.0 * spectral.curl(g, a)
+    out = s.buf
     hn = g.n // 2
     out[:, hn], out[:, :, hn], out[..., hn] = 0.0, 0.0, 0.0
     return out
@@ -302,11 +297,11 @@ def test_maps_on_the_support_box_match_the_whole_lattice(kind):
 def test_to_dispersive_checks_read_off_the_box():
     s, _ = _box_state("no_zero")
     # a plane-0 entry whose mirror (x index 13) lies off the box: not real
-    bad = s.copy()
+    bad = physics.PhysState(s.grid, s.buf.copy(), s.t)
     bad.n[3, 14, 0] = 1e-3
     with pytest.raises(ValueError, match="field n is not real"):
         to_dispersive(bad, P)
-    off = s.copy()
+    off = physics.PhysState(s.grid, s.buf.copy(), s.t)
     off.B[0][_A] += 1e-3
     with pytest.warns(RuntimeWarning, match="violates constraints"):
         to_dispersive(off, P)
@@ -338,11 +333,18 @@ def test_hn_norm_basics():
         hn_norm(G16, d.U_e, -1)
 
 
+@pytest.mark.parametrize("order", [np.nan, np.inf, True, pytest.param(np.True_, id="np.True_")])
+def test_hn_norm_rejects_a_bool_or_nonfinite_order(order):
+    # unchecked, a NaN order gives a NaN norm, and True the H^1 norm
+    with pytest.raises(ValueError, match="order must be finite and nonnegative"):
+        hn_norm(G16, _random_disp(G16).U_e, order)
+
+
 # -- nonlinearities, both routes ------------------------------------------------
 
 
 def test_nonlinearity_zero_state():
-    z = physics.PhysState(G16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    z = _zero(G16)
     for N in nonlinearity_direct(z, P):
         assert not N.any()
     for N in nonlinearity_multiplier(to_dispersive(z, P), P):
@@ -351,14 +353,13 @@ def test_nonlinearity_zero_state():
 
 def test_re_nb_vanishes_exactly():
     _, _, N_b = nonlinearity_direct(_state(G32, kmax=4), P)
-    re_part = 0.5 * (N_b + np.conj(reflect(N_b)))
+    re_part = 0.5 * (N_b + np.conj(_mirror(N_b)))
     assert np.max(np.abs(re_part)) == 0.0
 
 
 def test_bilinearity_exponent():
     s = _state(G16, seed=5)
-    big = s.copy()
-    big.buf *= 2.0
+    big = physics.PhysState(s.grid, 2.0 * s.buf, s.t)
     for N1, N2 in zip(nonlinearity_direct(s, P), nonlinearity_direct(big, P)):
         expo = np.log2(l2_norm(G16, N2) / l2_norm(G16, N1))
         assert abs(expo - 2.0) < 0.01
@@ -406,21 +407,23 @@ def _hand_convolution(d):
 
 
 @pytest.mark.parametrize("modes,kinds", [
-    # two modes in U_e only
-    ({0: [((1, 0, 1), 0.3 - 0.7j), ((0, 2, -1), -0.2 + 0.4j)]}, {("e", "e")}),
-    # U_e, U_i and the first U_b component at different wavevectors: the joint
-    # support holds points where two of the three species vanish
-    ({0: [((1, 0, 1), 0.3 - 0.7j)], 1: [((0, 2, -1), -0.2 + 0.4j)],
+    # P of U_e at one mode and its M at another, U_i = U_b = 0
+    ({0: [((1, 0, 1), 0.3 - 0.7j)], 5: [((0, -2, 1), -0.2 + 0.4j)]}, {("e", "e")}),
+    # U_e, U_i and the first U_b component at different wavevectors, the last
+    # on a self-mirrored plane: the joint support holds points where two of
+    # the three species vanish
+    ({0: [((1, 0, 1), 0.3 - 0.7j)], 6: [((0, -2, 1), -0.2 + 0.4j)],
       2: [((-1, 1, 0), 0.5 + 0.1j)]},
      {("e", "e"), ("i", "i"), ("b", "b"), ("e", "i"), ("e", "b"), ("i", "b")}),
 ], ids=["e_only", "differing_supports"])
 def test_multiplier_route_matches_handmade_convolution(modes, kinds):
-    # every surviving term reconstructed one by one
-    U = np.zeros((5,) + (G16.n,) * 3, complex)
+    # every surviving term reconstructed one by one; the entries are those of
+    # the buffer rows P and M, made real fields
+    buf = np.zeros((10, G16.n, G16.n, G16.n // 2 + 1), complex)
     for row, entries in modes.items():
         for k, z in entries:
-            U[row][k] = z
-    d = DispState(G16, U[0], U[1], U[2:])
+            buf[row][k] = z
+    d = DispState(G16, spectral.hermitize(buf), 0.0)
     hand, used = _hand_convolution(d)
     assert used == kinds
 
@@ -435,7 +438,7 @@ def test_multiplier_builds_one_block_per_tile(monkeypatch):
     # the geometry and radial tables of a tile serve every catalog pair
     d = _random_disp(G16, seed=4)
     U = d.full()
-    support = np.count_nonzero(np.concatenate((U, np.conj(reflect(U)))).any(axis=0))
+    support = np.count_nonzero(np.concatenate((U, np.conj(_mirror(U)))).any(axis=0))
     whole = nonlinearity_multiplier(d, P)
 
     built = []
@@ -471,11 +474,12 @@ def test_multiplier_builds_one_block_per_tile(monkeypatch):
 
 def test_single_species_isolation(monkeypatch):
     # with U_e = U_b = 0 the ion-ion pairs are the only active ones
-    U_i = _random_disp(G16, seed=21).U_i
-    d = DispState(G16, 0.0, U_i, 0.0, t=0.25)
+    buf = np.zeros((10, G16.n, G16.n, G16.n // 2 + 1), complex)
+    buf[[1, 6]] = _random_disp(G16, seed=21).buf[[1, 6]]
+    d = DispState(G16, buf, 0.25)
     full = nonlinearity_multiplier(d, P)
 
-    only = DispState(G16, 0.0, U_i.copy(), 0.0)
+    only = DispState(G16, buf.copy(), 0.0)
     for a, b in zip(full, nonlinearity_multiplier(only, P)):
         assert np.array_equal(a, b)
     # and the catalog cut to the ion-ion pairs gives the same sums
@@ -649,20 +653,8 @@ def test_multiplier_batch_evaluation_matches_scalar():
 
 
 def _free_trajectory(grid, dt, count, seed=13, kmax=2):
-    s0 = _state(grid, seed=seed, kmax=kmax)
-    d0 = to_dispersive(s0, P)
-    sym_e = lam("e", grid.xi_mag, P)
-    sym_i = lam("i", grid.xi_mag, P)
-    sym_b = lam("b", grid.xi_mag, P)
-    traj = []
-    for k in range(count):
-        t = k * dt
-        d = DispState(grid,
-                      np.exp(-1j * t * sym_e) * d0.U_e,
-                      np.exp(-1j * t * sym_i) * d0.U_i,
-                      np.exp(-1j * t * sym_b) * d0.U_b, t)
-        traj.append(from_dispersive(d, P))
-    return traj
+    d0 = to_dispersive(_state(grid, seed=seed, kmax=kmax), P)
+    return [from_dispersive(diagonal.free_evolve(d0, k * dt, P), P) for k in range(count)]
 
 
 def test_residual_free_evolution_stencil_order():

@@ -21,7 +21,6 @@ from twofluid.spectral import (
     q2_apply,
     random_real_field,
     random_vector_field,
-    reflect,
     riesz,
     shell_range,
     spatial_localize,
@@ -82,9 +81,9 @@ def test_dealias_mask_cube():
     assert not G.dealias_mask[11, 0, 0]
 
 
-def test_reflect_is_mode_negation():
+def test_negate_modes_is_mode_negation():
     c = RNG.standard_normal((G.n,) * 3) + 1j * RNG.standard_normal((G.n,) * 3)
-    r = reflect(c)
+    r = sp._negate_modes(c, (-3, -2, -1))
     for m in RNG.integers(-15, 16, size=(20, 3)):
         plus = tuple(m % G.n)
         minus = tuple((-m) % G.n)

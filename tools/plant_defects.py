@@ -37,6 +37,8 @@ DIAGONAL = "src/twofluid/diagonal.py"
 DECAY = "src/twofluid/decay.py"
 SPECTRAL = "src/twofluid/spectral.py"
 RESONANCE = "src/twofluid/resonance.py"
+DISPERSION = "src/twofluid/dispersion.py"
+ACCEPTANCE = "src/twofluid/acceptance.py"
 
 DEFECTS = (
     ("radial_kernel 4 pi -> 2 pi", DECAY,
@@ -76,7 +78,7 @@ DEFECTS = (
      "d.buf[7:10] = hermitize(d.buf[7:10])", "d.buf[7:10] = d.buf[7:10]"),
     ("_SIGNS same +- third sign flipped", DIAGONAL,
      "(\"same\", \"+\", \"-\"): (-1.0, 1.0, -1.0)", "(\"same\", \"+\", \"-\"): (-1.0, 1.0, 1.0)"),
-    ("_to_dispersive M_b sign", DIAGONAL,
+    ("dispersive rows M_b sign", DIAGONAL,
      "M[2:] = -0.5 * q2_apply(tab, E)", "M[2:] = 0.5 * q2_apply(tab, E)"),
     ("from_dispersive u from +2a", DIAGONAL,
      "c.u = riesz(box, gg) - 2.0 * a", "c.u = riesz(box, gg) + 2.0 * a"),
@@ -94,6 +96,40 @@ DEFECTS = (
      "hat[2:8] += state.buf[2:8]", "hat[2:5] += state.buf[2:5]"),
     ("electron pressure T / eps -> T", PHYSICS,
      "-(T / eps) * state.n", "-T * state.n"),
+    # constants, bounds and acceptance gates
+    ("BETA 0.01 -> 0.02", SPECTRAL, "BETA = 0.01", "BETA = 0.02"),
+    ("D_WINDOW (4, 48) -> (4, 40)", RESONANCE, "D_WINDOW = (4, 48)", "D_WINDOW = (4, 40)"),
+    ("_smoothstep exp(-1/t) -> exp(-2/t)", SPECTRAL,
+     "s = np.exp(-1.0 / t)", "s = np.exp(-2.0 / t)"),
+    ("D_NUM 10 -> 9", RESONANCE, "\nD_NUM = 10\n", "\nD_NUM = 9\n"),
+    ("CFL_SAFETY 0.5 -> 0.6", PHYSICS, "CFL_SAFETY = 0.5", "CFL_SAFETY = 0.6"),
+    ("radial_kernel without the Jacobian s", DECAY,
+     "amp = s * w[lo:hi]", "amp = w[lo:hi].copy()"),
+    ("_row_search without ~mono", RESONANCE,
+     "np.nonzero(~mono | ((lo <= bound) & (hi >= -bound)))",
+     "np.nonzero((lo <= bound) & (hi >= -bound))"),
+    ("_xi2 without iota2", RESONANCE,
+     "(2.0 * spec.iota1 * spec.iota2) * a * b * cosb", "(2.0 * spec.iota1) * a * b * cosb"),
+    ("criterion [6] window 20 -> 30", ACCEPTANCE,
+     "ok = 12.0 <= ratio <= 20.0", "ok = 12.0 <= ratio <= 30.0"),
+    ("criterion [10] drift tolerance 0.2 -> 0.5", ACCEPTANCE,
+     "c_const > 0 and rel <= 0.2", "c_const > 0 and rel <= 0.5"),
+    ("IDENTITY_RTOL 1e-10 -> 1e-6", DISPERSION, "IDENTITY_RTOL = 1e-10", "IDENTITY_RTOL = 1e-6"),
+    ("DECAY_TIMES 8 -> 6 points", ACCEPTANCE,
+     "DECAY_TIMES = (1e2, 1e4, 8)", "DECAY_TIMES = (1e2, 1e4, 6)"),
+    ("_BOUND_MARGIN -> 1", DECAY, "_BOUND_MARGIN = 1.0 + 1e-12", "_BOUND_MARGIN = 1.0"),
+    # equivalent: every product on a row skipped at equality is at least its
+    # bound, which equals the floor, so the floor cannot fall there
+    ("_elliptic_floor bound <= floor -> <", RESONANCE,
+     "rest = np.nonzero(bound <= floor)", "rest = np.nonzero(bound < floor)"),
+    # options without a caller, which the caller guard of test_exports rejects
+    ("rhs linear= again", PHYSICS,
+     "kind: SystemKind = SystemKind.euler_maxwell, check: bool = True) -> PhysState:",
+     "kind: SystemKind = SystemKind.euler_maxwell, linear: bool = False,\n"
+     "        check: bool = True) -> PhysState:"),
+    ("cfl_dt with an unpassed keyword", PHYSICS,
+     "def cfl_dt(grid: Grid, p: PlasmaParams) -> float:",
+     "def cfl_dt(grid: Grid, p: PlasmaParams, *, safety: float = CFL_SAFETY) -> float:"),
 )
 
 
