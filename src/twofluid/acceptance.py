@@ -1,9 +1,11 @@
 """Quantitative acceptance suite.
 
-Ten numbered criteria, each a standalone runner with a wall-clock budget.
-Every caller, the pytest suite included, dispatches through :func:`run`; a
-criterion that raises, misses its tolerance, or blows its budget fails.
-Runners use fixed seeds so reruns are bit-identical.
+Ten numbered criteria, each a runner with a wall-clock budget that returns
+its measured values by name and a detail string of counts and context.
+Every window lives in one table, :data:`GATES`, keyed by (criterion, value
+name).  :func:`run` alone decides: a criterion passes when its value names
+are exactly its gates, each value lies in its window, and it neither raises
+nor blows its budget.  Runners use fixed seeds so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +65,32 @@ DECAY_TIMES = (1e2, 1e4, 8)
 ENERGY_N, ENERGY_STEPS = 16, 60
 
 
+# Every acceptance window, keyed by (criterion, value name): run() passes a
+# value inside the closed window [lo, hi] and prints the window beside it.
+GATES = {
+    (1, "failed checks"): (0.0, 0.0),  # each identity within dispersion.IDENTITY_RTOL
+    (2, "failed checks"): (0.0, 0.0),  # each inequality at zero slack on the grid
+    (3, "worst field error"): (0.0, 1e-11),  # exact inverse maps: roundoff; not derived
+    (4, "worst route difference"): (0.0, 1e-9),  # two exact routes: roundoff; not derived
+    (5, "residual at dt"): (0.0, 1e-12),  # RK4 commutes with the constraint algebra: roundoff
+    (5, "residual at dt/2"): (0.0, 1e-12),  # the same floor at half the step; not derived
+    (6, "ratio"): (12.0, 20.0),  # RK4 error falls 2^4 = 16-fold at dt/2; width not derived
+    (7, "unresolved"): (0.0, 0.0),  # each near-resonant triple has an admissible case
+    (7, "elliptic hits"): (0.0, 0.0),  # none on a proved elliptic or nonresonant phase
+    (8, "worst |Xi|"): (0.0, 1e-10),  # Xi = 0 on the resonant curves; roundoff, not derived
+    (8, "equal-branch split error"): (0.0, 0.0),  # identical legs halve xi exactly
+    (8, "c-tilde disagreements"): (0.0, 0.0),  # the zeros of Psi carry the proved signs
+    (8, "case-B residual"): (0.0, 1e-12),  # each root solves its equation; not derived
+    (8, "case-B misplaced roots"): (0.0, 0.0),  # s - r has the sign of s - R_sigma
+    (9, "e k=0"): (-1.6, -1.4),  # the paper's t^(-3/2) on a nondegenerate shell; width not derived
+    (9, "b k=0"): (-1.6, -1.4),  # t^(-3/2) as for e k=0
+    (9, "i k=-3"): (-1.6, -1.4),  # t^(-3/2) as for e k=0
+    (9, "i k=1 (inflection shell)"): (-1.35, -1.15),  # the paper's t^(-4/3); width not derived
+    (9, "i shell slope"): (0.4, 0.6),  # no derivation yet
+    (10, "drift"): (0.0, 0.2),  # the constant should not depend on the grid; not derived
+}
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -98,17 +126,17 @@ def _identities():
     for tr in _TRIPLES:
         rep = verify_identities(PlasmaParams(*tr))
         worst = max(worst, max(c.worst for c in rep.checks))
-        if not rep.passed:
-            return False, rep.summary()
-    return True, f"5 parameter triples, 200 radii each, worst residual {worst:.1e}"
+        failed = sum(not c.passed for c in rep.checks)
+        if failed:
+            return {"failed checks": failed}, rep.summary()
+    return {"failed checks": 0}, f"5 parameter triples, 200 radii each, worst residual {worst:.1e}"
 
 
 @_criterion(2, "branch inequalities", 10.0)
 def _inequalities():
     rep = verify_tech99(P)
-    if not rep.passed:
-        return False, rep.summary()
-    return True, "zero violations on the 10^4-point grid"
+    failed = sum(not c.passed for c in rep.checks)
+    return {"failed checks": failed}, rep.summary() if failed else "checked on the 10^4-point grid"
 
 
 @_criterion(3, "diagonalization round trip", 30.0)
@@ -121,8 +149,8 @@ def _round_trip():
         back = from_dispersive(to_dispersive(s, P), P)
         for name in FIELDS:
             a = getattr(s, name)
-            worst = max(worst, l2_norm(g, getattr(back, name) - a) / l2_norm(g, a))
-    return worst <= 1e-11, f"20 states at 64^3, worst field error {worst:.1e} (tol 1e-11)"
+            worst = np.maximum(worst, l2_norm(g, getattr(back, name) - a) / l2_norm(g, a))
+    return {"worst field error": worst}, "20 states at 64^3"
 
 
 @_criterion(4, "nonlinearity catalog vs direct", 300.0)
@@ -135,27 +163,21 @@ def _catalog():
         direct = nonlinearity_direct(s, P)
         conv = nonlinearity_multiplier(to_dispersive(s, P), P)
         for a, b in zip(direct, conv):
-            worst = max(worst, l2_norm(g, a - b) / l2_norm(g, a))
-    return worst <= 1e-9, f"10 states, all three components, worst {worst:.1e} (tol 1e-9)"
+            worst = np.maximum(worst, l2_norm(g, a - b) / l2_norm(g, a))
+    return {"worst route difference": worst}, "10 states, all three components"
 
 
 @_criterion(5, "constraint propagation", 300.0)
 def _constraint_propagation():
-    # RK4 commutes with the linear constraint algebra on the grid, so the
-    # residuals stay at assembly roundoff and the dt-halving ratio carries
-    # no signal; a drift at the constructor floor passes outright
     g = Grid(CONSTRAINT_N)
     rng = np.random.default_rng(117)
     s0 = random_irrotational(g, P, rng, amplitude=1e-3, kmax=4)
-    steps, dt, floor = CONSTRAINT_STEPS, 1e-3, 1e-12
-    drift = {}
-    for half in (1, 2):
-        *_, s = integrate(s0, [steps * dt], dt / half, P)
-        drift[half] = max(constraints(s, P).values())
-    ratio = drift[1] / drift[2] if drift[2] > 0 else np.inf
-    ok = (drift[1] <= floor and drift[2] <= floor) or ratio >= 12.0
-    how = "roundoff floor" if drift[1] <= floor else f"ratio {ratio:.1f}"
-    return ok, f"max residual {drift[1]:.1e} (dt) / {drift[2]:.1e} (dt/2), {how}"
+    steps, dt = CONSTRAINT_STEPS, 1e-3
+    values = {}
+    for name, h in (("residual at dt", dt), ("residual at dt/2", dt / 2)):
+        *_, s = integrate(s0, [steps * dt], h, P)
+        values[name] = max(constraints(s, P).values())
+    return values, f"{steps} steps at {g.n}^3"
 
 
 @_criterion(6, "linear evolution oracle", 120.0)
@@ -178,9 +200,7 @@ def _linear_oracle():
         return float(np.sqrt(num / den))
 
     e1, e2 = global_err(1e-3), global_err(5e-4)
-    ratio = e1 / e2
-    ok = 12.0 <= ratio <= 20.0
-    return ok, f"errors {e1:.2e} -> {e2:.2e} under dt halving, ratio {ratio:.2f} (want [12, 20])"
+    return {"ratio": e1 / e2}, f"errors {e1:.2e} -> {e2:.2e} under dt halving"
 
 
 @_criterion(7, "near-resonance partition", 1800.0)
@@ -188,17 +208,11 @@ def _partition():
     rep = verify_case_partition(
         P, shells=range(-8, 5), D_num=10, resolution=(1024, 512, 256), refine=True
     )
-    # triples admitted only above D_num are reported with the D window that
-    # admits them; an empty window would be a genuine classification failure
-    windows_ok = all(bool(wins) for _, _, wins in rep.violations)
-    ok = rep.ok and windows_ok
     hit = [shells for shells in rep.hits.values() if shells]
     samples = sum(v[0] for shells in hit for v in shells.values())
-    return ok, (
+    return {"unresolved": len(rep.unresolved), "elliptic hits": len(rep.sell_or_nr_hits)}, (
         f"{len(hit)} phases with hits, {samples} near-resonant samples in "
-        f"{sum(map(len, hit))} home triples, {len(rep.sell_or_nr_hits)} elliptic hits, "
-        f"{len(rep.violations)} admitted only above D_num, "
-        f"{len(rep.unresolved)} unresolved"
+        f"{sum(map(len, hit))} home triples, {len(rep.violations)} admitted only above D_num"
     )
 
 
@@ -215,52 +229,38 @@ def _resonant_curves():
         for variant in (ordered, ordered.swapped()):
             eta = p_res(variant, xiv, P)
             grad = xi_gradient(variant, xiv, eta, P)
-            worst = max(worst, float(np.linalg.norm(grad, axis=0).max()))
+            worst = np.maximum(worst, np.linalg.norm(grad, axis=0).max())
     even = PhaseSpec("b", "e+", "e+")
     probe = np.array([0.44, -1.3, 0.27])
-    exact_split = np.array_equal(p_res(even, probe, P), 0.5 * probe)
-    # the zeros of Psi carry the proved c-tilde signs
-    ctilde = sum(row["agree"] for row in ctilde_report(P).values())
-    # case-B roots at s = R_sigma (1 +- 1/2), inside the 2^{-D/5} window: the
-    # root solves its equation, and s - r has the sign of s - R_sigma
-    caseB = 0
+    split = float(np.max(np.abs(p_res(even, probe, P) - 0.5 * probe)))
+    ctilde = sum(not row["agree"] for row in ctilde_report(P).values())
+    # case-B roots at s = R_sigma (1 +- 1/2), inside the 2^{-D/5} window
+    residuals, misplaced = [], 0
     for sp in sorted(T_B, key=lambda spec: spec.key):
         R = find_R_sigma(sp.branch2, P)
         for s in (0.5 * R, 1.5 * R):
             d = caseB_r(sp, s, P)
-            caseB += abs(d["residual"]) <= 1e-12 and np.sign(s - d["r"]) == np.sign(s - R)
-    ok = worst <= 1e-10 and exact_split and ctilde == len(T_A_ORDERED) and caseB == 2 * len(T_B)
-    return ok, (
-        f"13 phases x 2 orders x 100 radii, worst |Xi| {worst:.1e} (tol 1e-10); "
-        f"equal-branch split exact: {exact_split}; "
-        f"c-tilde signs agree on {ctilde}/{len(T_A_ORDERED)} phases; "
-        f"case-B roots {caseB}/{2 * len(T_B)} (residual <= 1e-12, s - r signed as s - R)"
-    )
+            residuals.append(abs(d["residual"]))
+            misplaced += np.sign(s - d["r"]) != np.sign(s - R)
+    return {"worst |Xi|": worst, "equal-branch split error": split, "c-tilde disagreements": ctilde,
+            "case-B residual": float(np.max(residuals)), "case-B misplaced roots": misplaced}, (
+        f"13 phases x 2 orders x 100 radii, {2 * len(T_B)} case-B roots")
 
 
 @_criterion(9, "kernel decay exponents", 600.0)
 def _decay_exponents():
     ts = np.geomspace(*DECAY_TIMES)
-    ladders = (
-        ("e k=0", "e", 0, -1.6, -1.4),
-        ("b k=0", "b", 0, -1.6, -1.4),
-        ("i k=-3", "i", -3, -1.6, -1.4),
-        ("i k=1 (inflection shell)", "i", 1, -1.35, -1.15),
-    )
-    parts, ok = [], True
-    for label, branch, k, lo, hi in ladders:
+    ladders = (("e k=0", "e", 0), ("b k=0", "b", 0), ("i k=-3", "i", -3),
+               ("i k=1 (inflection shell)", "i", 1))
+    values = {}
+    for label, branch, k in ladders:
         sups = np.array([kernel_sup(KernelQuery(branch, k, t), P) for t in ts])
-        ex = decay_fit(ts, sups)["exponent"]
-        good = lo <= ex <= hi
-        ok = ok and good
-        parts.append(f"{label}: {ex:+.4f} {'ok' if good else f'FAIL [{lo:+.2f},{hi:+.2f}]'}")
+        values[label] = decay_fit(ts, sups)["exponent"]
     ks = np.arange(-7, -1)
     sups = np.array([kernel_sup(KernelQuery("i", int(k), ts[-1]), P) for k in ks])
-    slope = float(np.polyfit(ks, np.log2(sups), 1)[0])
-    good = 0.4 <= slope <= 0.6
-    ok = ok and good
-    parts.append(f"i shell slope: {slope:+.4f} {'ok' if good else 'FAIL [+0.40,+0.60]'}")
-    return ok, "; ".join(parts)
+    values["i shell slope"] = float(np.polyfit(ks, np.log2(sups), 1)[0])
+    return values, (f"{ts.size} times from {ts[0]:g} to {ts[-1]:g}, "
+                    f"i shells k = {ks[0]}..{ks[-1]} at t = {ts[-1]:g}")
 
 
 def _refine_seed(coef: np.ndarray, coarse: Grid, n_to: int) -> np.ndarray:
@@ -289,9 +289,9 @@ def _energy_bound():
     # fine dt is exactly half the coarse dt, so sample times coincide
     c_const, _ = gronwall_constant(run_grid(gc, seed_c, ENERGY_STEPS, 4), P, order=2)
     f_const, _ = gronwall_constant(run_grid(gf, seed_f, 2 * ENERGY_STEPS, 8), P, order=2)
+    # a constant is >= 0: a zero coarse one raises here, a NaN one gives a NaN drift
     rel = abs(f_const - c_const) / c_const
-    ok = np.isfinite(c_const) and c_const > 0 and rel <= 0.2
-    return ok, f"fitted constant {c_const:.4f} ({gc.n}^3) vs {f_const:.4f} ({gf.n}^3), drift {rel:.1%} (tol 20%)"
+    return {"drift": rel}, f"fitted constant {c_const:.4f} ({gc.n}^3) vs {f_const:.4f} ({gf.n}^3)"
 
 
 def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:
@@ -309,7 +309,14 @@ def run(numbers=None, stream=sys.stdout) -> list[CriterionResult]:
             continue
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            values, detail = fn()
+            names = {name for num, name in GATES if num == fn.number}
+            if set(values) != names:  # a misspelt name must not skip its gate
+                raise ValueError(f"values {sorted(values)} are not the gates {sorted(names)}")
+            wins = [(name, v, *GATES[fn.number, name]) for name, v in values.items()]
+            ok = all(lo <= v <= hi for _, v, lo, hi in wins)  # NaN lies in no window
+            detail += "".join(f"; {name} {v:.6g} {'in' if lo <= v <= hi else 'OUTSIDE'} "
+                              f"[{lo:g}, {hi:g}]" for name, v, lo, hi in wins)
         except Exception as exc:  # a crashed criterion is a failed criterion
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - t0

@@ -249,8 +249,8 @@ def integrate(state: PhysState, times, dt: float, p: PlasmaParams,
     loop.  Invalid input raises on the first ``next``, a nonlinear start off
     the constraint manifold (see :func:`rhs`) included."""
     times = np.asarray(times, dtype=float)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if isinstance(dt, (bool, np.bool_)) or not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
         raise ValueError("times must be a finite nondecreasing 1d sequence")
     if times.size and times[0] < state.t:

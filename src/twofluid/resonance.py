@@ -176,12 +176,15 @@ def _norm3(v):
     return np.sqrt(np.sum(np.square(v), axis=0))
 
 
+def _phi_radii(spec: PhaseSpec, s, z, r, p: PlasmaParams):
+    """Phi from the radii s = |xi|, z = |xi - eta| and r = |eta|."""
+    return _phase(spec, lam(spec.sigma, s, p), lam(spec.branch1, z, p), lam(spec.branch2, r, p))
+
+
 def phi(spec: PhaseSpec, xi, eta, p: PlasmaParams):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    return (lam(spec.sigma, _norm3(xi), p)
-            - spec.iota1 * lam(spec.branch1, _norm3(xi - eta), p)
-            - spec.iota2 * lam(spec.branch2, _norm3(eta), p))
+    return _phi_radii(spec, _norm3(xi), _norm3(xi - eta), _norm3(eta), p)
 
 
 def xi(spec: PhaseSpec, xi, eta, p: PlasmaParams):
@@ -336,9 +339,7 @@ def psi(spec: PhaseSpec, s, p: PlasmaParams):
     sp = _ordered_rep(spec)
     s = np.asarray(s, dtype=float)
     rr = _r_signed(sp, s, p)
-    out = (lam(sp.sigma, s, p)
-           - sp.iota1 * lam(sp.branch1, np.abs(rr - s), p)
-           - sp.iota2 * lam(sp.branch2, np.abs(rr), p))
+    out = _phi_radii(sp, s, np.abs(rr - s), np.abs(rr), p)
     return out if s.ndim else float(out)
 
 
@@ -351,9 +352,7 @@ def f_profile(spec: PhaseSpec, r, p: PlasmaParams):
     """
     pair = _pair_of(spec)
     r = np.asarray(r, dtype=float)
-    return (lam(spec.sigma, np.abs(t_tilde(spec, r, p)), p)
-            - spec.iota1 * lam(spec.branch1, t_func(pair, r, p), p)
-            - spec.iota2 * lam(spec.branch2, r, p))
+    return _phi_radii(spec, np.abs(t_tilde(spec, r, p)), t_func(pair, r, p), r, p)
 
 
 def r_fixed_point(p: PlasmaParams) -> float:

@@ -315,6 +315,18 @@ def test_integrate_rejects_invalid_input():
             list(integrate(s, times, dt, P))
 
 
+@pytest.mark.parametrize("dt", [True, pytest.param(np.True_, id="np.True_"), np.inf])
+def test_integrate_rejects_a_bool_or_infinite_dt_before_any_step(dt, monkeypatch):
+    # True once stepped by 1.0 with only a CFL warning, and inf as one step
+    # to the target
+    s = random_irrotational(Grid(8), P, _rng(), amplitude=1e-2)
+    monkeypatch.setattr(physics, "step", lambda *a, **k: pytest.fail("a step ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            next(integrate(s, [0.5], dt, P))
+
+
 # ---------------------------------------------------------------------------
 # constraints
 

@@ -753,6 +753,17 @@ def test_row_search_finds_the_brute_force_run(data, idx, n_rows, n_t, bound):
     assert set(np.flatnonzero(~mono)) <= set(rows[0].tolist())
 
 
+def test_row_search_keeps_a_row_whose_end_value_sits_on_the_bound():
+    # Phi runs 2 + b, 1 + b, b on the first monotone row and -b, -1 - b,
+    # -2 - b on the second: each holds one sample with |Phi| = b exactly, so
+    # the range test is closed at both ends
+    sp, b = _parse("i;i+,i+"), 2.0**-10
+    ls, lz, lr = np.array([[2.0 + b], [-b]]), np.array([[0.0, 1.0, 2.0]] * 2), np.zeros((2, 1))
+    rows, Phi, _ = rs._row_search(sp, ls, lz, lr, np.array([True, True]), b)
+    assert rows[0].tolist() == [0, 1]
+    assert Phi.tolist() == [[2.0 + b, 1.0 + b, b], [-b, -1.0 - b, -2.0 - b]]
+
+
 def test_row_search_falls_back_on_a_decreasing_row():
     # Phi = 5, 0, 5 along the row: both ends are far above the bound, so only
     # full evaluation finds the middle sample

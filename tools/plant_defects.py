@@ -111,9 +111,21 @@ DEFECTS = (
     ("_xi2 without iota2", RESONANCE,
      "(2.0 * spec.iota1 * spec.iota2) * a * b * cosb", "(2.0 * spec.iota1) * a * b * cosb"),
     ("criterion [6] window 20 -> 30", ACCEPTANCE,
-     "ok = 12.0 <= ratio <= 20.0", "ok = 12.0 <= ratio <= 30.0"),
+     '(6, "ratio"): (12.0, 20.0)', '(6, "ratio"): (12.0, 30.0)'),
     ("criterion [10] drift tolerance 0.2 -> 0.5", ACCEPTANCE,
-     "c_const > 0 and rel <= 0.2", "c_const > 0 and rel <= 0.5"),
+     '(10, "drift"): (0.0, 0.2)', '(10, "drift"): (0.0, 0.5)'),
+    ("criterion [3] bound 1e-11 -> 1e-8", ACCEPTANCE,
+     '(3, "worst field error"): (0.0, 1e-11)', '(3, "worst field error"): (0.0, 1e-8)'),
+    ("criterion [5] floor 1e-12 -> 1e-9", ACCEPTANCE,
+     '(5, "residual at dt"): (0.0, 1e-12)', '(5, "residual at dt"): (0.0, 1e-9)'),
+    ("criterion [9] inflection window -1.35 -> -1.40", ACCEPTANCE,
+     '"i k=1 (inflection shell)"): (-1.35, -1.15)',
+     '"i k=1 (inflection shell)"): (-1.40, -1.15)'),
+    ("criterion [6] value name misspelt", ACCEPTANCE,
+     'return {"ratio": e1 / e2}', 'return {"ratoi": e1 / e2}'),
+    ("criterion [3] running max by Python max, which drops a later NaN", ACCEPTANCE,
+     "worst = np.maximum(worst, l2_norm(g, getattr(back, name) - a)",
+     "worst = max(worst, l2_norm(g, getattr(back, name) - a)"),
     ("IDENTITY_RTOL 1e-10 -> 1e-6", DISPERSION, "IDENTITY_RTOL = 1e-10", "IDENTITY_RTOL = 1e-6"),
     ("DECAY_TIMES 8 -> 6 points", ACCEPTANCE,
      "DECAY_TIMES = (1e2, 1e4, 8)", "DECAY_TIMES = (1e2, 1e4, 6)"),
