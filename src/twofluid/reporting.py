@@ -35,13 +35,16 @@ class Report:
     checks: list[Check] = field(default_factory=list)
 
     @property
+    def failed(self) -> int:
+        return sum(not c.passed for c in self.checks)
+
+    @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failed
 
     def add(self, name: str, passed: bool, worst: float, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), float(worst), detail))
 
     def summary(self) -> str:
-        lines = [f"== {self.title}: {'PASS' if self.passed else 'FAIL'} =="]
-        lines += [c.line() for c in self.checks]
-        return "\n".join(lines)
+        head = f"== {self.title}: {'PASS' if self.passed else 'FAIL'} =="
+        return "\n".join([head] + [c.line() for c in self.checks])
