@@ -119,7 +119,7 @@ def radial_kernel(lam_fn, lam_prime_fn, weight_fn, a: float, b: float,
     the cost follows the weight's support, not [a, b].
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not (math.isfinite(t) and math.isfinite(b) and b > a > 0):
+    if isinstance(t, (bool, np.bool_)) or not (math.isfinite(t) and math.isfinite(b) and b > a > 0):
         raise ValueError(f"need finite t and 0 < a < b < inf, got t={t!r}, a={a!r}, b={b!r}")
     if xs.size == 0 or not np.all(np.isfinite(xs) & (xs >= 0)):
         raise ValueError(f"xs must hold at least one radius, all finite and >= 0, got {xs!r}")

@@ -21,21 +21,22 @@ multiplier catalog.  The routes share the radial symbol tables and the
 change of variables, nothing else: route one reads the solver's products
 (physics._products), route two the catalog's symbols, so their agreement
 exercises every entry of the catalog and every product the solver forms.
-The catalog is evaluated one pair at a time: one function per pair class
-forms the factors a pair's rows share once and yields only the rows that do
-not vanish by construction, 140 of the 61 x 5 row components.
+Both return N as a `DispState`, like U.  The catalog is evaluated one pair
+at a time: one function per pair class forms the factors a pair's rows share
+once and yields only the rows that do not vanish by construction, 140 of the
+61 x 5 row components.
 
 Zero-mode conventions follow module spectral: symbols carrying a 1/|xi|
 that does not cancel drop the xi = 0 mode (mean-zero perturbations), while
 Lam_i/|xi| is continued through the origin by its finite limit.
 
 The maps between the two sets of unknowns are per mode, so they run on the
-support box of their input (`_Box`): the x and y modes holding a nonzero
-entry of some row, mode 0 always added, times the z prefix 0..K, as
-``spectral._support`` finds it.  Every table they read (xi, |xi|, 1/|xi| and
-the radial symbols) is indexed by the box, norms weight each box entry by
-its Hermitian multiplicity, and the output is zero-filled and written on
-the box only.  A full-support state's box is the whole half lattice.  The
+support box of their input (`_Box`), as route one does on its products'
+box: the x and y modes holding a nonzero entry of some row, mode 0 always
+added, times the z prefix 0..K, as ``spectral._support`` finds it.  Every
+table they read (xi, |xi|, 1/|xi| and the radial symbols) is indexed by
+the box, norms weight each box entry by its Hermitian multiplicity, and
+the output is zero-filled and written on the box only.  A full-support state's box is the whole half lattice.  The
 ``analyse`` states, band-limited to |m| <= 4, hold 405 of the 135,168 modes
 of the 64^3 half lattice.
 """
@@ -55,6 +56,7 @@ from .spectral import (
     Grid,
     _inv0,
     _multiplicity,
+    _negate_modes,
     _support,
     _zero_nyquist,
     curl,
@@ -128,32 +130,32 @@ def species_split(mu: str):
 
 
 def _row(key) -> property:
-    """The rows ``key`` of ``DispState.full()``, as a read-only array."""
-    return property(lambda d: d._full(key, False))
+    """The rows ``key`` of U = P + iM in the full layout, as a new read-only array."""
+    def full(d: "DispState") -> np.ndarray:
+        P, M = d.buf[:5][key], d.buf[5:][key]
+        out = full_spectrum(d.grid, P - 1j * M)  # U(-xi) = conj (P - iM)(xi): the tail
+        out[..., : d.grid.n // 2 + 1] = P + 1j * M
+        out.flags.writeable = False
+        return out
+    return property(full)
 
 
 class DispState:
-    """The dispersive unknowns at time t as U = P + iM, P and M real fields
-    on the half layout of module spectral: ``buf`` (10, n, n, n//2 + 1) holds
-    P of U_e, U_i, U_b1..3 in rows 0:5 and their M in rows 5:10.  The
-    constructor wraps ``buf`` itself, not a copy.  ``full()`` gives U in the
-    full layout, and ``U_e``, ``U_i``, ``U_b`` are read-only copies of its rows."""
+    """The dispersive unknowns, or their right-hand sides, at time t as
+    U = P + iM, P and M real fields on the half layout of module spectral:
+    ``buf`` (10, n, n, n//2 + 1) holds P of U_e, U_i, U_b1..3 in rows 0:5 and
+    their M in rows 5:10, and the constructor wraps it, not a copy.  ``U_e``,
+    ``U_i``, ``U_b`` are read-only full-layout copies of U, yielded in turn by iteration."""
 
     U_e, U_i, U_b = _row(0), _row(1), _row(slice(2, 5))
 
     def __init__(self, grid: Grid, buf: np.ndarray, t: float):
         self.grid, self.buf, self.t = grid, buf, t
 
-    def full(self) -> np.ndarray:
-        """U_e, U_i, U_b as one new (5, n, n, n) array in the full layout."""
-        return self._full(slice(0, 5), True)
-
-    def _full(self, key, writeable: bool) -> np.ndarray:
-        P, M = self.buf[:5][key], self.buf[5:][key]
-        out = full_spectrum(self.grid, P - 1j * M)  # U(-xi) = conj (P - iM)(xi): the tail
-        out[..., : self.grid.n // 2 + 1] = P + 1j * M
-        out.flags.writeable = writeable
-        return out
+    def __iter__(self):
+        yield self.U_e
+        yield self.U_i
+        yield self.U_b
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +223,22 @@ def to_dispersive(s: PhysState, p: PlasmaParams) -> DispState:
     h, gg = (-inv_modulus(box, div(box, w)) for w in (c.v, c.u))
     sub = np.empty((10,) + h.shape, dtype=complex)
     sub[2:5] = 0.5 * box.sym.lam_b * inv_modulus(box, q_apply(box, c.B))
-    _dispersive_rows(box, box.sym, p, sub, c.n, c.rho, h, gg, c.E)
+    _dispersive_rows(box, p, sub, c.n, c.rho, h, gg, c.E)
     return DispState(s.grid, box.scatter(sub), s.t)
 
 
-def _dispersive_rows(tab, sym: "_Radius", p: PlasmaParams, out: np.ndarray,
-                     n, rho, h, gg, E) -> None:
+def _dispersive_rows(box: _Box, p: PlasmaParams, out: np.ndarray, n, rho, h, gg, E) -> None:
     """Write P and M of U_e and U_i and M_b = -Q^2 E/2 into the rows 0, 1, 5,
-    6 and 7:10 of ``out``, per mode from n, rho, h = -|xi|^-1 div v,
-    g = -|xi|^-1 div u and E, on the tables ``tab`` (a grid or a box) and
-    the radial table ``sym`` there; P_b, the rows 2:5, is the caller's."""
+    6 and 7:10 of ``out``, per mode on ``box`` from n, rho, h = -|xi|^-1 div v,
+    g = -|xi|^-1 div u and E there; P_b, the rows 2:5, is the caller's."""
+    sym = box.sym
     seps, R, half = np.sqrt(p.epsilon), sym.R, 0.5 * sym.norm
     P, M = out[:5], out[5:]
     P[0] = half * sym.out_over_mod("e") * (R * rho - seps * n)  # zero mode dropped
     P[1] = half * sym.qi * (seps * R * n + rho)
     M[0] = half * (R * gg - seps * h)
     M[1] = half * (seps * R * h + gg)
-    M[2:] = -0.5 * q2_apply(tab, E)
+    M[2:] = -0.5 * q2_apply(box, E)
 
 
 def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
@@ -275,30 +276,30 @@ def from_dispersive(d: DispState, p: PlasmaParams) -> PhysState:
 # nonlinearity, route one: the solver's quadratic terms
 
 
-def nonlinearity_direct(s: PhysState, p: PlasmaParams):
-    """Quadratic right-hand sides (N_e, N_i, N_b) from the physical fields.
+def nonlinearity_direct(s: PhysState, p: PlasmaParams) -> DispState:
+    """The quadratic right-hand sides from the physical fields, as a DispState at s.t.
 
     The change of variables is linear and diagonalizes the linear part, so
     N_sigma is :func:`to_dispersive` of the quadratic part of :func:`physics.rhs`,
     n_t = -div(n v), rho_t = -div(rho u), v_t = -grad(|v|^2)/2,
     u_t = -grad(|u|^2)/2, E_t = n v - rho u and B_t = 0, read per mode from
-    the solver's products (``physics._products``) on the whole half lattice:
-    h and g of the map are -|xi| |v|^2/2 and -|xi| |u|^2/2, M_b is
-    -Q^2(n v - rho u)/2, and P_b, the real part (N_b + bar N_b)/2 of N_b, is
-    exactly 0.  Subtracting the linear tendencies from rhs(s) would cancel
-    O(s) terms to leave O(s^2), losing digits as s gets small.  The M_b rows
-    are hermitized, so that the real part of N_b is exactly zero on the
-    self-mirrored planes too.  The three are returned in the full layout.
+    the solver's products (``physics._products``) on their support box, the
+    2/3 band of the dealiasing rule: h and g of the map are -|xi| |v|^2/2 and
+    -|xi| |u|^2/2, M_b is -Q^2(n v - rho u)/2, and P_b, the real part
+    (N_b + bar N_b)/2 of N_b, is exactly 0.  Subtracting the linear
+    tendencies from rhs(s) would cancel O(s) terms to leave O(s^2), losing
+    digits as s gets small.  The M_b rows are hermitized, so that the real
+    part of N_b is exactly zero on the self-mirrored planes too.
     """
-    g, sym = s.grid, _symbols(s.grid, p)
-    hat = _products(g, s.buf)
+    box = _Box(s.grid, _products(s.grid, s.buf), p)
+    hat, r = box.sub, box.sym.r
     Je, Ji = hat[ROWS["v"]], hat[ROWS["u"]]
-    d = DispState(g, np.zeros((10,) + hat.shape[1:], dtype=complex), s.t)
-    _dispersive_rows(g, sym, p, d.buf, -div(g, Je), -div(g, Ji), -0.5 * sym.r * hat[0],
-                     -0.5 * sym.r * hat[1], Je - Ji)
+    rows = np.zeros((10,) + hat.shape[1:], dtype=complex)
+    _dispersive_rows(box, p, rows, -div(box, Je), -div(box, Ji), -0.5 * r * hat[0],
+                     -0.5 * r * hat[1], Je - Ji)
+    d = DispState(s.grid, box.scatter(rows), s.t)
     d.buf[7:10] = hermitize(d.buf[7:10])
-    U = d.full()
-    return U[0], U[1], U[2:]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def _bb_rows(mu, nu, t: _Block):
 
 def _pair_rows(mu: str, nu: str, t: _Block):
     """The nonzero catalog rows of the pair (mu, nu) on a block, as (row of
-    DispState.full(), values), b before the transverse projection.  Each
+    U_e, U_i, U_b1..3, values), b before the transverse projection.  Each
     values array is new, so the caller may scale it in place."""
     if nu[0] != "b":
         return _acoustic_rows(mu, nu, t)
@@ -472,7 +473,7 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
     if scalar_in:
         xi, eta = xi[:, None], eta[:, None]
     t = _Block(xi, xi - eta, eta, p)
-    out = np.zeros((5,) + t.z.r.shape, complex)  # rows as in DispState.full()
+    out = np.zeros((5,) + t.z.r.shape, complex)  # rows U_e, U_i, U_b1..3
     for row, vals in _pair_rows(mu, nu, t):
         out[row] += vals
     if sigma == "b":
@@ -491,19 +492,20 @@ def multiplier(sigma: str, mu: str, nu: str, xi, eta, p: PlasmaParams):
 _CONV_BLOCK = 1 << 19
 
 
-def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
-    """(N_e, N_i, N_b) as the literal lattice convolution against the catalog.
+def nonlinearity_multiplier(d: DispState, p: PlasmaParams) -> DispState:
+    """N as a DispState at d.t, the literal lattice convolution against the catalog.
 
     The sum runs over every (zeta, eta) in the square of the joint support
     of the ten species rows, walked in tiles of whole zeta rows: each tile
     builds one `_Block` (the wrapped output mode xi = zeta + eta, the
     radial tables and the dot products), evaluates each catalog pair once
     on it, adds the pair's nonzero rows times its coefficient product into
-    five sums, and scatters them once.  A species that vanishes at a point
-    of the joint support adds zero there.  The convolution constant for the
-    unitary transform pair on n^3 points is c = n^{-3/2}.  Cost grows with
-    the square of the support, which is what makes this the verification
-    route rather than the production one.
+    five sums W on the whole lattice, and scatters them once.  A species
+    that vanishes at a point of the joint support adds zero there.  With the
+    convolution constant c = n^{-3/2} of the unitary transform pair on n^3
+    points, P = c (W + Wbar)/2 and M = c (W - Wbar)/2i, Wbar(xi) = conj
+    W(-xi), the b sums projected transversally first.  Cost grows with the
+    square of the support: this is the verification route, not the production one.
     """
     g = d.grid
     n = g.n
@@ -518,7 +520,7 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
     K = g.modes.reshape(3, -1)[:, sup]
     flat = dict(zip(("e+", "i+", "b+1", "b+2", "b+3", "e-", "i-", "b-1", "b-2", "b-3"),
                     coefs[:, sup]))
-    W = np.zeros((5, n ** 3), complex)  # the sums, rows as in d.full()
+    W = np.zeros((5, n, n, n), complex)  # the sums, rows U_e, U_i, U_b1..3
 
     rows = max(1, _CONV_BLOCK // max(sup.size, 1))
     for lo in range(0, sup.size, rows):
@@ -540,10 +542,12 @@ def nonlinearity_multiplier(d: DispState, p: PlasmaParams):
                 vals *= prod
                 acc[row] += vals
                 del vals  # before the next row is formed, which sets the peak
-        np.add.at(W, (slice(None), idx.ravel()), acc.reshape(5, -1))
+        np.add.at(W.reshape(5, -1), (slice(None), idx.ravel()), acc.reshape(5, -1))
 
-    c, W = n ** -1.5, W.reshape((5, n, n, n))
-    return c * W[0], c * W[1], c * q2_apply(g, W[2:])
+    W[2:] = q2_apply(g, W[2:])
+    Wbar = np.conj(_negate_modes(W, (-3, -2, -1))[..., :half + 1])
+    W = W[..., :half + 1]
+    return DispState(g, (0.5 * n ** -1.5) * np.concatenate((W + Wbar, -1j * (W - Wbar))), d.t)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +574,11 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
     sym = _symbols(g, p)
     # the three Lam_sigma in the full layout; real and even, so full spectra
     lam = full_spectrum(g, np.stack((sym.lam_e, sym.lam_i, sym.lam_b)))
-    states = [to_dispersive(s, p).full() for s in traj]
+    states = [tuple(to_dispersive(s, p)) for s in traj]  # (U_e, U_i, U_b) each
 
     # the stencil only resolves phases that rotate slowly between snapshots
-    mag = np.abs(states[0])
-    for branch, lam_s, m in zip(("e", "i", "b"), lam, (mag[0], mag[1], mag[2:].max(axis=0))):
+    for branch, lam_s, U in zip(("e", "i", "b"), lam, states[0]):
+        m = np.abs(U).reshape((-1,) + lam_s.shape).max(axis=0)
         top = m.max()
         if top == 0.0:
             continue
@@ -587,11 +591,10 @@ def dispersive_residual(traj, p: PlasmaParams, include_nonlinearity: bool = True
 
     res = {"e": [], "i": [], "b": []}
     for k in range(2, len(traj) - 2):
-        U = [states[k + j] for j in (-2, -1, 0, 1, 2)]
-        Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
         N = nonlinearity_direct(traj[k], p) if include_nonlinearity else (0.0,) * 3
-        for branch, rows, lam_s, N_s in zip(("e", "i", "b"), (0, 1, slice(2, 5)), lam, N):
-            res[branch].append(l2_norm(g, Udot[rows] + 1j * lam_s * U[2][rows] - N_s))
+        for branch, lam_s, N_s, *U in zip(("e", "i", "b"), lam, N, *states[k - 2:k + 3]):
+            Udot = (U[0] - 8 * U[1] + 8 * U[3] - U[4]) / (12.0 * dt)
+            res[branch].append(l2_norm(g, Udot + 1j * lam_s * U[2] - N_s))
     return {"t": times[2:-2], **{b: np.array(v) for b, v in res.items()}}
 
 

@@ -391,7 +391,7 @@ def make_irrotational(grid: Grid, p: PlasmaParams, seed: dict) -> PhysState:
         want = shape(key)
         if np.shape(seed[key]) != want:
             raise ValueError(f"seed {key!r} must have shape {want}, got {np.shape(seed[key])}")
-    if not np.isfinite(seed.get("t", 0.0)):
+    if isinstance(seed.get("t"), (bool, np.bool_)) or not np.isfinite(seed.get("t", 0.0)):
         raise ValueError(f"seed time must be finite, got {seed['t']!r}")
 
     take = lambda key: hermitize(seed.get(key, np.zeros(shape(key))))  # noqa: E731
@@ -425,7 +425,7 @@ def _random_seed(grid: Grid, rng, amplitude: float, kmax: int, rotational: bool)
 def random_irrotational(grid: Grid, p: PlasmaParams, rng,
                         amplitude: float = 1e-3, kmax: int = 4,
                         rotational: bool = True) -> PhysState:
-    if not (np.isfinite(amplitude) and amplitude >= 0.0):
+    if isinstance(amplitude, (bool, np.bool_)) or not (np.isfinite(amplitude) and amplitude >= 0.0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
     # random_real_field rejects a kmax that is neither None nor an integer >= 1
     return make_irrotational(grid, p, _random_seed(grid, rng, amplitude, kmax, rotational))

@@ -17,8 +17,9 @@ Conventions
     half-spectrum of a real field: the entries with negative last-axis
     modes are the conjugates of their mirrors and are not stored.  Both
     states wrap one buffer of real fields on this layout: the physical
-    ones, and P and M of each dispersive unknown U = P + iM.  Neither is
-    built from the full layout; ``DispState.full()`` forms U there.
+    ones, and P and M of each dispersive unknown U = P + iM and of its
+    right-hand side N.  Neither is built from the full layout; ``DispState``
+    reads U out there.
 
   Only the self-mirrored planes (last-axis modes 0 and n/2) can still hold
   a non-real field; ``hermitize`` makes them real.  A physical state keeps

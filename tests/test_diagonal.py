@@ -56,6 +56,11 @@ def _mirror(U):
     return spectral._negate_modes(U, (-3, -2, -1))
 
 
+def _full(d):
+    """U_e, U_i, U_b of ``d`` stacked into one (5, n, n, n) full-layout array."""
+    return np.concatenate([U.reshape((-1,) + U.shape[-3:]) for U in d])
+
+
 def _zero(grid):
     return physics.PhysState(grid, np.zeros((14, grid.n, grid.n, grid.n // 2 + 1), complex), 0.0)
 
@@ -85,7 +90,7 @@ def test_round_trip_on_constraint_states():
 
 
 def test_disp_state_holds_u_as_real_fields_p_and_m():
-    # the constructor wraps the rows P and M, not a copy, and full() is
+    # the constructor wraps the rows P and M, not a copy, and the read-out is
     # U = P + iM: its values are those of P plus i times those of M
     rng = _rng(2)
     buf = np.stack([random_real_field(G16, rng) for _ in range(10)])
@@ -93,16 +98,18 @@ def test_disp_state_holds_u_as_real_fields_p_and_m():
     assert d.buf is buf and d.grid is G16 and d.t == 0.25
     U = to_spectral(G16, to_physical(G16, buf[:5]) + 1j * to_physical(G16, buf[5:]))
     assert U.shape == (5,) + (G16.n,) * 3
-    assert np.max(np.abs(d.full() - U)) <= 1e-14 * np.max(np.abs(U))
-    # U_e, U_i and U_b are read-only rows of full()
-    for f, key in zip(("U_e", "U_i", "U_b"), (0, 1, slice(2, 5))):
-        arr = getattr(d, f)
-        assert np.array_equal(arr, d.full()[key]), f
+    assert np.max(np.abs(_full(d) - U)) <= 1e-14 * np.max(np.abs(U))
+    # U_e, U_i and U_b are read-only and iterating yields them in that order
+    rows = list(d)
+    assert len(rows) == 3
+    for f, arr in zip(("U_e", "U_i", "U_b"), rows):
+        assert np.array_equal(arr, getattr(d, f)), f
         assert not arr.flags.writeable, f
         with pytest.raises(AttributeError):
             setattr(d, f, arr)
+    assert rows[2].shape == (3,) + (G16.n,) * 3
     z = DispState(G16, np.zeros_like(buf), 0.5)
-    assert z.full().shape == U.shape and not z.full().any()
+    assert _full(z).shape == U.shape and not _full(z).any()
 
 
 def test_to_dispersive_matches_the_module_formulas_on_one_mode():
@@ -140,7 +147,7 @@ def test_to_dispersive_matches_the_module_formulas_on_one_mode():
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (sign, name)
     mask = np.ones((g.n,) * 3, bool)
     mask[k] = mask[tuple(-np.array(k) % g.n)] = False
-    assert not d.full()[:, mask].any()
+    assert not _full(d)[:, mask].any()
 
 
 def test_from_dispersive_needs_no_full_reflection(monkeypatch):
@@ -151,6 +158,7 @@ def test_from_dispersive_needs_no_full_reflection(monkeypatch):
         raise AssertionError("full-layout reflection called")
 
     monkeypatch.setattr(spectral, "_negate_modes", boom)
+    monkeypatch.setattr(diagonal, "_negate_modes", boom)
     monkeypatch.setattr(diagonal, "full_spectrum", boom)
     np.testing.assert_array_equal(from_dispersive(d, P).buf, want.buf)
 
@@ -238,18 +246,36 @@ def _whole_lattice_symbols(g):
     return r, R, 1.0 / np.sqrt(1.0 + R**2), lam("e", r, P), lam("b", r, P), q_i(r, P)
 
 
-def _whole_lattice_to(s):
-    g = s.grid
+def _whole_lattice_rows(g, n, rho, h, gg, E):
+    """Every row but P_b of the map, on the whole half lattice; P_b is 0."""
     r, R, norm, lam_e, lam_b, qi = _whole_lattice_symbols(g)
     seps, half = np.sqrt(P.epsilon), 0.5 * norm
-    h, gg = (-spectral.inv_modulus(g, spectral.div(g, w)) for w in (s.v, s.u))
-    out = np.empty((10,) + r.shape, complex)
-    out[0] = half * lam_e * g.half.inv_xi_mag * (R * s.rho - seps * s.n)
-    out[1] = half * qi * (seps * R * s.n + s.rho)
-    out[2:5] = 0.5 * lam_b * spectral.inv_modulus(g, spectral.q_apply(g, s.B))
+    out = np.zeros((10,) + r.shape, complex)
+    out[0] = half * lam_e * g.half.inv_xi_mag * (R * rho - seps * n)
+    out[1] = half * qi * (seps * R * n + rho)
     out[5] = half * (R * gg - seps * h)
     out[6] = half * (seps * R * h + gg)
-    out[7:] = -0.5 * q2_apply(g, s.E)
+    out[7:] = -0.5 * q2_apply(g, E)
+    return out
+
+
+def _whole_lattice_to(s):
+    g = s.grid
+    h, gg = (-spectral.inv_modulus(g, spectral.div(g, w)) for w in (s.v, s.u))
+    out = _whole_lattice_rows(g, s.n, s.rho, h, gg, s.E)
+    out[2:5] = 0.5 * lam("b", g.half.xi_mag, P) * spectral.inv_modulus(g, spectral.q_apply(g, s.B))
+    return out
+
+
+def _whole_lattice_direct(s):
+    """N of the direct route: the map of the quadratic tendencies formed from
+    the solver's products on the whole half lattice, M_b hermitized."""
+    g = s.grid
+    hat = physics._products(g, s.buf)
+    Je, Ji, r = hat[2:5], hat[5:8], g.half.xi_mag
+    out = _whole_lattice_rows(g, -spectral.div(g, Je), -spectral.div(g, Ji),
+                              -0.5 * r * hat[0], -0.5 * r * hat[1], Je - Ji)
+    out[7:] = spectral.hermitize(out[7:])
     return out
 
 
@@ -283,10 +309,12 @@ def test_maps_on_the_support_box_match_the_whole_lattice(kind):
         warnings.simplefilter("ignore" if kind == "nyquist" else "error")
         to = to_dispersive(s, P)
     back = from_dispersive(d, P)
-    for got, want in ((to.buf, _whole_lattice_to(s)), (back.buf, _whole_lattice_from(d))):
+    N = nonlinearity_direct(s, P)
+    for got, want in ((to.buf, _whole_lattice_to(s)), (back.buf, _whole_lattice_from(d)),
+                      (N.buf, _whole_lattice_direct(s))):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
         assert np.max(np.abs(want)) > 0
-    assert to.t == s.t and back.t == d.t
+    assert to.t == s.t and back.t == d.t and N.t == s.t
     # the box holds mode 0 at its index (0, 0, 0), and its norm is l2_norm
     box = diagonal._Box(g, s.buf, P)
     assert all(ix.ravel()[0] == 0 for ix in box.index[1:])
@@ -351,8 +379,20 @@ def test_nonlinearity_zero_state():
         assert not N.any()
 
 
+def test_both_routes_return_a_disp_state_at_the_input_time():
+    s = _state(G16, seed=9)
+    s = physics.PhysState(G16, s.buf, 0.75)
+    for N in (nonlinearity_direct(s, P), nonlinearity_multiplier(to_dispersive(s, P), P)):
+        assert isinstance(N, DispState) and N.grid is G16 and N.t == 0.75
+        assert N.buf.shape == (10, G16.n, G16.n, G16.n // 2 + 1)
+        assert all(is_hermitian(row) for row in N.buf)
+    assert not hasattr(DispState, "full")
+
+
 def test_re_nb_vanishes_exactly():
-    _, _, N_b = nonlinearity_direct(_state(G32, kmax=4), P)
+    N = nonlinearity_direct(_state(G32, kmax=4), P)
+    assert not N.buf[2:5].any()  # P_b, the real part of N_b, on the half layout
+    _, _, N_b = N
     re_part = 0.5 * (N_b + np.conj(_mirror(N_b)))
     assert np.max(np.abs(re_part)) == 0.0
 
@@ -379,7 +419,7 @@ def test_direct_and_multiplier_routes_agree():
 def _hand_convolution(d):
     """(N_e, N_i, N_b) of ``d`` summed one mode pair at a time against
     `multiplier`, and the catalog pairs that contributed."""
-    n, K, U = d.grid.n, d.grid.modes, d.full()
+    n, K, U = d.grid.n, d.grid.modes, _full(d)
     tables = {mu: {} for mu in SPECIES}
     for row, mu in enumerate(("e", "i", "b1", "b2", "b3")):
         plus, minus = (mu[0] + sign + mu[1:] for sign in "+-")
@@ -437,7 +477,7 @@ def test_multiplier_route_matches_handmade_convolution(modes, kinds):
 def test_multiplier_builds_one_block_per_tile(monkeypatch):
     # the geometry and radial tables of a tile serve every catalog pair
     d = _random_disp(G16, seed=4)
-    U = d.full()
+    U = _full(d)
     support = np.count_nonzero(np.concatenate((U, np.conj(_mirror(U)))).any(axis=0))
     whole = nonlinearity_multiplier(d, P)
 

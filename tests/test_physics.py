@@ -338,6 +338,22 @@ def test_random_irrotational_rejects_a_bad_kmax(kmax):
         random_irrotational(Grid(16), P, _rng(), amplitude=1e-3, kmax=kmax)
 
 
+@pytest.mark.parametrize("flag", [True, pytest.param(np.True_, id="np.True_")])
+@pytest.mark.parametrize("call,message", [
+    # a bool seed time once gave a state at t = 1.0
+    (lambda flag: make_irrotational(Grid(8), P, {"t": flag}), "seed time must be finite"),
+    # a bool t once integrated at t = 1
+    (lambda flag: decay.radial_kernel(lambda s: 0 * s, lambda s: 0 * s, lambda s: 1.0 + 0 * s,
+                                      1.0, 2.0, flag, [0.0], 64), "need finite t"),
+    # a bool amplitude was once rejected as an rms the caller never passed
+    (lambda flag: random_irrotational(Grid(8), P, _rng(), amplitude=flag, kmax=2),
+     "amplitude must be finite"),
+], ids=["make_irrotational t", "radial_kernel t", "random_irrotational amplitude"])
+def test_a_bool_is_rejected_at_the_boundaries(call, message, flag):
+    with pytest.raises(ValueError, match=message):
+        call(flag)
+
+
 @pytest.mark.parametrize("kmax", [1, np.int64(2), None])
 def test_random_irrotational_takes_a_positive_integer_kmax(kmax):
     s = random_irrotational(Grid(16), P, _rng(), amplitude=1e-3, kmax=kmax)

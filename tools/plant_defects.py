@@ -71,15 +71,21 @@ DEFECTS = (
     ("_products n and rho factors swapped", PHYSICS,
      "v_p *= phys[0]\n    u_p *= phys[1]", "v_p *= phys[1]\n    u_p *= phys[0]"),
     ("nonlinearity_direct -1/2 -> -1 on |v|^2", DIAGONAL,
-     "-0.5 * sym.r * hat[0]", "-1.0 * sym.r * hat[0]"),
+     "-0.5 * r * hat[0]", "-1.0 * r * hat[0]"),
     ("nonlinearity_direct E row Je + Ji", DIAGONAL,
-     "-0.5 * sym.r * hat[1], Je - Ji)", "-0.5 * sym.r * hat[1], Je + Ji)"),
+     "-0.5 * r * hat[1], Je - Ji)", "-0.5 * r * hat[1], Je + Ji)"),
     ("nonlinearity_direct M rows not hermitized", DIAGONAL,
      "d.buf[7:10] = hermitize(d.buf[7:10])", "d.buf[7:10] = d.buf[7:10]"),
     ("_SIGNS same +- third sign flipped", DIAGONAL,
      "(\"same\", \"+\", \"-\"): (-1.0, 1.0, -1.0)", "(\"same\", \"+\", \"-\"): (-1.0, 1.0, 1.0)"),
     ("dispersive rows M_b sign", DIAGONAL,
-     "M[2:] = -0.5 * q2_apply(tab, E)", "M[2:] = 0.5 * q2_apply(tab, E)"),
+     "M[2:] = -0.5 * q2_apply(box, E)", "M[2:] = 0.5 * q2_apply(box, E)"),
+    ("multiplier Wbar without conj", DIAGONAL,
+     "Wbar = np.conj(_negate_modes(W, (-3, -2, -1))[..., :half + 1])",
+     "Wbar = _negate_modes(W, (-3, -2, -1))[..., :half + 1]"),
+    ("multiplier M sign flipped", DIAGONAL, "-1j * (W - Wbar)", "1j * (W - Wbar)"),
+    ("DispState iteration yields U_i before U_e", DIAGONAL,
+     "yield self.U_e\n        yield self.U_i", "yield self.U_i\n        yield self.U_e"),
     ("from_dispersive u from +2a", DIAGONAL,
      "c.u = riesz(box, gg) - 2.0 * a", "c.u = riesz(box, gg) + 2.0 * a"),
     ("support box without mode 0", DIAGONAL,
